@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from random import Random
 
@@ -151,16 +152,23 @@ def fmt(x: float):
 
 
 def _emit_report(args, payload: dict, tsv_rows: list[tuple] | None = None) -> None:
-    if args.output == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        rows = tsv_rows
-        if rows is None:
-            rows = sorted(
-                (k, json.dumps(v, sort_keys=True)) for k, v in payload.items()
-            )
-        for row in rows:
-            print("\t".join(str(cell) for cell in row))
+    # strict JSON: a non-finite value is a numerical failure, reported
+    # before anything reaches stdout
+    try:
+        if args.output == "json":
+            text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        else:
+            rows = tsv_rows
+            if rows is None:
+                rows = sorted(
+                    (k, json.dumps(v, sort_keys=True, allow_nan=False))
+                    for k, v in payload.items()
+                )
+            text = "".join("\t".join(str(cell) for cell in row) + "\n" for row in rows)
+    except ValueError as exc:
+        message = f"non-finite value in the report: {exc}"
+        raise NumericalInconsistency(message) from None
+    print(text, end="")
 
 
 def _base_payload(args, M: BinaryMatrix, theta: Angle | None = None) -> dict:
@@ -213,6 +221,8 @@ def _cmd_tutte(args) -> int:
     payload = _base_payload(args, M)
     if args.at is not None:
         x, y = args.at
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise InputError(f"--at needs finite values, got {x} {y}")
         value = tutte.tutte_eval(M, complex(x), complex(y))
         payload.update(
             {
@@ -388,6 +398,8 @@ def _cmd_marginal(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.samples < 0:
+        raise InputError(f"--samples must be nonnegative, got {args.samples}")
     M = parse_matrix_file(args.matrix)
     theta = _theta_of(args)
     prog = XProgram(M, theta)
@@ -395,13 +407,9 @@ def _cmd_sample(args) -> int:
     rng = Random(args.seed)
     sampler = marginals.MarginalSampler(prog, proj, rng)
     draws = [sampler.sample().to_string() for _ in range(args.samples)]
-    if args.output == "json":
-        payload = _base_payload(args, M, theta)
-        payload.update({"seed": args.seed, "samples": draws})
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for draw in draws:
-            print(draw)
+    payload = _base_payload(args, M, theta)
+    payload.update({"seed": args.seed, "samples": draws})
+    _emit_report(args, payload, [(draw,) for draw in draws])
     return 0
 
 
@@ -559,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
         sp.add_argument("--output", choices=("json", "tsv"), default="json")
         sp.add_argument("--dump", action="store_true", help="echo the parsed matrix")
-        sp.add_argument("--threads", type=int, default=1)
+        sp.add_argument("--threads", type=int, default=1, help="accepted and ignored")
         sp.set_defaults(handler=handler)
         return sp
 

@@ -64,18 +64,8 @@ class GaussianInteger:
 
 def _reduced_generators(M: BinaryMatrix) -> list[int]:
     """Independent generators of the column-span code, as packed ints."""
-    basis: list[tuple[int, int]] = []
-    out: list[int] = []
-    for col in gf2.transpose(M).rows:
-        v = col.bits
-        for p, b in basis:
-            if (v >> p) & 1:
-                v ^= b
-        if v:
-            basis.append((v.bit_length() - 1, v))
-            basis.sort(key=lambda t: -t[0])
-            out.append(v)
-    return out
+    columns = [col.bits for col in gf2.transpose(M).rows]
+    return list(gf2._eliminate(columns, {}).values())
 
 
 def _gauss_sum(vectors: list[int], shift: int) -> int:
@@ -152,17 +142,7 @@ def wenum_from_generators(generators: list[int], k: int) -> GaussianInteger:
 
     The generators need not be independent; they are reduced first.
     """
-    basis: list[tuple[int, int]] = []
-    gens: list[int] = []
-    for g in generators:
-        v = g
-        for p, b in basis:
-            if (v >> p) & 1:
-                v ^= b
-        if v:
-            basis.append((v.bit_length() - 1, v))
-            basis.sort(key=lambda t: -t[0])
-            gens.append(v)
+    gens = list(gf2._eliminate(generators, {}).values())
     r = len(gens)
     k %= 4
     if k == 0:

@@ -20,7 +20,7 @@ from math import gcd
 
 import numpy as np
 
-from . import clifford, gf2
+from . import clifford
 from .errors import (
     DimensionMismatch,
     NumericalInconsistency,
@@ -193,9 +193,9 @@ def alpha(
     n = P.n
     if theta.is_fourth_root:
         t = theta.fourth_root_index
-        w = clifford.wenum_at_fourth_root(P, (-t) % 4)
-        r = gf2.rank(P)
-        value = cmath.exp(1j * math.pi * t * n / 4) * w.to_complex() / (1 << r)
+        gens = clifford._reduced_generators(P)
+        w = clifford.wenum_from_generators(gens, (-t) % 4)
+        value = cmath.exp(1j * math.pi * t * n / 4) * w.to_complex() / (1 << len(gens))
     else:
         profile = weight_enumerator(P, rank_limit=rank_limit)
         th = theta.value
@@ -223,8 +223,9 @@ def alpha_exact_fourth_root(
     n = P.n
     if (t * n) % 2:
         return None
-    w = clifford.wenum_at_fourth_root(P, (-t) % 4)
-    return w.times_i_power((t * n // 2) % 4), gf2.rank(P)
+    gens = clifford._reduced_generators(P)
+    w = clifford.wenum_from_generators(gens, (-t) % 4)
+    return w.times_i_power((t * n // 2) % 4), len(gens)
 
 
 def project(P: BinaryMatrix, x: BitVector) -> BinaryMatrix:

@@ -169,33 +169,68 @@ class BinaryMatrix:
         return [row.to_string() for row in self.rows]
 
 
-def _insert_pivot(pivots: list, entry: tuple) -> None:
-    # keep pivots sorted by descending pivot bit so one reduction pass settles
-    pivots.append(entry)
-    pivots.sort(key=lambda t: -t[0])
+def _eliminate(
+    vectors: Iterable[int],
+    pivots: dict[int, int],
+    tag_bits: int = 0,
+    residues: list[int] | None = None,
+) -> dict[int, int]:
+    """Reduces packed vectors against pivots, keeping each new pivot.
+
+    pivots maps a leading bit to the one pivot row with that leading bit
+    and grows in place, in insertion order. The lowest tag_bits bits of
+    every vector are a companion tag: they ride along in every xor but
+    are never pivoted on, so a tag records how its vector was combined.
+    When residues is a list, each vector's final value is appended: the
+    new pivot row, or the tag left over from a dependent vector.
+    """
+    floor = 1 << tag_bits
+    get = pivots.get
+    for w in vectors:
+        while w >= floor:
+            top = w.bit_length() - 1
+            b = get(top)
+            if b is None:
+                pivots[top] = w
+                break
+            w ^= b
+        if residues is not None:
+            residues.append(w)
+    return pivots
+
+
+def _back_substitute(pivots: dict[int, int]) -> list[tuple[int, int]]:
+    """Clears every pivot row's leading bit from all other pivot rows.
+
+    Works in place and returns the (leading bit, row) pairs by descending
+    leading bit: the reduced row echelon form, tags included.
+    """
+    tops = sorted(pivots)
+    for i, p in enumerate(tops):
+        b = pivots[p]
+        bit = 1 << p
+        for q in tops[i + 1 :]:
+            if pivots[q] & bit:
+                pivots[q] ^= b
+    return [(p, pivots[p]) for p in reversed(tops)]
 
 
 def rank(M: BinaryMatrix) -> int:
     """Dimension of the row space of M."""
-    pivots: list[tuple[int, int]] = []
-    for row in M.rows:
-        v = row.bits
-        for p, b in pivots:
-            if (v >> p) & 1:
-                v ^= b
-        if v:
-            _insert_pivot(pivots, (v.bit_length() - 1, v))
-    return len(pivots)
+    return len(_eliminate([row.bits for row in M.rows], {}))
 
 
-def _combo_to_vector(combo: int, r: int) -> BitVector:
-    # combo holds basis index j at integer bit j; repack into display order
+def _row_tags(n: int) -> list[int]:
+    # tag of input row i, one bit per row in display order
+    return [1 << (n - 1 - i) for i in range(n)]
+
+
+def _tag_on_basis(tag: int, n: int, basis_rows: tuple[int, ...]) -> BitVector:
+    # a tag over all n input rows, read on the basis rows only
     bits = 0
-    while combo:
-        low = combo & -combo
-        bits |= 1 << (r - 1 - (low.bit_length() - 1))
-        combo ^= low
-    return BitVector(r, bits)
+    for i in basis_rows:
+        bits = (bits << 1) | ((tag >> (n - 1 - i)) & 1)
+    return BitVector(len(basis_rows), bits)
 
 
 @dataclass(frozen=True)
@@ -212,7 +247,8 @@ class EchelonForm:
     reduced: BinaryMatrix
     basis_rows: tuple[int, ...]
     col_map: BinaryMatrix
-    _pivots: tuple[tuple[int, int, int], ...] = field(repr=False, compare=False)
+    # pivot rows tagged with the input rows they combine
+    _pivots: tuple[tuple[int, int], ...] = field(repr=False, compare=False)
 
     @property
     def rank(self) -> int:
@@ -226,15 +262,12 @@ class EchelonForm:
         """
         if x.n != self.col_map.l:
             raise DimensionMismatch("vector length does not match the matrix")
-        v = x.bits
-        c = 0
-        for pos, vec, combo in self._pivots:
-            if (v >> pos) & 1:
-                v ^= vec
-                c ^= combo
-        if v:
+        n = self.reduced.n
+        residue: list[int] = []
+        _eliminate([x.bits << n], dict(self._pivots), n, residue)
+        if residue[0] >> n:
             raise ValueError("vector is outside the row space")
-        return _combo_to_vector(c, len(self.basis_rows))
+        return _tag_on_basis(residue[0], n, self.basis_rows)
 
     def dual_map(self, s: BitVector) -> BitVector:
         """Image of a functional s under restriction to the basis rows."""
@@ -253,72 +286,43 @@ def echelon_reduce(M: BinaryMatrix) -> EchelonForm:
     result deterministic. Dependent rows come out as their unique
     coefficient vectors over the chosen basis.
     """
-    pivots: list[tuple[int, int, int]] = []  # (pivot bit, vector, combo)
-    basis_rows: list[int] = []
-    combos: list[int] = []
-    for idx, row in enumerate(M.rows):
-        v = row.bits
-        c = 0
-        for pos, vec, combo in pivots:
-            if (v >> pos) & 1:
-                v ^= vec
-                c ^= combo
-        if v:
-            j = len(basis_rows)
-            basis_rows.append(idx)
-            _insert_pivot(pivots, (v.bit_length() - 1, v, c ^ (1 << j)))
-            combos.append(1 << j)
-        else:
-            combos.append(c)
-    r = len(basis_rows)
-    reduced = BinaryMatrix.from_rows(r, (_combo_to_vector(c, r) for c in combos))
+    n = M.n
+    tags = _row_tags(n)
+    residues: list[int] = []
+    pivots = _eliminate(
+        [(row.bits << n) | t for row, t in zip(M.rows, tags)], {}, n, residues
+    )
+    basis_rows = tuple(i for i, w in enumerate(residues) if w >> n)
+    # a basis row is its own tag; a dependent row leaves a tag holding its
+    # own bit plus those of the basis rows that sum to it
+    combos = (t if w >> n else w ^ t for w, t in zip(residues, tags))
+    reduced = BinaryMatrix.from_rows(
+        len(basis_rows), (_tag_on_basis(c, n, basis_rows) for c in combos)
+    )
     col_map = BinaryMatrix.from_rows(M.l, (M.rows[i] for i in basis_rows))
-    return EchelonForm(reduced, tuple(basis_rows), col_map, tuple(pivots))
+    return EchelonForm(reduced, basis_rows, col_map, tuple(pivots.items()))
 
 
 def span_rref(vectors: Iterable[BitVector], length: int) -> list[BitVector]:
     """Canonical reduced basis of the span, ordered by leading coordinate."""
-    pivots: list[tuple[int, int]] = []
+    bits = []
     for vec in vectors:
         if vec.n != length:
             raise DimensionMismatch("vector length does not match the span")
-        v = vec.bits
-        for p, b in pivots:
-            if (v >> p) & 1:
-                v ^= b
-        if v:
-            _insert_pivot(pivots, (v.bit_length() - 1, v))
-    # clear every pivot bit from the other basis vectors
-    for i in range(len(pivots)):
-        p, b = pivots[i]
-        for j in range(len(pivots)):
-            if j != i and (pivots[j][1] >> p) & 1:
-                pivots[j] = (pivots[j][0], pivots[j][1] ^ b)
-    return [BitVector(length, v) for _, v in pivots]
+        bits.append(vec.bits)
+    return [BitVector(length, v) for _, v in _back_substitute(_eliminate(bits, {}))]
 
 
 def kernel(M: BinaryMatrix) -> list[BitVector]:
     """Canonical basis of the right null space {v : M v = 0}."""
-    pivots: list[tuple[int, int]] = []
-    for row in M.rows:
-        v = row.bits
-        for p, b in pivots:
-            if (v >> p) & 1:
-                v ^= b
-        if v:
-            _insert_pivot(pivots, (v.bit_length() - 1, v))
-    for i in range(len(pivots)):
-        p, b = pivots[i]
-        for j in range(len(pivots)):
-            if j != i and (pivots[j][1] >> p) & 1:
-                pivots[j] = (pivots[j][0], pivots[j][1] ^ b)
-    taken = {p for p, _ in pivots}
+    rref = _back_substitute(_eliminate([row.bits for row in M.rows], {}))
+    taken = {p for p, _ in rref}
     basis = []
     for f in range(M.l):
         if f in taken:
             continue
         v = 1 << f
-        for p, b in pivots:
+        for p, b in rref:
             if (b >> f) & 1:
                 v |= 1 << p
         basis.append(BitVector(M.l, v))
@@ -384,24 +388,16 @@ def solve(A: BinaryMatrix, b: BitVector) -> BitVector | None:
     """
     if b.n != A.n:
         raise DimensionMismatch("right hand side length does not match the rows")
-    pivots: list[tuple[int, int, int]] = []  # (pivot bit, vector, rhs bit)
-    for i, row in enumerate(A.rows):
-        v = row.bits
-        rb = b.get(i) if A.n else 0
-        for p, pv, pr in pivots:
-            if (v >> p) & 1:
-                v ^= pv
-                rb ^= pr
-        if v:
-            _insert_pivot(pivots, (v.bit_length() - 1, v, rb))
-        elif rb:
-            return None
+    # each row carries its right-hand-side bit as a one-bit tag
+    residues: list[int] = []
+    pivots = _eliminate(
+        [(row.bits << 1) | b.get(i) for i, row in enumerate(A.rows)], {}, 1, residues
+    )
+    if 1 in residues:  # some row reduced to the equation 0 = 1
+        return None
     x = 0
-    for p, v, rb in sorted(pivots):
-        # every non-pivot bit of v sits below p and is already decided
-        val = rb ^ (((v ^ (1 << p)) & x).bit_count() & 1)
-        if val:
-            x |= 1 << p
+    for top, w in _back_substitute(pivots):
+        x |= (w & 1) << (top - 1)
     return BitVector(A.l, x)
 
 
@@ -414,23 +410,12 @@ def inverse(M: BinaryMatrix) -> BinaryMatrix:
     if M.n != M.l:
         raise ValueError("only square matrices can be inverted")
     l = M.l
-    pivots: list[tuple[int, int, int]] = []  # (pivot bit, vector, transform row)
-    for i, row in enumerate(M.rows):
-        v = row.bits
-        t = 1 << (l - 1 - i)
-        for p, pv, pt in pivots:
-            if (v >> p) & 1:
-                v ^= pv
-                t ^= pt
-        if not v:
-            raise ValueError("matrix is singular")
-        _insert_pivot(pivots, (v.bit_length() - 1, v, t))
-    for i in range(len(pivots)):
-        p, v, t = pivots[i]
-        for j in range(len(pivots)):
-            if j != i and (pivots[j][1] >> p) & 1:
-                pivots[j] = (pivots[j][0], pivots[j][1] ^ v, pivots[j][2] ^ t)
-    rows = [0] * l
-    for p, _, t in pivots:
-        rows[l - 1 - p] = t
+    # each row carries its row of the identity as a tag; once the rows
+    # reduce to the identity, the tags are the inverse
+    pivots = _eliminate(
+        [(row.bits << l) | t for row, t in zip(M.rows, _row_tags(l))], {}, l
+    )
+    if len(pivots) < l:
+        raise ValueError("matrix is singular")
+    rows = [t & ((1 << l) - 1) for _, t in _back_substitute(pivots)]
     return BinaryMatrix.from_rows(l, (BitVector(l, t) for t in rows))

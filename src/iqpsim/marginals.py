@@ -3,11 +3,12 @@
 A projector is any idempotent linear map m on the output bits. The
 masked output m(X) lives in the range R of m, and its distribution is
 an average of correlation coefficients over the dual range Rstar,
-assembled by a Walsh-Hadamard transform over coordinates. Three
-specialized paths compute the same thing faster under structural
-assumptions (angle pi/8, bounded column weight, rows of weight at most
-two), and a sampler draws from the marginal by randomizing over the
-dual kernel Kstar, one fresh shift per sample.
+assembled by a Walsh-Hadamard transform over coordinates. Rows of
+weight at most two have a closed form for the coefficients; the pi/8
+and column-sparse entry points check their preconditions and run the
+generic evaluator, which is already exact or cheap there. A sampler
+draws from the marginal by randomizing over the dual kernel Kstar, one
+fresh shift per sample.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from random import Random
 
 import numpy as np
 
-from . import codes, gf2, xprogram
+from . import gf2, xprogram
 from .codes import Angle
 from .errors import (
     ColumnBoundViolated,
@@ -150,7 +151,7 @@ def diagonal_projector(mask: BitVector) -> Projector:
     return make_projector(BinaryMatrix.from_rows(mask.n, rows))
 
 
-def _range_transform(proj: Projector, beta_at, threads: int | None) -> Distribution:
+def _range_transform(proj: Projector, beta_at) -> Distribution:
     """Assemble the marginal from one coefficient per dual-range vector.
 
     beta_at(s) supplies the correlation for s in Rstar; placement in the
@@ -173,12 +174,8 @@ def _range_transform(proj: Projector, beta_at, threads: int | None) -> Distribut
         for j in range(q):
             v |= proj.R_basis[j].dot(svec[u]) << (q - 1 - j)
         placement[u] = v
-
-    def worker(lo: int, hi: int) -> None:
-        for u in range(lo, hi):
-            values[placement[u]] = beta_at(svec[u])
-
-    xprogram._run_indexed(worker, size, threads)
+    for u in range(size):
+        values[placement[u]] = beta_at(svec[u])
     walsh_hadamard(values)
     values /= size
     return Distribution(q, values)
@@ -191,14 +188,18 @@ def marginal_distribution(
     threads: int | None = None,
     range_limit: int = DEFAULT_RANGE_LIMIT,
 ) -> Distribution:
-    """Exact marginal of m(X) over the range of the projector."""
+    """Exact marginal of m(X) over the range of the projector.
+
+    threads is accepted for compatibility and ignored, here and in the
+    other marginal entry points.
+    """
     if proj.l != prog.l:
         raise DimensionMismatch("projector size differs from program width")
     if proj.range_dim > range_limit:
         raise RangeTooLarge(
             f"range dimension {proj.range_dim} exceeds the limit {range_limit}"
         )
-    return _range_transform(proj, lambda s: xprogram.beta(prog, s), threads)
+    return _range_transform(proj, lambda s: xprogram.beta(prog, s))
 
 
 def marginal_pi8(
@@ -210,18 +211,13 @@ def marginal_pi8(
 ) -> Distribution:
     """Marginal at angle pi/8, exact for any matrix size.
 
-    The doubled angle is pi/4, so every coefficient is an exact fourth
-    root-of-unity evaluation; no codeword enumeration happens and the
-    cost is polynomial in the matrix dimensions times 2^range_dim.
+    The doubled angle is pi/4, so the generic evaluator takes every
+    coefficient from an exact fourth-root Gauss sum; no codeword
+    enumeration happens and the cost is polynomial in the matrix
+    dimensions times 2^range_dim. Only the range limit is wider.
     """
-    if proj.l != P.l:
-        raise DimensionMismatch("projector size differs from matrix width")
-    if proj.range_dim > range_limit:
-        raise RangeTooLarge(
-            f"range dimension {proj.range_dim} exceeds the limit {range_limit}"
-        )
     prog = XProgram(P, Angle.exact(1, 8))
-    return _range_transform(proj, lambda s: xprogram.beta(prog, s), threads)
+    return marginal_distribution(prog, proj, range_limit=range_limit)
 
 
 def marginal_sparse(
@@ -236,39 +232,15 @@ def marginal_sparse(
 
     With every column weight at most column_bound and s supported on few
     bits, the affinified matrix for s has at most column_bound * |s|
-    rows, so each coefficient is a direct enumeration of a tiny code.
+    rows, so the generic evaluator enumerates only a tiny code for each
+    coefficient.
     """
-    if proj.l != prog.l:
-        raise DimensionMismatch("projector size differs from program width")
-    if proj.range_dim > range_limit:
-        raise RangeTooLarge(
-            f"range dimension {proj.range_dim} exceeds the limit {range_limit}"
-        )
-    weights = prog.P.column_weights()
-    for j, w in enumerate(weights):
+    for j, w in enumerate(prog.P.column_weights()):
         if w > column_bound:
             raise ColumnBoundViolated(
                 f"column {j} has weight {w}, bound is {column_bound}"
             )
-    doubled = prog.theta.doubled().value
-
-    def beta_at(s: BitVector) -> float:
-        if s.is_zero():
-            return 1.0
-        sub = codes.affinify(prog.P, s)
-        if sub.n > column_bound * s.weight():
-            raise NumericalInconsistency("affinification exceeds the sparse bound")
-        profile = codes.weight_enumerator(sub)
-        total = 0j
-        for w, count in enumerate(profile.weights):
-            if count:
-                total += count * cmath.exp(1j * doubled * (sub.n - 2 * w))
-        value = total / (1 << profile.rank)
-        if abs(value.imag) > xprogram.IMAG_TOLERANCE:
-            raise NumericalInconsistency(f"correlation has imaginary part {value.imag}")
-        return float(value.real)
-
-    return _range_transform(proj, beta_at, threads)
+    return marginal_distribution(prog, proj, range_limit=range_limit)
 
 
 def _graphic_beta(rows: list[int], l: int, s: BitVector, phi: float) -> float:
@@ -332,7 +304,7 @@ def marginal_graphic(
             return 1.0
         return _graphic_beta(rows, prog.l, s, phi)
 
-    return _range_transform(proj, beta_at, threads)
+    return _range_transform(proj, beta_at)
 
 
 class MarginalSampler:

@@ -113,26 +113,24 @@ def tutte_subset_sum(
     rows = [r.bits for r in P.rows]
     total_rank = gf2.rank(P)
     counts: dict[tuple[int, int], int] = {}
+    basis: dict[int, int] = {}
 
-    # depth-first walk sharing the elimination basis along each prefix
-    def walk(i: int, basis: list[tuple[int, int]], size: int) -> None:
+    # depth-first walk sharing one elimination basis along each prefix;
+    # a row that joins the basis is the last one in and leaves on the way back
+    def walk(i: int, size: int) -> None:
         if i == n:
-            key = (total_rank - len(basis), size - len(basis))
+            r = len(basis)
+            key = (total_rank - r, size - r)
             counts[key] = counts.get(key, 0) + 1
             return
-        walk(i + 1, basis, size)
-        v = rows[i]
-        for p, b in basis:
-            if (v >> p) & 1:
-                v ^= b
-        if v:
-            extended = basis + [(v.bit_length() - 1, v)]
-            extended.sort(key=lambda t: -t[0])
-            walk(i + 1, extended, size + 1)
-        else:
-            walk(i + 1, basis, size + 1)
+        walk(i + 1, size)
+        r = len(basis)
+        gf2._eliminate((rows[i],), basis)
+        walk(i + 1, size + 1)
+        if len(basis) > r:
+            basis.popitem()
 
-    walk(0, [], 0)
+    walk(0, 0)
     out: dict[tuple[int, int], int] = {}
     for (a, b), mult in counts.items():
         for p in range(a + 1):
@@ -146,30 +144,15 @@ def tutte_subset_sum(
 def _canonical_key(rows: list[int]) -> tuple:
     # coordinates of every row in the canonical basis of their own span;
     # equal keys mean linearly isomorphic row multisets
-    basis: list[tuple[int, int]] = []
-    for v in rows:
-        w = v
-        for p, b in basis:
-            if (w >> p) & 1:
-                w ^= b
-        if w:
-            basis.append((w.bit_length() - 1, w))
-            basis.sort(key=lambda t: -t[0])
-    for i in range(len(basis)):
-        p, b = basis[i]
-        for j in range(len(basis)):
-            if j != i and (basis[j][1] >> p) & 1:
-                basis[j] = (basis[j][0], basis[j][1] ^ b)
-    r = len(basis)
+    masks = [1 << p for p, _ in gf2._back_substitute(gf2._eliminate(rows, {}))]
     coords = []
     for v in rows:
         c = 0
-        for t, (p, _) in enumerate(basis):
-            if (v >> p) & 1:
-                c |= 1 << (r - 1 - t)
+        for m in masks:
+            c = (c << 1) | ((v & m) != 0)
         coords.append(c)
     coords.sort()
-    return (r, tuple(coords))
+    return (len(masks), tuple(coords))
 
 
 def tutte_eval(
@@ -187,15 +170,7 @@ def tutte_eval(
     memo: dict[tuple, complex] = {}
 
     def span_rank(vectors: list[int]) -> int:
-        basis: list[tuple[int, int]] = []
-        for v in vectors:
-            for p, b in basis:
-                if (v >> p) & 1:
-                    v ^= b
-            if v:
-                basis.append((v.bit_length() - 1, v))
-                basis.sort(key=lambda t: -t[0])
-        return len(basis)
+        return len(gf2._eliminate(vectors, {}))
 
     def evaluate(rows: list[int]):
         nonzero = [v for v in rows if v]

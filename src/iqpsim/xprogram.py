@@ -12,7 +12,6 @@ assemble full distributions from correlation coefficients.
 from __future__ import annotations
 
 import cmath
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb, gcd
@@ -168,18 +167,6 @@ def beta(prog: XProgram, s: BitVector, *, rank_limit: int | None = None) -> floa
     return float(value.real)
 
 
-def _run_indexed(worker, count: int, threads: int | None) -> None:
-    if not threads or threads <= 1 or count <= 1:
-        worker(0, count)
-        return
-    # fixed chunking by index keeps output independent of scheduling
-    chunk = -(-count // threads)
-    spans = [(lo, min(lo + chunk, count)) for lo in range(0, count, chunk)]
-    with ThreadPoolExecutor(max_workers=len(spans)) as pool:
-        for future in [pool.submit(worker, lo, hi) for lo, hi in spans]:
-            future.result()
-
-
 def full_distribution(
     prog: XProgram,
     *,
@@ -190,18 +177,16 @@ def full_distribution(
 
     All correlation coefficients are computed, then one transform turns
     them into probabilities: P[x] = 2^-l sum_s (-1)^(x.s) beta_s.
+    threads is accepted for compatibility and ignored: the loop holds
+    the interpreter lock, so threads cannot run it in parallel.
     """
     l = prog.l
     if l > domain_limit:
         raise DomainTooLarge(f"2^{l} outcomes exceed the limit 2^{domain_limit}")
     size = 1 << l
     values = np.empty(size, dtype=np.float64)
-
-    def worker(lo: int, hi: int) -> None:
-        for ix in range(lo, hi):
-            values[ix] = beta(prog, BitVector(l, ix))
-
-    _run_indexed(worker, size, threads)
+    for ix in range(size):
+        values[ix] = beta(prog, BitVector(l, ix))
     walsh_hadamard(values)
     values /= size
     return Distribution(l, values)

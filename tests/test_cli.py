@@ -462,3 +462,31 @@ class TestErrorPaths:
         payload = json.loads(err)
         assert payload["error"] == "NumericalInconsistency"
         assert payload["exit_code"] == 4
+
+    def test_non_finite_report_exit_four(self, capsys, tmp_path):
+        # finite inputs whose Tutte value overflows; strict JSON refuses it
+        path = write_matrix(tmp_path, "m.txt", 3, 2, ["10", "01", "11"])
+        code, out, err = run_cli(capsys, "tutte", path, "--at", "1e200", "1e200")
+        assert code == 4
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert json.loads(err)["error"] == "NumericalInconsistency"
+
+    def test_non_finite_point_exit_two(self, capsys, tmp_path):
+        path = write_matrix(tmp_path, "m.txt", 3, 2, ["10", "01", "11"])
+        code, out, err = run_cli(capsys, "tutte", path, "--at", "nan", "1")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "InputError"
+
+    def test_negative_sample_count_exit_two(self, capsys, tmp_path):
+        path = write_matrix(tmp_path, "m.txt", 3, 2, ["10", "01", "11"])
+        argv = ("sample", path, "--theta", "1/8", "--mask", "10", "--samples")
+        code, out, err = run_cli(capsys, *argv, "-3")
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert json.loads(err)["error"] == "InputError"
+        code, out, _ = run_cli(capsys, *argv, "0")
+        assert code == 0
+        assert json.loads(out)["samples"] == []

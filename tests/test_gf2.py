@@ -4,11 +4,34 @@ from random import Random
 
 import pytest
 
-from iqpsim import gf2
+from iqpsim import codes, gf2
 from iqpsim.errors import DimensionMismatch
 from iqpsim.gf2 import BinaryMatrix, BitVector
 
 from conftest import PEX_ROWS, random_matrix
+
+# shapes whose rows or columns span more than one 64-bit word
+WIDE_SHAPES = [(70, 130), (150, 70), (130, 130), (65, 200)]
+
+
+def low_rank_matrix(rng: Random, n: int, l: int, r: int) -> BinaryMatrix:
+    """n random combinations of r random rows, so the rank is at most r."""
+    gens = [rng.getrandbits(l) for _ in range(r)]
+    rows = []
+    for _ in range(n):
+        v = 0
+        for g in gens:
+            if rng.getrandbits(1):
+                v ^= g
+        rows.append(BitVector(l, v))
+    return BinaryMatrix.from_rows(l, rows)
+
+
+def wide_matrices(rng: Random):
+    """Full-rank and rank-deficient matrices of every wide shape."""
+    for n, l in WIDE_SHAPES:
+        yield random_matrix(rng, n, l)
+        yield low_rank_matrix(rng, n, l, min(n, l) - 3)
 
 
 class TestBitVector:
@@ -104,6 +127,18 @@ class TestEchelonReduce:
             m = random_matrix(rng, rng.randint(0, 16), rng.randint(1, 16))
             form = gf2.echelon_reduce(m)
             assert gf2.mat_mul(form.reduced, form.col_map).rows == m.rows
+        for m in wide_matrices(rng):
+            form = gf2.echelon_reduce(m)
+            assert gf2.mat_mul(form.reduced, form.col_map).rows == m.rows
+            assert form.rank == gf2.rank(m)
+
+    def test_primal_map_wide(self):
+        rng = Random(111)
+        for m in wide_matrices(rng):
+            form = gf2.echelon_reduce(m)
+            c = BitVector(form.rank, rng.getrandbits(form.rank))
+            x = gf2.mat_vec(gf2.transpose(form.col_map), c)
+            assert form.primal_map(x) == c
 
     def test_identity_input(self):
         form = gf2.echelon_reduce(BinaryMatrix.identity(4))
@@ -171,6 +206,21 @@ class TestKernel:
         for _ in range(100):
             m = random_matrix(rng, rng.randint(0, 12), rng.randint(1, 12))
             assert len(gf2.kernel(m)) + gf2.rank(gf2.transpose(m)) == m.l
+        for m in wide_matrices(rng):
+            basis = gf2.kernel(m)
+            assert len(basis) + gf2.rank(gf2.transpose(m)) == m.l
+            assert all(gf2.mat_vec(m, v).is_zero() for v in basis)
+
+    def test_rank_agrees_with_transpose_and_code(self):
+        # row rank, column rank and the rank of the column-span code
+        rng = Random(141)
+        for m in wide_matrices(rng):
+            assert gf2.rank(m) == gf2.rank(gf2.transpose(m))
+        # the code is enumerated, so its rank has to stay small
+        for n, l in WIDE_SHAPES:
+            m = low_rank_matrix(rng, n, l, 12)
+            assert gf2.rank(m) == gf2.rank(gf2.transpose(m)) == 12
+            assert codes.weight_enumerator(m).rank == 12
 
     def test_members_annihilate(self):
         rng = Random(15)
@@ -225,6 +275,23 @@ class TestSolveInverse:
             got = gf2.solve(m, b)
             assert got is not None
             assert gf2.mat_vec(m, got) == b
+        for m in wide_matrices(rng):
+            b = gf2.mat_vec(m, BitVector(m.l, rng.getrandbits(m.l)))
+            got = gf2.solve(m, b)
+            assert got is not None
+            assert gf2.mat_vec(m, got) == b
+
+    def test_solve_inconsistent_wide(self):
+        # a right-hand side outside the column span of a rank-deficient matrix
+        rng = Random(181)
+        for n, l in WIDE_SHAPES:
+            m = low_rank_matrix(rng, n, l, min(n, l) - 3)
+            column_space = gf2.span_rref(gf2.transpose(m).rows, n)
+            b = next(
+                v for v in (BitVector(n, rng.getrandbits(n)) for _ in range(100))
+                if len(gf2.span_rref(column_space + [v], n)) > len(column_space)
+            )
+            assert gf2.solve(m, b) is None
 
     def test_solve_inconsistent(self):
         m = BinaryMatrix.from_strings(["10", "10"])
@@ -242,6 +309,14 @@ class TestSolveInverse:
             inv = gf2.inverse(m)
             assert gf2.mat_mul(m, inv).to_strings() == \
                 BinaryMatrix.identity(l).to_strings()
+        for l in (65, 70, 130):
+            while True:
+                m = random_matrix(rng, l, l)
+                if gf2.rank(m) == l:
+                    break
+            inv = gf2.inverse(m)
+            assert gf2.mat_mul(m, inv).rows == BinaryMatrix.identity(l).rows
+            assert gf2.mat_mul(inv, m).rows == BinaryMatrix.identity(l).rows
 
     def test_inverse_singular(self):
         with pytest.raises(ValueError):
@@ -261,3 +336,17 @@ class TestSpanRref:
 
     def test_empty(self):
         assert gf2.span_rref([], 4) == []
+
+    def test_canonical_under_row_permutation_wide(self):
+        rng = Random(20)
+        for m in wide_matrices(rng):
+            rows = list(m.rows)
+            basis = gf2.span_rref(rows, m.l)
+            rng.shuffle(rows)
+            assert gf2.span_rref(rows, m.l) == basis
+            assert len(basis) == gf2.rank(m)
+            # reduced: each leading coordinate appears in exactly one vector
+            leads = [m.l - v.bits.bit_length() for v in basis]
+            assert leads == sorted(leads)
+            for lead in leads:
+                assert sum(u.get(lead) for u in basis) == 1
