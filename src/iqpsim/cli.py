@@ -6,8 +6,9 @@ first data line is "n l", then n lines of exactly l characters over
 a pi, and "rad:<x>" is raw radians; bare floats are rejected so exact
 fourth-root dispatch never hinges on float coincidence.
 
-Exit codes: 0 ok, 2 input error, 3 budget exceeded, 4 numerical
-inconsistency. Errors print one JSON object to stderr.
+Exit codes: 0 ok, 2 input error (usage errors included), 3 budget
+exceeded, 4 numerical inconsistency or a stray ValueError,
+RecursionError or MemoryError. Errors print one JSON object to stderr.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .errors import (
     MalformedHeader,
     NumericalInconsistency,
     ParseError,
-    SimulationError,
 )
 from .gf2 import BinaryMatrix, BitVector
 from .marginals import Projector
@@ -517,8 +517,16 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises usage errors as ParseError instead of exiting; subparsers
+    inherit the class."""
+
+    def error(self, message: str):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="iqpsim",
         description="Distributions of X-programs via binary codes and matroids.",
     )
@@ -600,9 +608,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except InputError as exc:
         _print_error(exc, 2)
@@ -610,12 +617,12 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         _print_error(exc, 3)
         return 3
-    except NumericalInconsistency as exc:
+    except (NumericalInconsistency, ValueError, RecursionError, MemoryError) as exc:
         _print_error(exc, 4)
         return 4
 
 
-def _print_error(exc: SimulationError, code: int) -> None:
+def _print_error(exc: Exception, code: int) -> None:
     payload = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
     line = getattr(exc, "line", None)
     if line is not None:

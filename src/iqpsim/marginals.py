@@ -60,8 +60,8 @@ class Projector:
     K and R are the kernel and range of the matrix; Kstar and Rstar are
     the kernel and range of the transpose. Rstar is orthogonal to K and
     Kstar to R. Outcomes of the masked variable are labeled by their
-    coordinates in the R basis; the pairing matrix between the R and
-    Rstar bases is invertible and precomputed for coordinate lookups.
+    coordinates in the R basis. The Rstar basis dual to it, packed as
+    ints with R_i . D_j = [i == j], reads coordinates off as parities.
     """
 
     matrix: BinaryMatrix
@@ -71,7 +71,7 @@ class Projector:
     Rstar_basis: tuple[BitVector, ...]
     range_dim: int
     support_bits: int
-    _coord_solver: BinaryMatrix = field(repr=False, compare=False)
+    _dual_basis: tuple[int, ...] = field(repr=False, compare=False)
 
     @property
     def l(self) -> int:
@@ -81,11 +81,13 @@ class Projector:
         """Coordinates in the R basis of the R-component of x."""
         if x.n != self.l:
             raise DimensionMismatch(f"vector has {x.n} bits, projector {self.l}")
-        q = self.range_dim
-        pairing = 0
-        for k, dual in enumerate(self.Rstar_basis):
-            pairing |= x.dot(dual) << (q - 1 - k)
-        return gf2.mat_vec(self._coord_solver, BitVector(q, pairing))
+        return BitVector(self.range_dim, self._coord_bits(x.bits))
+
+    def _coord_bits(self, bits: int) -> int:
+        coords = 0
+        for dual in self._dual_basis:
+            coords = (coords << 1) | ((bits & dual).bit_count() & 1)
+        return coords
 
     def coords_to_vector(self, w) -> BitVector:
         bits = w.bits if isinstance(w, BitVector) else int(w)
@@ -113,23 +115,16 @@ def make_projector(M: BinaryMatrix) -> Projector:
     Rstar = gf2.span_rref(list(M.rows), l)
     q = len(R)
     support = sum(1 for j in range(l) if any(row.get(j) for row in M.rows))
-    if q:
-        pairing = BinaryMatrix.from_rows(
-            q,
-            [
-                BitVector(
-                    q,
-                    sum(R[j].dot(Rstar[k]) << (q - 1 - k) for k in range(q)),
-                )
-                for j in range(q)
-            ],
-        )
-        try:
-            solver = gf2.inverse(gf2.transpose(pairing))
-        except ValueError as exc:
-            raise NumericalInconsistency("range pairing is degenerate") from exc
-    else:
-        solver = BinaryMatrix.from_rows(0, [])
+    # row k of the pairing holds R_j . Rstar_k over j; its inverse maps
+    # pairings to R coordinates, so row j of the inverse holds the Rstar
+    # coordinates of D_j
+    R_matrix = BinaryMatrix.from_rows(l, R)
+    pairing = BinaryMatrix.from_rows(q, [gf2.mat_vec(R_matrix, s) for s in Rstar])
+    try:
+        solver = gf2.inverse(pairing)
+    except ValueError as exc:
+        raise NumericalInconsistency("range pairing is degenerate") from exc
+    dual = gf2.mat_mul(solver, BinaryMatrix.from_rows(l, Rstar)).rows
     return Projector(
         matrix=M,
         K_basis=tuple(K),
@@ -138,7 +133,7 @@ def make_projector(M: BinaryMatrix) -> Projector:
         Rstar_basis=tuple(Rstar),
         range_dim=q,
         support_bits=support,
-        _coord_solver=solver,
+        _dual_basis=tuple(d.bits for d in dual),
     )
 
 
@@ -154,31 +149,18 @@ def diagonal_projector(mask: BitVector) -> Projector:
 def _range_transform(proj: Projector, beta_at) -> Distribution:
     """Assemble the marginal from one coefficient per dual-range vector.
 
-    beta_at(s) supplies the correlation for s in Rstar; placement in the
-    transform array pairs R-basis coordinates against s so the standard
-    transform produces P[x] = 2^-q sum_s (-1)^(x.s) beta(s).
+    beta_at(s) supplies the correlation for s in Rstar. The vector
+    s_v = sum_j v_j D_j pairs with the R basis to the coordinates v, so
+    the standard transform over v produces
+    P[x] = 2^-q sum_v (-1)^(x.v) beta(s_v).
     """
-    q = proj.range_dim
-    size = 1 << q
-    values = np.empty(size, dtype=np.float64)
-    svec = [BitVector(proj.l, 0)] * size
-    for u in range(size):
-        s = BitVector(proj.l, 0)
-        for k in range(q):
-            if (u >> (q - 1 - k)) & 1:
-                s = s ^ proj.Rstar_basis[k]
-        svec[u] = s
-    placement = [0] * size
-    for u in range(size):
-        v = 0
-        for j in range(q):
-            v |= proj.R_basis[j].dot(svec[u]) << (q - 1 - j)
-        placement[u] = v
-    for u in range(size):
-        values[placement[u]] = beta_at(svec[u])
+    span = [0]
+    for dual in reversed(proj._dual_basis):
+        span += [s ^ dual for s in span]
+    values = np.array([beta_at(BitVector(proj.l, s)) for s in span], dtype=float)
     walsh_hadamard(values)
-    values /= size
-    return Distribution(q, values)
+    values /= len(span)
+    return Distribution(proj.range_dim, values)
 
 
 def marginal_distribution(
@@ -312,10 +294,12 @@ class MarginalSampler:
 
     For a shift k in Kstar the conditional probability of outcome x is
     the squared magnitude of an average of unit phases over the dual
-    range, each phase read off one popcount pass over the rows. The
-    average over shifts reproduces the marginal exactly, so sampling a
-    uniform shift then the conditional outcome samples the marginal.
-    Conditional vectors are cached per shift.
+    range. Their exponents come from the histogram of the rows' R
+    coordinates, each row signed by its parity against k, so a
+    conditional costs two transforms of length 2^q. The average over
+    shifts reproduces the marginal exactly, so sampling a uniform shift
+    then the conditional outcome samples the marginal. Conditional
+    vectors are cached per shift.
     """
 
     def __init__(
@@ -339,20 +323,7 @@ class MarginalSampler:
         self._cache_limit = cache_limit
         self._cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._rows = [r.bits for r in prog.P.rows]
-        self._theta = prog.theta.value
-        q = proj.range_dim
-        self._dual_vectors = []
-        self._placement = []
-        for u in range(1 << q):
-            s = 0
-            for k in range(q):
-                if (u >> (q - 1 - k)) & 1:
-                    s ^= proj.Rstar_basis[k].bits
-            self._dual_vectors.append(s)
-            v = 0
-            for j in range(q):
-                v |= (bin(proj.R_basis[j].bits & s).count("1") & 1) << (q - 1 - j)
-            self._placement.append(v)
+        self._keys = [proj._coord_bits(r) for r in self._rows]
 
     def conditional(self, shift) -> np.ndarray:
         """Conditional probability vector for one dual-kernel shift."""
@@ -364,19 +335,10 @@ class MarginalSampler:
         return probs.copy()
 
     def _build(self, shift_bits: int) -> tuple[np.ndarray, np.ndarray]:
-        q = self.proj.range_dim
-        size = 1 << q
-        n = self.prog.n
-        phases = np.empty(size, dtype=np.complex128)
-        for u in range(size):
-            t = self._dual_vectors[u] ^ shift_bits
-            odd = sum(1 for r in self._rows if (bin(r & t).count("1") & 1))
-            phases[self._placement[u]] = cmath.exp(
-                1j * self._theta * (n - 2 * odd)
-            )
-        walsh_hadamard(phases)
-        phases /= size
-        probs = np.abs(phases) ** 2
+        signs = [1 - 2 * ((r & shift_bits).bit_count() & 1) for r in self._rows]
+        probs = xprogram._sweep_probabilities(
+            self._keys, signs, self.proj.range_dim, self.prog.theta
+        )
         total = float(probs.sum())
         if abs(total - 1.0) > 1e-9:
             raise NumericalInconsistency(f"conditional sums to {total}")

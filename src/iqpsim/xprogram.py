@@ -4,9 +4,10 @@ An XProgram pairs a gate matrix with a common rotation angle. Row a of
 the matrix is the support of a tensor product of Pauli X factors; the
 program's unitary is the product of exp(i theta X_S) over all rows, and
 the output distribution is the squared transition amplitude from the
-all-zeros state. Everything here reduces to alpha evaluations on
-projected or affinified matrices, plus a Walsh-Hadamard transform to
-assemble full distributions from correlation coefficients.
+all-zeros state. Single amplitudes and correlations reduce to alpha
+evaluations on projected or affinified matrices; the full distribution
+is two Walsh-Hadamard transforms, one from the row histogram to the
+phase exponents and one from the phases to the amplitudes.
 """
 
 from __future__ import annotations
@@ -167,6 +168,34 @@ def beta(prog: XProgram, s: BitVector, *, rank_limit: int | None = None) -> floa
     return float(value.real)
 
 
+# i^-k for k mod 4: the unit phases of a fourth-root sweep, exactly
+_QUARTER_TURNS = np.array([1, -1j, -1, 1j], dtype=np.complex128)
+
+
+def _sweep_probabilities(keys, signs, bits: int, theta: Angle) -> np.ndarray:
+    """|psi|^2 over 2^bits outcomes, by two Walsh-Hadamard transforms.
+
+    psi[x] = 2^-bits sum_v (-1)^(x.v) exp(i theta E[v]), where the
+    exponent E[v] = sum_r signs[r] (-1)^(keys[r].v) is itself the
+    transform of the signed key histogram. At theta = t pi / 4 every
+    E has the parity of the key count n, so after dropping the global
+    phase exp(i theta n) each phase is i^(-t (n - E) / 2), read from a
+    table: the second transform then runs on Gaussian integers and the
+    result is exact.
+    """
+    size = 1 << bits
+    keys = np.asarray(keys, dtype=np.int64)
+    exponent = np.bincount(keys, weights=signs, minlength=size).astype(np.int64)
+    walsh_hadamard(exponent)
+    if theta.is_fourth_root:
+        steps = theta.fourth_root_index * ((len(keys) - exponent) // 2)
+        phases = _QUARTER_TURNS[steps % 4]
+    else:
+        phases = np.exp(1j * theta.value * exponent)
+    walsh_hadamard(phases)
+    return np.ldexp(phases.real**2 + phases.imag**2, -2 * bits)
+
+
 def full_distribution(
     prog: XProgram,
     *,
@@ -175,21 +204,16 @@ def full_distribution(
 ) -> Distribution:
     """Exact output distribution over all 2^l strings.
 
-    All correlation coefficients are computed, then one transform turns
-    them into probabilities: P[x] = 2^-l sum_s (-1)^(x.s) beta_s.
-    threads is accepted for compatibility and ignored: the loop holds
-    the interpreter lock, so threads cannot run it in parallel.
+    The row histogram of P transforms into the exponents n - 2|Py| and
+    the unit phases into the amplitudes, so the cost is two transforms
+    of length 2^l for any number of rows. threads is accepted for
+    compatibility and ignored.
     """
     l = prog.l
     if l > domain_limit:
         raise DomainTooLarge(f"2^{l} outcomes exceed the limit 2^{domain_limit}")
-    size = 1 << l
-    values = np.empty(size, dtype=np.float64)
-    for ix in range(size):
-        values[ix] = beta(prog, BitVector(l, ix))
-    walsh_hadamard(values)
-    values /= size
-    return Distribution(l, values)
+    keys = [row.bits for row in prog.P.rows]
+    return Distribution(l, _sweep_probabilities(keys, None, l, prog.theta))
 
 
 @dataclass(frozen=True)

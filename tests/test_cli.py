@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from iqpsim import cli, gf2
+from iqpsim import cli, gf2, tutte
 from iqpsim.cli import dump_matrix, main, parse_angle, parse_matrix_text
 from iqpsim.codes import Angle
 from iqpsim.errors import (
@@ -490,3 +490,47 @@ class TestErrorPaths:
         code, out, _ = run_cli(capsys, *argv, "0")
         assert code == 0
         assert json.loads(out)["samples"] == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sample", "{m}", "--theta", "1/8", "--mask", "10", "--samples", "abc"),
+            ("dist", "{m}", "--theta", "1/4", "--output", "xml"),
+            ("dist", "{m}"),
+            ("dist",),
+            (),
+            ("bogus", "{m}"),
+            ("wenum", "{m}", "--extra"),
+        ],
+    )
+    def test_usage_errors_exit_two(self, capsys, tmp_path, argv):
+        path = write_matrix(tmp_path, "m.txt", 3, 2, ["10", "01", "11"])
+        code, out, err = run_cli(capsys, *(a.format(m=path) for a in argv))
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ParseError"
+        assert payload["exit_code"] == 2
+
+    @pytest.mark.parametrize("argv", [("--help",), ("dist", "--help")])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("error", [RecursionError, MemoryError, ValueError])
+    def test_stray_errors_exit_four(self, capsys, tmp_path, monkeypatch, error):
+        def boom(*args):
+            raise error("synthetic failure")
+
+        monkeypatch.setattr(tutte, "tutte_eval", boom)
+        path = write_matrix(tmp_path, "m.txt", 3, 2, ["10", "01", "11"])
+        code, out, err = run_cli(capsys, "tutte", path, "--at", "2", "3")
+        assert code == 4
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == error.__name__
+        assert payload["exit_code"] == 4

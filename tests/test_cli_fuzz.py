@@ -1,0 +1,83 @@
+"""Fuzzed command lines: every run ends in the documented exit codes.
+
+Exit 0 puts strict JSON on stdout; any other exit is 2, 3 or 4 with
+nothing on stdout and exactly one JSON line on stderr.
+"""
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from iqpsim.cli import main
+
+THETAS = ["1/8", "1/4", "3/4", "1/2", "1", "0", "3/16", "-1/4", "rad:0.7", "rad:1e-300"]
+JUNK = ["", "abc", "1/0", "1/-2", "0.5", "rad:", "rad:nan", "rad:inf", "//", "--", "1e999"]
+
+
+def pick(draw, valid):
+    """A valid token three times in four, else junk."""
+    if draw(st.integers(0, 3)):
+        return draw(valid)
+    return draw(st.one_of(st.sampled_from(JUNK), st.text(max_size=4)))
+
+
+@st.composite
+def command_lines(draw):
+    n = draw(st.integers(0, 8))
+    l = draw(st.integers(0, 6))
+    word = st.text(alphabet="01", min_size=l, max_size=l)
+    rows = [draw(word) for _ in range(n)]
+    command = draw(
+        st.sampled_from(
+            ["dist", "marginal", "sample", "alpha", "prob", "beta",
+             "clifford", "wenum", "tutte", "reduce"]
+        )
+    )
+    args = []
+    if command not in ("clifford", "wenum", "tutte"):
+        args += ["--theta", pick(draw, st.sampled_from(THETAS))]
+    if command in ("marginal", "sample"):
+        args += ["--mask", pick(draw, word)]
+    if command == "sample":
+        args += ["--samples", pick(draw, st.integers(-3, 40).map(str))]
+    if command == "marginal":
+        paths = ["auto", "generic", "pi8", "sparse", "graphic"]
+        args += ["--path", draw(st.sampled_from(paths))]
+    if command in ("prob", "beta"):
+        args += ["--x" if command == "prob" else "--s", pick(draw, word)]
+    if command == "tutte" and draw(st.booleans()):
+        point = st.sampled_from(["2", "3", "-1", "0.5"])
+        args += ["--at", pick(draw, point), pick(draw, point)]
+    return f"{n} {l}\n" + "".join(r + "\n" for r in rows), command, args
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=command_lines())
+def test_exit_code_contract(workdir, case):
+    text, command, args = case
+    path = workdir / "m.txt"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, str(path), *args])
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+        return
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["exit_code"] == code

@@ -381,6 +381,42 @@ class TestMarginalSampler:
             want = marginal_distribution(prog, proj).as_array()
             assert np.abs(total - want).max() < 1e-9
 
+    def test_non_diagonal_projectors(self):
+        # conjugated projectors: coordinates of the R basis are units, and
+        # the conditionals over all shifts average to the marginal
+        rng = Random(107)
+        angles = [Angle.radians(0.7), Angle.exact(1, 8), Angle.exact(1, 4)]
+        for trial in range(30):
+            l = rng.randint(1, 6)
+            proj = random_projector(rng, l, max_range=4)
+            q = proj.range_dim
+            for i, base in enumerate(proj.R_basis):
+                assert proj.vector_to_coords(base) == BitVector.unit(q, i)
+            prog = XProgram(random_matrix(rng, rng.randint(0, 8), l), angles[trial % 3])
+            sampler = MarginalSampler(prog, proj, Random(5))
+            dim = len(proj.Kstar_basis)
+            total = np.zeros(1 << q)
+            for pick in range(1 << dim):
+                shift = 0
+                for j in range(dim):
+                    if (pick >> j) & 1:
+                        shift ^= proj.Kstar_basis[j].bits
+                cond = sampler.conditional(shift)
+                assert abs(cond.sum() - 1.0) < 1e-9
+                total += cond
+            total /= 1 << dim
+            want = marginal_distribution(prog, proj).as_array()
+            assert np.abs(total - want).max() < 1e-9
+
+    def test_empty_program_point_mass(self):
+        proj = random_projector(Random(108), 5)
+        prog = XProgram(BinaryMatrix.zeros(0, 5), Angle.radians(0.9))
+        sampler = MarginalSampler(prog, proj, Random(6))
+        for k in proj.Kstar_basis:
+            cond = sampler.conditional(k)
+            assert cond.tolist() == [1.0] + [0.0] * (len(cond) - 1)
+        assert sampler.sample().is_zero()
+
     def test_samples_live_in_range(self):
         rng = Random(102)
         prog = XProgram(random_matrix(rng, 6, 5), Angle.exact(1, 8))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from iqpsim import oracle
+from iqpsim.clifford import clifford_support
 from iqpsim.codes import Angle
 from iqpsim.errors import (
     DimensionMismatch,
@@ -172,8 +173,6 @@ class TestFullDistribution:
         assert d.probability(1) == pytest.approx(math.sin(0.8) ** 2)
 
     def test_pex_quarter_turn_uniform_on_support(self, pex):
-        from iqpsim.clifford import clifford_support
-
         d = full_distribution(XProgram(pex, Angle.exact(1, 4)))
         support = clifford_support(pex)
         for ix in range(16):
@@ -205,6 +204,32 @@ class TestFullDistribution:
             single = full_distribution(prog, threads=1).as_array()
             multi = full_distribution(prog, threads=4).as_array()
             assert np.array_equal(single, multi)
+
+    def test_fourth_root_angles_exact(self):
+        # odd multiples of pi/4: uniform on the Clifford support, every
+        # entry exactly 2^-dim; multiples of pi/2: exactly a point mass
+        rng = Random(60)
+        for _ in range(100):
+            m = random_matrix(rng, rng.randint(0, 12), rng.randint(0, 8))
+            dim = clifford_support(m).dim
+            for t in range(8):
+                p = full_distribution(XProgram(m, Angle.exact(t, 4))).as_array()
+                nonzero = p[p != 0.0]
+                if t % 2:
+                    assert len(nonzero) == 1 << dim
+                    assert np.all(nonzero == 2.0**-dim)
+                else:
+                    assert nonzero.tolist() == [1.0]
+
+    def test_empty_programs(self):
+        for theta in ANGLES:
+            for l in range(4):
+                d = full_distribution(XProgram(BinaryMatrix.zeros(0, l), theta))
+                assert d.as_array().tolist() == [1.0] + [0.0] * ((1 << l) - 1)
+            for n in range(4):
+                d = full_distribution(XProgram(BinaryMatrix.zeros(n, 0), theta))
+                assert len(d) == 1
+                assert d.probability(0) == pytest.approx(1.0, abs=1e-15)
 
     def test_domain_limit(self):
         prog = XProgram(BinaryMatrix.zeros(1, 17), Angle.exact(1, 4))
