@@ -14,6 +14,7 @@ RecursionError or MemoryError. Errors print one JSON object to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -36,6 +37,8 @@ from .marginals import Projector
 from .xprogram import XProgram
 
 __all__ = ["main", "parse_matrix_file", "parse_angle", "parse_matrix_text"]
+
+_BITS = frozenset("01")
 
 
 def parse_matrix_text(text: str, origin: str = "<input>") -> BinaryMatrix:
@@ -75,12 +78,13 @@ def parse_matrix_text(text: str, origin: str = "<input>") -> BinaryMatrix:
                 f"{origin}: row has {len(line)} characters, expected {l}",
                 line=number,
             )
-        if any(ch not in "01" for ch in line):
+        # int(line, 2) alone would also take '_', '+' and non-ASCII digits
+        if not _BITS.issuperset(line):
             bad = next(ch for ch in line if ch not in "01")
             raise BadCharacter(
                 f"{origin}: invalid character {bad!r} in row", line=number
             )
-        rows.append(BitVector.from_string(line))
+        rows.append(BitVector(l, int(line, 2)))
     if header is None:
         raise MalformedHeader(f"{origin}: no header line found", line=last_line)
     n, l = header
@@ -140,7 +144,7 @@ def _theta_of(args) -> Angle | None:
 
 def parse_bits(text: str, width: int, what: str) -> BitVector:
     token = text.strip()
-    if len(token) != width or any(ch not in "01" for ch in token):
+    if len(token) != width or not _BITS.issuperset(token):
         raise ParseError(
             f"{what} must be {width} characters over 0/1, got {token!r}"
         )
@@ -156,7 +160,7 @@ def _emit_report(args, payload: dict, tsv_rows: list[tuple] | None = None) -> No
     # before anything reaches stdout
     try:
         if args.output == "json":
-            text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+            text = json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
         else:
             rows = tsv_rows
             if rows is None:
@@ -171,12 +175,12 @@ def _emit_report(args, payload: dict, tsv_rows: list[tuple] | None = None) -> No
     print(text, end="")
 
 
-def _base_payload(args, M: BinaryMatrix, theta: Angle | None = None) -> dict:
-    payload: dict = {"command": args.command, "n": M.n, "l": M.l}
-    if theta is not None:
-        payload["theta"] = str(theta)
+def _base_payload(args, prog: XProgram) -> dict:
+    payload: dict = {"command": args.command, "n": prog.n, "l": prog.l}
+    if prog.theta is not None:
+        payload["theta"] = str(prog.theta)
     if args.dump:
-        payload["matrix_file"] = dump_matrix(M)
+        payload["matrix_file"] = dump_matrix(prog.P)
     return payload
 
 
@@ -191,166 +195,113 @@ def _load_projector(args, l: int) -> Projector:
 
 
 def _distribution_payload(dist: xprogram.Distribution, labeler=None) -> list[dict]:
+    bits = dist.domain_bits
     entries = []
-    for outcome, p in dist.outcomes():
-        entry = {"outcome": outcome.to_string(), "p": fmt(p)}
+    for ix, p in enumerate(dist.as_array().tolist()):
+        entry = {"outcome": format(ix, f"0{bits}b") if bits else "", "p": fmt(p)}
         if labeler is not None:
-            entry["x"] = labeler(outcome).to_string()
+            entry["x"] = labeler(ix).to_string()
         entries.append(entry)
     return entries
 
 
-def _cmd_wenum(args) -> int:
-    M = parse_matrix_file(args.matrix)
-    profile = codes.weight_enumerator(M)
-    payload = _base_payload(args, M)
-    payload.update(
-        {
-            "rank": profile.rank,
-            "weights": list(profile.weights),
-            "exact": True,
-        }
-    )
-    tsv = [(w, c) for w, c in enumerate(profile.weights)]
-    _emit_report(args, payload, tsv)
-    return 0
+# Each reporting handler takes the parsed arguments and the program (whose
+# theta is None for the commands without --theta) and returns the report
+# fields and, for the tabular commands, the TSV rows.
 
 
-def _cmd_tutte(args) -> int:
-    M = parse_matrix_file(args.matrix)
-    payload = _base_payload(args, M)
+def _cmd_wenum(args, prog: XProgram):
+    profile = codes.weight_enumerator(prog.P)
+    fields = {"rank": profile.rank, "weights": list(profile.weights), "exact": True}
+    return fields, list(enumerate(profile.weights))
+
+
+def _cmd_tutte(args, prog: XProgram):
     if args.at is not None:
         x, y = args.at
         if not (math.isfinite(x) and math.isfinite(y)):
             raise InputError(f"--at needs finite values, got {x} {y}")
-        value = tutte.tutte_eval(M, complex(x), complex(y))
-        payload.update(
-            {
-                "x": fmt(x),
-                "y": fmt(y),
-                "value": {"re": fmt(value.real), "im": fmt(value.imag)},
-            }
-        )
-        _emit_report(args, payload)
-        return 0
-    poly = tutte.tutte_subset_sum(M)
-    payload.update(
-        {
-            "coefficients": [[i, j, c] for (i, j), c in poly.items()],
-            "text": poly.to_text(),
-            "basis_count": poly.basis_count(),
-            "exact": True,
+        value = tutte.tutte_eval(prog.P, complex(x), complex(y))
+        fields = {
+            "x": fmt(x),
+            "y": fmt(y),
+            "value": {"re": fmt(value.real), "im": fmt(value.imag)},
         }
-    )
-    tsv = [(i, j, c) for (i, j), c in poly.items()]
-    _emit_report(args, payload, tsv)
-    return 0
+        return fields, None
+    poly = tutte.tutte_subset_sum(prog.P)
+    terms = [(i, j, c) for (i, j), c in poly.items()]
+    fields = {
+        "coefficients": terms,
+        "text": poly.to_text(),
+        "basis_count": poly.basis_count(),
+        "exact": True,
+    }
+    return fields, terms
 
 
-def _alpha_payload(M: BinaryMatrix, theta: Angle) -> dict:
-    value = codes.alpha(M, theta)
-    out: dict = {"re": fmt(value.real), "im": fmt(value.imag), "exact": False}
-    exact = codes.alpha_exact_fourth_root(M, theta)
-    if exact is not None:
-        gaussian, log2_den = exact
-        out.update(
-            {
-                "exact": True,
-                "gaussian_integer": {"re": gaussian.re, "im": gaussian.im},
-                "log2_denominator": log2_den,
-            }
-        )
-        scale = 2.0**log2_den
-        re, im = gaussian.re / scale, gaussian.im / scale
-        out["re"] = int(re) if re == int(re) else fmt(re)
-        out["im"] = int(im) if im == int(im) else fmt(im)
-    return out
+def _cmd_alpha(args, prog: XProgram):
+    exact = codes.alpha_exact_fourth_root(prog.P, prog.theta)
+    if exact is None:
+        value = codes.alpha(prog.P, prog.theta)
+        return {"re": fmt(value.real), "im": fmt(value.imag), "exact": False}, None
+    gaussian, log2_den = exact
+    scale = 2.0**log2_den
+    re, im = gaussian.re / scale, gaussian.im / scale
+    fields = {
+        "re": int(re) if re == int(re) else fmt(re),
+        "im": int(im) if im == int(im) else fmt(im),
+        "exact": True,
+        "gaussian_integer": {"re": gaussian.re, "im": gaussian.im},
+        "log2_denominator": log2_den,
+    }
+    return fields, None
 
 
-def _cmd_alpha(args) -> int:
-    M = parse_matrix_file(args.matrix)
-    theta = _theta_of(args)
-    payload = _base_payload(args, M, theta)
-    payload.update(_alpha_payload(M, theta))
-    _emit_report(args, payload)
-    return 0
-
-
-def _cmd_amplitude(args) -> int:
-    M = parse_matrix_file(args.matrix)
-    theta = _theta_of(args)
-    prog = XProgram(M, theta)
-    x = parse_bits(args.x, M.l, "--x")
+def _cmd_amplitude(args, prog: XProgram):
+    x = parse_bits(args.x, prog.l, "--x")
     value = xprogram.amplitude(prog, x)
-    payload = _base_payload(args, M, theta)
-    payload.update({"x": x.to_string(), "re": fmt(value.real), "im": fmt(value.imag)})
-    _emit_report(args, payload)
-    return 0
+    return {"x": x.to_string(), "re": fmt(value.real), "im": fmt(value.imag)}, None
 
 
-def _cmd_prob(args) -> int:
-    M = parse_matrix_file(args.matrix)
-    theta = _theta_of(args)
-    prog = XProgram(M, theta)
-    x = parse_bits(args.x, M.l, "--x")
-    payload = _base_payload(args, M, theta)
-    payload.update({"x": x.to_string(), "p": fmt(xprogram.probability(prog, x))})
-    _emit_report(args, payload)
-    return 0
+def _cmd_prob(args, prog: XProgram):
+    x = parse_bits(args.x, prog.l, "--x")
+    return {"x": x.to_string(), "p": fmt(xprogram.probability(prog, x))}, None
 
 
-def _cmd_beta(args) -> int:
-    M = parse_matrix_file(args.matrix)
-    theta = _theta_of(args)
-    prog = XProgram(M, theta)
-    s = parse_bits(args.s, M.l, "--s")
-    payload = _base_payload(args, M, theta)
-    payload.update({"s": s.to_string(), "beta": fmt(xprogram.beta(prog, s))})
-    _emit_report(args, payload)
-    return 0
+def _cmd_beta(args, prog: XProgram):
+    s = parse_bits(args.s, prog.l, "--s")
+    return {"s": s.to_string(), "beta": fmt(xprogram.beta(prog, s))}, None
 
 
-def _cmd_dist(args) -> int:
-    M = parse_matrix_file(args.matrix)
-    theta = _theta_of(args)
-    prog = XProgram(M, theta)
+def _cmd_dist(args, prog: XProgram):
     dist = xprogram.full_distribution(prog, threads=args.threads)
-    payload = _base_payload(args, M, theta)
-    payload.update(
-        {
-            "domain_bits": dist.domain_bits,
-            "entries": _distribution_payload(dist),
-            "sum_drift": fmt(dist.sum_drift),
-        }
-    )
-    tsv = [(e["outcome"], e["p"]) for e in payload["entries"]]
-    _emit_report(args, payload, tsv)
-    return 0
+    entries = _distribution_payload(dist)
+    fields = {
+        "domain_bits": dist.domain_bits,
+        "entries": entries,
+        "sum_drift": fmt(dist.sum_drift),
+    }
+    return fields, [(e["outcome"], e["p"]) for e in entries]
 
 
-def _cmd_clifford(args) -> int:
-    M = parse_matrix_file(args.matrix)
-    support = clifford.clifford_support(M)
-    zero = clifford.clifford_probability(M, BitVector(M.l, 0))
-    payload = _base_payload(args, M)
-    payload.update(
-        {
-            "case": support.case,
-            "V": [v.to_string() for v in support.V_basis],
-            "U": [u.to_string() for u in support.U_basis],
-            "support_dim": support.dim,
-            "support_size": 1 << support.dim,
-            "point_probability": {"numerator": 1, "log2_denominator": support.dim},
-            "zero_probability": {
-                "numerator": zero.numerator,
-                "denominator": zero.denominator,
-            },
-            "offset": support.offset.to_string(),
-            "exact": True,
-        }
-    )
-    _emit_report(args, payload)
-    return 0
+def _cmd_clifford(args, prog: XProgram):
+    support = clifford.clifford_support(prog.P)
+    zero_in = support.contains(BitVector(prog.l, 0))
+    fields = {
+        "case": support.case,
+        "V": [v.to_string() for v in support.V_basis],
+        "U": [u.to_string() for u in support.U_basis],
+        "support_dim": support.dim,
+        "support_size": 1 << support.dim,
+        "point_probability": {"numerator": 1, "log2_denominator": support.dim},
+        "zero_probability": {
+            "numerator": int(zero_in),
+            "denominator": 1 << support.dim if zero_in else 1,
+        },
+        "offset": support.offset.to_string(),
+        "exact": True,
+    }
+    return fields, None
 
 
 def _select_marginal_path(args, theta: Angle, M: BinaryMatrix, proj: Projector) -> str:
@@ -365,10 +316,8 @@ def _select_marginal_path(args, theta: Angle, M: BinaryMatrix, proj: Projector) 
     return "generic"
 
 
-def _cmd_marginal(args) -> int:
-    M = parse_matrix_file(args.matrix)
-    theta = _theta_of(args)
-    prog = XProgram(M, theta)
+def _cmd_marginal(args, prog: XProgram):
+    M, theta = prog.P, prog.theta
     proj = _load_projector(args, M.l)
     path = _select_marginal_path(args, theta, M, proj)
     if path == "pi8":
@@ -383,66 +332,42 @@ def _cmd_marginal(args) -> int:
         )
     else:
         dist = marginals.marginal_distribution(prog, proj, threads=args.threads)
-    payload = _base_payload(args, M, theta)
-    payload.update(
-        {
-            "path": path,
-            "range_dim": proj.range_dim,
-            "entries": _distribution_payload(dist, labeler=proj.coords_to_vector),
-            "sum_drift": fmt(dist.sum_drift),
-        }
-    )
-    tsv = [(e["outcome"], e["x"], e["p"]) for e in payload["entries"]]
-    _emit_report(args, payload, tsv)
-    return 0
+    entries = _distribution_payload(dist, labeler=proj.coords_to_vector)
+    fields = {
+        "path": path,
+        "range_dim": proj.range_dim,
+        "entries": entries,
+        "sum_drift": fmt(dist.sum_drift),
+    }
+    return fields, [(e["outcome"], e["x"], e["p"]) for e in entries]
 
 
-def _cmd_sample(args) -> int:
-    if args.samples < 0:
-        raise InputError(f"--samples must be nonnegative, got {args.samples}")
-    M = parse_matrix_file(args.matrix)
-    theta = _theta_of(args)
-    prog = XProgram(M, theta)
-    proj = _load_projector(args, M.l)
-    rng = Random(args.seed)
-    sampler = marginals.MarginalSampler(prog, proj, rng)
+def _cmd_sample(args, prog: XProgram):
+    proj = _load_projector(args, prog.l)
+    sampler = marginals.MarginalSampler(prog, proj, Random(args.seed))
     draws = [sampler.sample().to_string() for _ in range(args.samples)]
-    payload = _base_payload(args, M, theta)
-    payload.update({"seed": args.seed, "samples": draws})
-    _emit_report(args, payload, [(draw,) for draw in draws])
-    return 0
+    return {"seed": args.seed, "samples": draws}, [(draw,) for draw in draws]
 
 
-def _cmd_reduce(args) -> int:
-    M = parse_matrix_file(args.matrix)
-    theta = _theta_of(args)
-    prog = XProgram(M, theta)
+def _cmd_reduce(args, prog: XProgram):
     reduced = xprogram.reduce_rows(prog)
-    payload = _base_payload(args, M, theta)
-    payload.update(
-        {
-            "degree": reduced.degree,
-            "period": reduced.period,
-            "phase_exponent": reduced.phase_exponent,
-            "rows": [[row.to_string(), mult] for row, mult in reduced.rows],
-            "monomial_count": reduced.monomial_count,
-            "expanded_row_count": reduced.expanded_row_count,
-        }
-    )
+    rows = [(row.to_string(), mult) for row, mult in reduced.rows]
+    fields = {
+        "degree": reduced.degree,
+        "period": reduced.period,
+        "phase_exponent": reduced.phase_exponent,
+        "rows": rows,
+        "monomial_count": reduced.monomial_count,
+        "expanded_row_count": reduced.expanded_row_count,
+    }
     if args.dump:
-        payload["reduced_matrix_file"] = dump_matrix(reduced.to_xprogram().P)
-    tsv = [(row.to_string(), mult) for row, mult in reduced.rows]
-    _emit_report(args, payload, tsv)
-    return 0
+        fields["reduced_matrix_file"] = dump_matrix(reduced.to_xprogram().P)
+    return fields, rows
 
 
-def _cmd_verify(args) -> int:
-    M = parse_matrix_file(args.matrix)
-    if M.l > 10 or M.n > 16:
-        raise InputError("verify needs l <= 10 and n <= 16 for the dense oracle")
-    parsed = _theta_of(args)
-    theta = parsed if parsed is not None else Angle.exact(1, 8)
-    prog = XProgram(M, theta)
+def _cmd_verify(args, prog: XProgram) -> None:
+    """Prints one line per check instead of a report."""
+    M, theta = prog.P, prog.theta
     sv = oracle.statevector(prog)
     failures: list[str] = []
 
@@ -490,11 +415,12 @@ def _cmd_verify(args) -> int:
 
     quarter = XProgram(M, Angle.exact(1, 4))
     sv4 = oracle.statevector(quarter)
+    support = clifford.clifford_support(M)
     worst = 0.0
     for ix in range(1 << M.l):
         x = BitVector(M.l, ix)
-        exact_p = clifford.clifford_probability(M, x)
-        worst = max(worst, abs(float(exact_p) - abs(sv4.amplitude(x)) ** 2))
+        exact_p = 2.0**-support.dim if support.contains(x) else 0.0
+        worst = max(worst, abs(exact_p - abs(sv4.amplitude(x)) ** 2))
     report("clifford distribution vs oracle", worst, 1e-12)
 
     kept = min(2, M.l)
@@ -514,7 +440,6 @@ def _cmd_verify(args) -> int:
         print(f"{len(failures)} of 7 checks failed")
         raise NumericalInconsistency("verification failed: " + ", ".join(failures))
     print("all 7 checks passed")
-    return 0
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -525,6 +450,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ParseError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="iqpsim",
@@ -536,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
         name: str,
         handler,
         *,
-        theta: str = "no",
+        theta: str | None = None,
         x: bool = False,
         s: bool = False,
         mask: bool = False,
@@ -546,12 +472,13 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("matrix", help="path to a matrix file")
-        if theta != "no":
+        # theta is "required", the default angle, or None for no --theta
+        if theta is not None:
             sp.add_argument(
                 "--theta",
                 "-t",
                 required=(theta == "required"),
-                default=None,
+                default=None if theta == "required" else theta,
                 help="angle: 'a/b' means (a/b) pi, or 'rad:<x>'",
             )
         if x:
@@ -602,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
         help_text="draw masked outputs")
     add("reduce", _cmd_reduce, theta="required",
         help_text="rewrite rows to weight at most d for dyadic angles")
-    add("verify", _cmd_verify, theta="optional",
+    add("verify", _cmd_verify, theta="1/8",
         help_text="cross-check this instance against the dense oracle")
     return parser
 
@@ -610,7 +537,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.handler(args)
+        # the input checks run in the order the commands have always made them
+        if getattr(args, "samples", 0) < 0:
+            raise InputError(f"--samples must be nonnegative, got {args.samples}")
+        M = parse_matrix_file(args.matrix)
+        if args.command == "verify" and (M.l > 10 or M.n > 16):
+            raise InputError("verify needs l <= 10 and n <= 16 for the dense oracle")
+        prog = XProgram(M, _theta_of(args))
+        report = args.handler(args, prog)
+        if report is not None:  # verify prints its own check lines
+            fields, tsv_rows = report
+            _emit_report(args, _base_payload(args, prog) | fields, tsv_rows)
+        return 0
     except InputError as exc:
         _print_error(exc, 2)
         return 2

@@ -68,6 +68,17 @@ def _reduced_generators(M: BinaryMatrix) -> list[int]:
     return list(gf2._eliminate(columns, {}).values())
 
 
+def _gram(vectors: list[int]) -> list[int]:
+    """Pairwise inner products: bit j of entry i is |v_i & v_j| mod 2."""
+    gram = [0] * len(vectors)
+    for i, v in enumerate(vectors):
+        for j in range(i, len(vectors)):
+            if (v & vectors[j]).bit_count() & 1:
+                gram[i] |= 1 << j
+                gram[j] |= 1 << i
+    return gram
+
+
 def _gauss_sum(vectors: list[int], shift: int) -> int:
     """Sum of (-1)^Q(v) over the span of the given even-weight vectors.
 
@@ -80,12 +91,8 @@ def _gauss_sum(vectors: list[int], shift: int) -> int:
     m = len(vectors)
     if m == 0:
         return 1
-    gram = [0] * m
-    for i in range(m):
-        for j in range(i + 1, m):
-            if (vectors[i] & vectors[j]).bit_count() & 1:
-                gram[i] |= 1 << j
-                gram[j] |= 1 << i
+    # even weights leave the diagonal clear, so no vector pairs with itself
+    gram = _gram(vectors)
     qbits = 0
     for i, v in enumerate(vectors):
         q = ((v.bit_count() >> 1) & 1) ^ ((v & shift).bit_count() & 1)
@@ -140,18 +147,19 @@ def _gauss_sum(vectors: list[int], shift: int) -> int:
 def wenum_from_generators(generators: list[int], k: int) -> GaussianInteger:
     """Weight enumerator of the span at z = i^k, from packed generators.
 
-    The generators need not be independent; they are reduced first.
+    The generators must be linearly independent, as those from
+    _reduced_generators are: the span is taken to hold 2^len(generators)
+    words.
     """
-    gens = list(gf2._eliminate(generators, {}).values())
-    r = len(gens)
+    r = len(generators)
     k %= 4
     if k == 0:
         return GaussianInteger(1 << r, 0)
-    odd = [g for g in gens if g.bit_count() & 1]
+    odd = [g for g in generators if g.bit_count() & 1]
     if k == 2:
         # parity of the weight is linear, so the sum collapses
         return GaussianInteger(0 if odd else 1 << r, 0)
-    even = [g for g in gens if not g.bit_count() & 1]
+    even = [g for g in generators if not g.bit_count() & 1]
     if odd:
         pivot = odd[0]
         even_basis = even + [g ^ pivot for g in odd[1:]]
@@ -162,7 +170,7 @@ def wenum_from_generators(generators: list[int], k: int) -> GaussianInteger:
             im = -im
         value = GaussianInteger(re, im)
     else:
-        value = GaussianInteger(_gauss_sum(gens, 0), 0)
+        value = GaussianInteger(_gauss_sum(generators, 0), 0)
     return value if k == 1 else value.conjugate()
 
 
@@ -224,7 +232,11 @@ def clifford_support(P: BinaryMatrix) -> AffineSupport:
     vector into the last bad one, which is then dropped.
     """
     l = P.l
-    V = gf2.kernel(gf2.mat_mul(gf2.transpose(P), P))
+    # the rows of P^T P up to their order, which the kernel ignores; _gram
+    # numbers bits from the low end and BitVector coordinates from the
+    # high end, hence the reversed columns
+    cols = [c.bits for c in reversed(gf2.transpose(P).rows)]
+    V = gf2.kernel(BinaryMatrix.from_rows(l, (BitVector(l, g) for g in _gram(cols))))
     bad = []
     good = []
     for s in V:

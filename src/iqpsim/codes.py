@@ -182,6 +182,11 @@ def weight_enumerator(
     return CodeProfile(n, r, weights_out)
 
 
+def _check_alpha(value: complex) -> None:
+    if abs(value) > 1 + 1e-9:
+        raise NumericalInconsistency(f"|alpha| = {abs(value)} exceeds 1")
+
+
 def alpha(
     P: BinaryMatrix, theta: Angle, *, rank_limit: int = DEFAULT_RANK_LIMIT
 ) -> complex:
@@ -204,8 +209,7 @@ def alpha(
             if count:
                 total += count * cmath.exp(1j * th * (n - 2 * weight))
         value = total / (1 << profile.rank)
-    if abs(value) > 1 + 1e-9:
-        raise NumericalInconsistency(f"|alpha| = {abs(value)} exceeds 1")
+    _check_alpha(value)
     return value
 
 
@@ -225,7 +229,10 @@ def alpha_exact_fourth_root(
         return None
     gens = clifford._reduced_generators(P)
     w = clifford.wenum_from_generators(gens, (-t) % 4)
-    return w.times_i_power((t * n // 2) % 4), len(gens)
+    r = len(gens)
+    # int / int stays exact where 2^r overflows a float
+    _check_alpha(complex(w.re / (1 << r), w.im / (1 << r)))
+    return w.times_i_power((t * n // 2) % 4), r
 
 
 def project(P: BinaryMatrix, x: BitVector) -> BinaryMatrix:

@@ -51,6 +51,7 @@ __all__ = [
 
 DEFAULT_RANGE_LIMIT = 20
 PI8_RANGE_LIMIT = 24
+_CACHE_LIMIT = 4096  # conditionals kept per sampler
 
 
 @dataclass(frozen=True)
@@ -309,7 +310,6 @@ class MarginalSampler:
         rng: Random | None = None,
         *,
         range_limit: int = DEFAULT_RANGE_LIMIT,
-        cache_limit: int = 4096,
     ):
         if proj.l != prog.l:
             raise DimensionMismatch("projector size differs from program width")
@@ -320,7 +320,6 @@ class MarginalSampler:
         self.prog = prog
         self.proj = proj
         self.rng = rng if rng is not None else Random()
-        self._cache_limit = cache_limit
         self._cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._rows = [r.bits for r in prog.P.rows]
         self._keys = [proj._coord_bits(r) for r in self._rows]
@@ -344,7 +343,7 @@ class MarginalSampler:
             raise NumericalInconsistency(f"conditional sums to {total}")
         cdf = np.cumsum(probs)
         entry = (probs, cdf)
-        if len(self._cache) < self._cache_limit:
+        if len(self._cache) < _CACHE_LIMIT:
             self._cache[shift_bits] = entry
         return entry
 

@@ -169,25 +169,25 @@ def tutte_eval(
     """
     memo: dict[tuple, complex] = {}
 
-    def span_rank(vectors: list[int]) -> int:
-        return len(gf2._eliminate(vectors, {}))
-
     def evaluate(rows: list[int]):
         nonzero = [v for v in rows if v]
-        factor = y ** (len(rows) - len(nonzero))
-        # peel coloops: rows outside the span of the others
-        while nonzero:
-            total = span_rank(nonzero)
-            coloop = None
-            for i in range(len(nonzero)):
-                rest = nonzero[:i] + nonzero[i + 1 :]
-                if span_rank(rest) == total - 1:
-                    coloop = i
-                    break
-            if coloop is None:
-                break
-            factor = factor * x
-            nonzero.pop(coloop)
+        m = len(nonzero)
+        # a coloop is a row in no circuit. Tagged with its own bit, each
+        # dependent row leaves a tag holding one circuit-space element, and
+        # these tags span that space; removing coloops changes no circuit,
+        # so one pass finds them all
+        residues: list[int] = []
+        gf2._eliminate(
+            [(v << m) | (1 << i) for i, v in enumerate(nonzero)], {}, m, residues
+        )
+        in_circuit = 0
+        for w in residues:
+            if w >> m == 0:
+                in_circuit |= w
+        nonzero = [v for i, v in enumerate(nonzero) if (in_circuit >> i) & 1]
+        factor = y ** (len(rows) - m)
+        for _ in range(m - len(nonzero)):
+            factor = factor * x  # x ** k raises OverflowError where this gives inf
         if not nonzero:
             return factor
         key = _canonical_key(nonzero)

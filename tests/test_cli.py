@@ -83,6 +83,14 @@ class TestParseMatrixText:
         assert info.value.line == 2
         assert "line 2" in str(info.value)
 
+    @pytest.mark.parametrize("bad", ["_", "+", " ", "\u0661"])
+    def test_characters_int_accepts(self, bad):
+        # int(row, 2) takes each of these, so the row check must not rely on it
+        with pytest.raises(BadCharacter) as info:
+            parse_matrix_text(f"2 4\n1010\n1{bad}01\n")
+        assert info.value.line == 3
+        assert repr(bad) in str(info.value)
+
     def test_missing_rows(self):
         with pytest.raises(BadRowLength):
             parse_matrix_text("3 2\n10\n")

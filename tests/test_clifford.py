@@ -135,6 +135,25 @@ class TestCliffordSupport:
             )
             assert count == 1 << support.dim
 
+    @pytest.mark.parametrize(
+        "n, l", [(12, 5), (120, 30), (255, 64), (256, 64), (600, 40), (300, 70)]
+    )
+    def test_kernel_matches_gram_product(self, n, l):
+        # both sides of transpose's vectorized branch (n >= 256, l <= 64);
+        # low-rank and doubled rows give P^T P a kernel beyond ker P
+        rng = Random(n * 1000 + l)
+        for rank in (l, l // 2, 3):
+            basis = [rng.getrandbits(l) for _ in range(rank)]
+            rows = []
+            while len(rows) < n:
+                v = 0
+                for b in basis:
+                    v ^= b * rng.getrandbits(1)
+                rows.extend([v, v] if rng.random() < 0.3 else [v])
+            P = BinaryMatrix.from_rows(l, (BitVector(l, v) for v in rows[:n]))
+            want = gf2.kernel(gf2.mat_mul(gf2.transpose(P), P))
+            assert list(clifford_support(P).V_basis) == want
+
     def test_offset_is_member(self):
         rng = Random(36)
         for _ in range(40):

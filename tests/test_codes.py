@@ -6,9 +6,14 @@ from random import Random
 
 import pytest
 
-from iqpsim import codes, gf2
+from iqpsim import clifford, codes, gf2
 from iqpsim.codes import Angle, affinify, alpha, is_even_code, project, weight_enumerator
-from iqpsim.errors import DimensionMismatch, RankTooLarge, ZeroDirection
+from iqpsim.errors import (
+    DimensionMismatch,
+    NumericalInconsistency,
+    RankTooLarge,
+    ZeroDirection,
+)
 from iqpsim.gf2 import BinaryMatrix, BitVector
 
 from conftest import random_bits, random_matrix
@@ -164,6 +169,20 @@ class TestAlphaExactFourthRoot:
     def test_none_for_odd_global_phase(self):
         m = BinaryMatrix.from_strings(["1"])
         assert codes.alpha_exact_fourth_root(m, Angle.exact(1, 4)) is None
+
+    def test_self_check(self, pex, monkeypatch):
+        # the exact path keeps alpha's |alpha| <= 1 check
+        too_big = clifford.GaussianInteger(1 << 10, 0)
+        monkeypatch.setattr(clifford, "wenum_from_generators", lambda gens, k: too_big)
+        with pytest.raises(NumericalInconsistency):
+            codes.alpha_exact_fourth_root(pex, Angle.exact(1, 1))
+
+    def test_rank_beyond_float_range(self):
+        # 2^r overflows a float here; the exact value must still come back
+        m = BinaryMatrix.identity(1100)
+        numerator, log2_denominator = codes.alpha_exact_fourth_root(m, Angle.exact(1, 4))
+        assert log2_denominator == 1100
+        assert numerator.re**2 + numerator.im**2 == 1 << 1100
 
     def test_matches_float_alpha(self):
         rng = Random(25)

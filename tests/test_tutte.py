@@ -119,6 +119,31 @@ class TestTutteEval:
                 tutte_eval(m, x, y), poly.evaluate(x, y), rel_tol=1e-9, abs_tol=1e-9
             )
 
+    def test_exact_on_low_rank_programs(self):
+        # zero rows, repeated rows and coloops in every mix; integer points
+        # keep both evaluators in exact arithmetic
+        rng = Random(41)
+        for _ in range(60):
+            l = rng.randint(1, 6)
+            basis = [rng.getrandbits(l) for _ in range(rng.randint(1, 3))]
+            rows = []
+            for _ in range(rng.randint(0, 14)):
+                pick = rng.random()
+                if pick < 0.15:
+                    rows.append(0)
+                elif pick < 0.35 and rows:
+                    rows.append(rng.choice(rows))
+                else:
+                    v = 0
+                    for b in basis:
+                        v ^= b * rng.getrandbits(1)
+                    rows.append(v)
+            m = BinaryMatrix.from_rows(l, (gf2.BitVector(l, v) for v in rows))
+            assert gf2.rank(m) <= 3
+            poly = tutte_subset_sum(m)
+            for x, y in [(2, 3), (-1, 2), (0, 0), (1, -3)]:
+                assert tutte_eval(m, x, y) == poly.evaluate(x, y)
+
     def test_handles_more_rows_than_subset_sum(self):
         # 2^26 subsets would be far out of reach for the direct sum
         rng = Random(44)
