@@ -8,7 +8,8 @@ fourth-root dispatch never hinges on float coincidence.
 
 Exit codes: 0 ok, 2 input error (usage errors included), 3 budget
 exceeded, 4 numerical inconsistency or a stray ValueError,
-RecursionError or MemoryError. Errors print one JSON object to stderr.
+ArithmeticError, RecursionError or MemoryError. Errors print one JSON
+object to stderr.
 """
 
 from __future__ import annotations
@@ -194,13 +195,17 @@ def _load_projector(args, l: int) -> Projector:
     return marginals.diagonal_projector(mask)
 
 
-def _distribution_payload(dist: xprogram.Distribution, labeler=None) -> list[dict]:
+def _distribution_payload(
+    dist: xprogram.Distribution, labels: list[int] | None = None, width: int = 0
+) -> list[dict]:
+    """One entry per outcome; labels[ix], when given, is the packed
+    width-bit vector reported as the outcome's "x"."""
     bits = dist.domain_bits
     entries = []
     for ix, p in enumerate(dist.as_array().tolist()):
         entry = {"outcome": format(ix, f"0{bits}b") if bits else "", "p": fmt(p)}
-        if labeler is not None:
-            entry["x"] = labeler(ix).to_string()
+        if labels is not None:
+            entry["x"] = format(labels[ix], f"0{width}b") if width else ""
         entries.append(entry)
     return entries
 
@@ -245,8 +250,8 @@ def _cmd_alpha(args, prog: XProgram):
         value = codes.alpha(prog.P, prog.theta)
         return {"re": fmt(value.real), "im": fmt(value.imag), "exact": False}, None
     gaussian, log2_den = exact
-    scale = 2.0**log2_den
-    re, im = gaussian.re / scale, gaussian.im / scale
+    # int / int rounds once and underflows to 0 where 2^log2_den overflows
+    re, im = gaussian.re / (1 << log2_den), gaussian.im / (1 << log2_den)
     fields = {
         "re": int(re) if re == int(re) else fmt(re),
         "im": int(im) if im == int(im) else fmt(im),
@@ -332,7 +337,9 @@ def _cmd_marginal(args, prog: XProgram):
         )
     else:
         dist = marginals.marginal_distribution(prog, proj, threads=args.threads)
-    entries = _distribution_payload(dist, labeler=proj.coords_to_vector)
+    # the range vector of coordinates ix, by the span walk over the R basis
+    labels = marginals._span([base.bits for base in proj.R_basis])
+    entries = _distribution_payload(dist, labels, proj.l)
     fields = {
         "path": path,
         "range_dim": proj.range_dim,
@@ -555,7 +562,9 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         _print_error(exc, 3)
         return 3
-    except (NumericalInconsistency, ValueError, RecursionError, MemoryError) as exc:
+    except (
+        NumericalInconsistency, ValueError, ArithmeticError, RecursionError, MemoryError
+    ) as exc:
         _print_error(exc, 4)
         return 4
 

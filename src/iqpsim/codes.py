@@ -200,7 +200,9 @@ def alpha(
         t = theta.fourth_root_index
         gens = clifford._reduced_generators(P)
         w = clifford.wenum_from_generators(gens, (-t) % 4)
-        value = cmath.exp(1j * math.pi * t * n / 4) * w.to_complex() / (1 << len(gens))
+        # int / int stays finite where 2^r overflows a float
+        scale = 1 << len(gens)
+        value = cmath.exp(1j * math.pi * t * n / 4) * complex(w.re / scale, w.im / scale)
     else:
         profile = weight_enumerator(P, rank_limit=rank_limit)
         th = theta.value

@@ -156,14 +156,7 @@ class BinaryMatrix:
         return [row.weight() for row in self.rows]
 
     def column_weights(self) -> list[int]:
-        weights = [0] * self.l
-        for row in self.rows:
-            v = row.bits
-            while v:
-                low = v & -v
-                weights[self.l - low.bit_length()] += 1
-                v ^= low
-        return weights
+        return [col.weight() for col in transpose(self).rows]
 
     def to_strings(self) -> list[str]:
         return [row.to_string() for row in self.rows]
@@ -358,18 +351,19 @@ def mat_vec(A: BinaryMatrix, v: BitVector) -> BitVector:
 def transpose(M: BinaryMatrix) -> BinaryMatrix:
     """Transpose; the rows of the result are the columns of M."""
     n, l = M.n, M.l
-    if l <= 64 and n >= 256:
-        # wide-and-short case: extract all columns with vectorized popable shifts
-        arr = np.fromiter((row.bits for row in M.rows), dtype=np.uint64, count=n)
-        shifts = np.arange(l - 1, -1, -1, dtype=np.uint64)
-        bitmat = ((arr[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
-        packed = np.packbits(bitmat.T, axis=1, bitorder="big")
-        pad = (-n) % 8
-        cols = [
-            BitVector(n, int.from_bytes(packed[j].tobytes(), "big") >> pad)
+    if n * l >= 256:
+        # unpack the rows' big-endian bytes into a bit matrix and pack its
+        # transpose; each row's leading pad bits are dropped first
+        width, stride = (l + 7) // 8, (n + 7) // 8
+        data = b"".join(row.bits.to_bytes(width, "big") for row in M.rows)
+        bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8).reshape(n, width), axis=1)
+        packed = np.packbits(bits[:, 8 * width - l :].T, axis=1).tobytes()
+        pad = 8 * stride - n
+        cols = (
+            int.from_bytes(packed[j * stride : (j + 1) * stride], "big") >> pad
             for j in range(l)
-        ]
-        return BinaryMatrix.from_rows(n, cols)
+        )
+        return BinaryMatrix.from_rows(n, (BitVector(n, c) for c in cols))
     cols = [0] * l
     for i, row in enumerate(M.rows):
         v = row.bits

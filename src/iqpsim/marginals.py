@@ -1,14 +1,22 @@
 """Marginal distributions of masked outputs, and a weak sampler.
 
 A projector is any idempotent linear map m on the output bits. The
-masked output m(X) lives in the range R of m, and its distribution is
-an average of correlation coefficients over the dual range Rstar,
-assembled by a Walsh-Hadamard transform over coordinates. Rows of
-weight at most two have a closed form for the coefficients; the pi/8
-and column-sparse entry points check their preconditions and run the
-generic evaluator, which is already exact or cheap there. A sampler
-draws from the marginal by randomizing over the dual kernel Kstar, one
-fresh shift per sample.
+masked output m(X) lives in the range R of m and is labeled by its
+coordinates there. marginal_distribution is one engine with three
+evaluators of the same law, chosen by an estimate of their work:
+
+* the push-forward: the full distribution's phase sweep, summed over
+  the fibres of m (only up to the full-distribution domain limit);
+* the quarter-turn image: at multiples of pi/4 the output is uniform on
+  an affine space, so the marginal is uniform on its image under m;
+* the beta loop: the marginal is an average of correlation coefficients
+  over the dual range Rstar, one coefficient per vector, assembled by a
+  Walsh-Hadamard transform over coordinates.
+
+Rows of weight at most two have a closed form for the coefficients; the
+pi/8 and column-sparse entry points check their preconditions and run
+the engine. A sampler draws from the marginal by randomizing over the
+dual kernel Kstar, one fresh shift per sample.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from random import Random
 
 import numpy as np
 
-from . import gf2, xprogram
+from . import clifford, codes, gf2, xprogram
 from .codes import Angle
 from .errors import (
     ColumnBoundViolated,
@@ -52,6 +60,21 @@ __all__ = [
 DEFAULT_RANGE_LIMIT = 20
 PI8_RANGE_LIMIT = 24
 _CACHE_LIMIT = 4096  # conditionals kept per sampler
+
+# Estimated microseconds of each evaluator's parts on one core, fitted by
+# least squares to process times of about 40 random instances apiece.
+_COST_CALL = 75.0  # one beta call: affinify, transpose, elimination
+_COST_ROW = 0.14  # per row scanned by affinify
+_COST_WIDTH = 1.8  # per column eliminated
+_COST_ODD_BIT = 0.025  # per bit of an odd row, transposed
+_COST_GAUSS = 0.5  # per squared rank of a Gauss sum
+_COST_WORD = 0.0085  # per enumerated codeword
+_COST_SWEEP_SETUP = 110.0
+_COST_SWEEP = 0.014  # per outcome per transform level
+_COST_KEY = 0.05  # per row histogrammed by the sweep
+_COST_SUPPORT_SETUP = 115.0
+_COST_SUPPORT_PAIR = 0.25  # per column pair: Gram matrix and kernels
+_COST_SUPPORT_BIT = 0.033  # per matrix bit: transpose and hit counts
 
 
 @dataclass(frozen=True)
@@ -115,7 +138,7 @@ def make_projector(M: BinaryMatrix) -> Projector:
     Kstar = gf2.kernel(transposed)
     Rstar = gf2.span_rref(list(M.rows), l)
     q = len(R)
-    support = sum(1 for j in range(l) if any(row.get(j) for row in M.rows))
+    support = sum(1 for col in transposed.rows if not col.is_zero())
     # row k of the pairing holds R_j . Rstar_k over j; its inverse maps
     # pairings to R coordinates, so row j of the inverse holds the Rstar
     # coordinates of D_j
@@ -147,6 +170,15 @@ def diagonal_projector(mask: BitVector) -> Projector:
     return make_projector(BinaryMatrix.from_rows(mask.n, rows))
 
 
+def _span(basis: list[int]) -> list[int]:
+    """Every combination of the packed basis; bit k of an index picks
+    basis[-1 - k], so the first vector is the top bit."""
+    span = [0]
+    for base in reversed(basis):
+        span += [s ^ base for s in span]
+    return span
+
+
 def _range_transform(proj: Projector, beta_at) -> Distribution:
     """Assemble the marginal from one coefficient per dual-range vector.
 
@@ -155,13 +187,107 @@ def _range_transform(proj: Projector, beta_at) -> Distribution:
     the standard transform over v produces
     P[x] = 2^-q sum_v (-1)^(x.v) beta(s_v).
     """
-    span = [0]
-    for dual in reversed(proj._dual_basis):
-        span += [s ^ dual for s in span]
+    span = _span(list(proj._dual_basis))
     values = np.array([beta_at(BitVector(proj.l, s)) for s in span], dtype=float)
     walsh_hadamard(values)
     values /= len(span)
     return Distribution(proj.range_dim, values)
+
+
+def _beta_loop(prog: XProgram, proj: Projector) -> Distribution:
+    """One correlation coefficient per dual-range vector, then one transform."""
+    return _range_transform(proj, lambda s: xprogram.beta(prog, s))
+
+
+def _push_forward(prog: XProgram, proj: Projector) -> Distribution:
+    """The full distribution's phase sweep, summed over the fibres of m.
+
+    The coordinates of every outcome come from a doubling table over the
+    coordinates of the unit vectors, the packed bit 1 << b first.
+    """
+    l, q = prog.l, proj.range_dim
+    rows = [row.bits for row in prog.P.rows]
+    probs = xprogram._sweep_probabilities(rows, None, l, prog.theta)
+    units = [proj._coord_bits(1 << b) for b in range(l)]
+    coords = codes._enumeration_table(units, l).astype(np.intp)
+    return Distribution(q, np.bincount(coords, weights=probs, minlength=1 << q))
+
+
+def _quarter_turn_image(prog: XProgram, proj: Projector) -> Distribution:
+    """Uniform law on the image under m of the quarter-turn support.
+
+    At theta = t pi / 4 with t odd the output is uniform on the affine
+    Clifford support, which an odd multiple of pi/2 added to theta only
+    shifts by the xor of all rows, a direction of the support. At even t
+    the program is a power of the product of its iX_S gates: a point
+    mass at 0, or at that xor when t = 2 mod 4. A linear image of a
+    uniform affine law is uniform on the image, here 2^k points.
+    """
+    t = prog.theta.fourth_root_index
+    if t % 2:
+        support = clifford.clifford_support(prog.P)
+        offset = support.offset.bits
+        directions = [d.bits for d in support.directions]
+    else:
+        offset = 0
+        if t % 4 == 2:
+            for row in prog.P.rows:
+                offset ^= row.bits
+        directions = []
+    pivots = gf2._eliminate((proj._coord_bits(d) for d in directions), {})
+    k = len(pivots)
+    points = codes._enumeration_table(list(pivots.values()), k)
+    points ^= np.uint64(proj._coord_bits(offset))
+    values = np.zeros(1 << proj.range_dim)
+    values[points.astype(np.intp)] = math.ldexp(1.0, -k)
+    return Distribution(proj.range_dim, values)
+
+
+_EVALUATORS = {
+    "image": _quarter_turn_image,
+    "push": _push_forward,
+    "beta": _beta_loop,
+}
+
+
+def _choose_evaluator(prog: XProgram, proj: Projector) -> str:
+    """The evaluator with the least estimated work, a pure function of
+    the program and the projector.
+
+    Row r is odd against s_v exactly when key(r) . v = 1, with key(r)
+    the R coordinates of r, so the odd-row counts of all dual-range
+    vectors are (n - E) / 2 with E the transform of the key histogram.
+    An odd-row count bounds the rank of the code each beta evaluates.
+    The histogram is only built when the beta loop's fixed cost per
+    call does not already exceed another evaluator's estimate.
+    """
+    n, l, q = prog.n, prog.l, proj.range_dim
+    theta = prog.theta
+    costs = {}
+    if l <= xprogram.DEFAULT_DOMAIN_LIMIT:
+        costs["push"] = (
+            _COST_SWEEP_SETUP + _COST_SWEEP * (l + 4) * (1 << l) + _COST_KEY * n
+        )
+    if theta.is_fourth_root:
+        costs["image"] = (
+            _COST_SUPPORT_SETUP + _COST_SUPPORT_PAIR * l * l + _COST_SUPPORT_BIT * n * l
+        )
+    calls = (1 << q) - 1
+    floor = calls * (_COST_CALL + _COST_ROW * n + _COST_WIDTH * l)
+    cheapest = min(costs, key=costs.get, default="beta")
+    if cheapest == "beta" or costs[cheapest] <= floor:
+        return cheapest
+    keys = [proj._coord_bits(row.bits) for row in prog.P.rows]
+    hist = np.bincount(np.asarray(keys, dtype=np.intp), minlength=1 << q)
+    walsh_hadamard(hist)
+    odd = (n - hist[1:]) // 2
+    ranks = np.minimum(odd, l).astype(float)
+    if theta.doubled().is_fourth_root:
+        per_rank = _COST_GAUSS * float((ranks * ranks).sum())
+    else:
+        per_rank = _COST_WORD * float(np.exp2(ranks).sum())
+    costs["beta"] = floor + _COST_ODD_BIT * l * float(odd.sum()) + per_rank
+    return min(costs, key=costs.get)
 
 
 def marginal_distribution(
@@ -173,8 +299,10 @@ def marginal_distribution(
 ) -> Distribution:
     """Exact marginal of m(X) over the range of the projector.
 
-    threads is accepted for compatibility and ignored, here and in the
-    other marginal entry points.
+    The evaluator is the cheapest by _choose_evaluator's estimate; all
+    three give the same law, exactly at multiples of pi/4. threads is
+    accepted for compatibility and ignored, here and in the other
+    marginal entry points.
     """
     if proj.l != prog.l:
         raise DimensionMismatch("projector size differs from program width")
@@ -182,7 +310,7 @@ def marginal_distribution(
         raise RangeTooLarge(
             f"range dimension {proj.range_dim} exceeds the limit {range_limit}"
         )
-    return _range_transform(proj, lambda s: xprogram.beta(prog, s))
+    return _EVALUATORS[_choose_evaluator(prog, proj)](prog, proj)
 
 
 def marginal_pi8(

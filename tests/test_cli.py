@@ -542,3 +542,117 @@ class TestErrorPaths:
         payload = json.loads(err)
         assert payload["error"] == error.__name__
         assert payload["exit_code"] == 4
+
+
+def _write_unit_rows(path, l: int, copies: int) -> str:
+    rows = ("0" * i + "1" + "0" * (l - 1 - i) for i in range(l) for _ in range(copies))
+    path.write_text(f"{copies * l} {l}\n" + "\n".join(rows) + "\n")
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def identity_1100(tmp_path_factory):
+    # a code of rank 1100: 2^1100 overflows a float
+    return _write_unit_rows(tmp_path_factory.mktemp("rank") / "identity.txt", 1100, 1)
+
+
+@pytest.fixture(scope="module")
+def doubled_1100(tmp_path_factory):
+    # every unit row twice: an even code of rank 1100, whose Gauss sum at
+    # -1 is 2^1100 itself
+    return _write_unit_rows(tmp_path_factory.mktemp("rank") / "doubled.txt", 1100, 2)
+
+
+class TestRankBeyondFloatRange:
+    """At theta = pi/4 every qubit of the identity program is a fair coin:
+    alpha = cos(pi/4)^1100 = 2^-550 and each probability 2^-1100, which
+    underflows to 0."""
+
+    def test_alpha(self, capsys, identity_1100):
+        code, out, _ = run_cli(capsys, "alpha", identity_1100, "--theta", "1/4")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["gaussian_integer"] == {"re": 2**550, "im": 0}
+        assert payload["log2_denominator"] == 1100
+        assert payload["re"] == pytest.approx(2.0**-550, rel=1e-11)
+        assert payload["im"] == 0
+
+    def test_prob(self, capsys, identity_1100):
+        x = "1" + "0" * 1099
+        code, out, _ = run_cli(capsys, "prob", identity_1100, "--theta", "1/4", "--x", x)
+        assert code == 0
+        assert json.loads(out)["p"] == 0.0
+
+    def test_amplitude(self, capsys, identity_1100):
+        x = "0" * 1099 + "1"
+        code, out, _ = run_cli(
+            capsys, "amplitude", identity_1100, "--theta", "1/4", "--x", x
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert abs(complex(payload["re"], payload["im"])) == pytest.approx(2.0**-550)
+
+    @pytest.mark.parametrize("bit, beta", [("0", 1.0), ("1", 0.0)], ids=["zero", "ones"])
+    def test_beta(self, capsys, identity_1100, bit, beta):
+        code, out, _ = run_cli(
+            capsys, "beta", identity_1100, "--theta", "1/4", "--s", bit * 1100
+        )
+        assert code == 0
+        assert json.loads(out)["beta"] == beta
+
+    def test_beta_even_code(self, capsys, doubled_1100):
+        # two quarter turns flip each bit for certain, so X.s = |s| mod 2
+        code, out, _ = run_cli(
+            capsys, "beta", doubled_1100, "--theta", "1/4", "--s", "1" * 1100
+        )
+        assert code == 0
+        assert json.loads(out)["beta"] == 1.0
+
+
+def test_arithmetic_errors_exit_four(capsys, tmp_path, monkeypatch):
+    def boom(*args):
+        raise OverflowError("synthetic overflow")
+
+    monkeypatch.setattr(tutte, "tutte_eval", boom)
+    path = write_matrix(tmp_path, "m.txt", 3, 2, ["10", "01", "11"])
+    code, out, err = run_cli(capsys, "tutte", path, "--at", "2", "3")
+    assert code == 4
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "OverflowError",
+        "exit_code": 4,
+        "message": "synthetic overflow",
+    }
+
+
+def test_marginal_labels_are_range_vectors(capsys, tmp_path):
+    # each entry's x is the range vector whose coordinates are its outcome
+    from random import Random
+
+    from iqpsim.marginals import make_projector
+
+    from test_marginals import random_projector
+
+    rng = Random(120)
+    for trial in range(12):
+        l = rng.randint(1, 7)
+        proj = random_projector(rng, l)
+        proj_path = write_matrix(tmp_path, "p.txt", l, l, proj.matrix.to_strings())
+        rows = [format(rng.getrandbits(l), f"0{l}b") for _ in range(5)]
+        path = write_matrix(tmp_path, "m.txt", 5, l, rows)
+        output = ["json", "tsv"][trial % 2]
+        code, out, _ = run_cli(
+            capsys, "marginal", path, "--theta", "3/16",
+            "--projector", proj_path, "--output", output,
+        )
+        assert code == 0
+        if output == "json":
+            pairs = [(e["outcome"], e["x"]) for e in json.loads(out)["entries"]]
+        else:
+            pairs = [tuple(line.split("\t")[:2]) for line in out.splitlines()]
+        assert len(pairs) == 1 << proj.range_dim
+        check = make_projector(proj.matrix)
+        for outcome, x in pairs:
+            vector = BitVector.from_string(x)
+            assert check.apply(vector) == vector
+            assert check.vector_to_coords(vector).to_string() == outcome

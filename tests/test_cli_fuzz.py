@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iqpsim import gf2
 from iqpsim.cli import main
+from iqpsim.gf2 import BinaryMatrix, BitVector
 
 THETAS = ["1/8", "1/4", "3/4", "1/2", "1", "0", "3/16", "-1/4", "rad:0.7", "rad:1e-300"]
 JUNK = ["", "abc", "1/0", "1/-2", "0.5", "rad:", "rad:nan", "rad:inf", "//", "--", "1e999"]
@@ -76,6 +78,71 @@ def test_exit_code_contract(workdir, case):
     assert code in (0, 2, 3, 4)
     if code == 0:
         json.loads(out.getvalue(), parse_constant=_reject_constant)
+        return
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["exit_code"] == code
+
+
+QUARTER_TURNS = [f"{t}/4" for t in range(8)]
+
+
+def conjugated_projector(rng, l: int) -> list[str]:
+    """S^-1 D S for a random invertible S and a coordinate projector D."""
+    while True:
+        s = BinaryMatrix.from_rows(l, [BitVector(l, rng.getrandbits(l)) for _ in range(l)])
+        if gf2.rank(s) == l:
+            break
+    keep = rng.getrandbits(l)
+    d = BinaryMatrix.from_rows(
+        l, [BitVector(l, (keep >> (l - 1 - i) & 1) << (l - 1 - i)) for i in range(l)]
+    )
+    return gf2.mat_mul(gf2.mat_mul(gf2.inverse(s), d), s).to_strings()
+
+
+@st.composite
+def marginal_lines(draw):
+    """marginal over masks and conjugated projectors, at every multiple of
+    pi/4 and at generic angles, so each marginal evaluator runs."""
+    n = draw(st.integers(0, 12))
+    l = draw(st.integers(0, 10))
+    word = st.text(alphabet="01", min_size=l, max_size=l)
+    rows = [draw(word) for _ in range(n)]
+    theta = st.sampled_from(QUARTER_TURNS + ["1/8", "3/16", "-3/4", "rad:0.7"])
+    args = ["--theta", pick(draw, theta)]
+    projector = None
+    kind = draw(st.sampled_from(["projector", "projector", "mask", "junk"]))
+    if kind == "projector":
+        projector = conjugated_projector(draw(st.randoms(use_true_random=False)), l)
+    elif kind == "mask":
+        args += ["--mask", pick(draw, word)]
+    else:
+        # a square matrix of the right size, idempotent or not
+        projector = [draw(word) for _ in range(l)]
+    paths = ["auto"] * 3 + ["generic"] * 3 + ["pi8", "sparse", "graphic"]
+    args += ["--path", draw(st.sampled_from(paths))]
+    text = f"{n} {l}\n" + "".join(r + "\n" for r in rows)
+    return text, projector, args
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=marginal_lines())
+def test_marginal_exit_code_contract(workdir, case):
+    text, projector, args = case
+    path = workdir / "m.txt"
+    path.write_text(text)
+    if projector is not None:
+        proj_path = workdir / "p.txt"
+        proj_path.write_text(f"{len(projector)} {len(projector)}\n" + "\n".join(projector) + "\n")
+        args = [*args, "--projector", str(proj_path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["marginal", str(path), *args])
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        report = json.loads(out.getvalue(), parse_constant=_reject_constant)
+        assert abs(sum(e["p"] for e in report["entries"]) - 1.0) < 1e-9
         return
     assert out.getvalue() == ""
     lines = err.getvalue().splitlines()

@@ -253,6 +253,27 @@ class TestProducts:
             m = random_matrix(rng, rng.randint(0, 9), rng.randint(1, 9))
             assert gf2.transpose(gf2.transpose(m)).rows == m.rows
 
+    def test_transpose_matches_definition(self):
+        # both sides of the bit-matrix branch, l > 64 and empty shapes
+        rng = Random(19)
+        shapes = [(0, 5), (5, 0), (0, 0), (1, 1), (8, 6), (15, 17), (16, 16)]
+        shapes += [(rng.randint(0, 300), rng.randint(0, 150)) for _ in range(30)]
+        for n, l in shapes:
+            m = random_matrix(rng, n, l)
+            t = gf2.transpose(m)
+            assert (t.n, t.l) == (l, n)
+            for j in range(l):
+                assert t.row(j) == BitVector.from_ints(m.row(i).get(j) for i in range(n))
+
+    def test_column_weights_count_bits(self):
+        rng = Random(20)
+        shapes = [(0, 0), (0, 7), (0, 70), (3, 0), (1, 65), (300, 17), (40, 130)]
+        shapes += [(rng.randint(0, 200), rng.randint(1, 200)) for _ in range(30)]
+        for n, l in shapes:
+            m = random_matrix(rng, n, l)
+            want = [sum(row.get(j) for row in m.rows) for j in range(l)]
+            assert m.column_weights() == want
+
     def test_transpose_wide_numpy_path(self):
         # n >= 256 with l <= 64 takes the vectorized branch
         rng = Random(17)

@@ -5,7 +5,7 @@ from random import Random
 import numpy as np
 import pytest
 
-from iqpsim import gf2, oracle
+from iqpsim import gf2, marginals, oracle
 from iqpsim.codes import Angle
 from iqpsim.errors import (
     ColumnBoundViolated,
@@ -209,6 +209,104 @@ class TestMarginalDistribution:
         prog = XProgram(random_matrix(rng, 3, 4), Angle.exact(1, 8))
         with pytest.raises(DimensionMismatch):
             marginal_distribution(prog, diagonal_projector(BitVector.from_string("110")))
+
+
+def bench_rows(rng: Random, n: int, l: int, gen: str) -> BinaryMatrix:
+    """Matrices shaped like the benchmark's: dense, column weights 1 to 3,
+    or rows of weight 1 or 2."""
+    if gen == "dense":
+        rows = [rng.getrandbits(l) for _ in range(n)]
+    elif gen == "colsparse":
+        rows = [0] * n
+        for j in range(l):
+            for i in rng.sample(range(n), rng.randint(1, 3)):
+                rows[i] |= 1 << j
+    else:
+        rows = [sum(1 << b for b in rng.sample(range(l), rng.randint(1, 2))) for _ in range(n)]
+    return BinaryMatrix.from_rows(l, [BitVector(l, r) for r in rows])
+
+
+class TestEvaluators:
+    """The three evaluators behind marginal_distribution, each forced."""
+
+    def programs(self, seed: int, angles):
+        rng = Random(seed)
+        for trial in range(200):
+            l = rng.randint(0, 8)
+            prog = XProgram(random_matrix(rng, rng.randint(0, 12), l), angles(rng, trial))
+            yield prog, random_projector(rng, l)
+
+    def test_generic_angles_match_oracle(self):
+        def angles(rng, trial):
+            return [Angle.radians(rng.uniform(0, 7)), Angle.exact(1, 16), Angle.exact(1, 8)][trial % 3]
+
+        for prog, proj in self.programs(110, angles):
+            want = oracle.oracle_marginal(prog, proj).as_array()
+            for evaluate in (marginals._push_forward, marginals._beta_loop):
+                got = evaluate(prog, proj).as_array()
+                assert np.abs(got - want).max() < 1e-12
+
+    def test_quarter_turns_agree_exactly(self):
+        for prog, proj in self.programs(111, lambda rng, trial: Angle.exact(trial % 8, 4)):
+            image = marginals._quarter_turn_image(prog, proj).as_array()
+            push = marginals._push_forward(prog, proj).as_array()
+            loop = marginals._beta_loop(prog, proj).as_array()
+            assert np.array_equal(image, push)
+            assert np.array_equal(push, loop)
+            want = oracle.oracle_marginal(prog, proj).as_array()
+            assert np.abs(image - want).max() < 1e-12
+
+    def test_quarter_turn_image_is_uniform(self):
+        # every entry is 0 or one exact power of two
+        for prog, proj in self.programs(112, lambda rng, trial: Angle.exact(trial % 8, 4)):
+            values = marginals._quarter_turn_image(prog, proj).as_array()
+            nonzero = values[values > 0]
+            assert np.all(nonzero == 1.0 / len(nonzero))
+            assert len(nonzero) & (len(nonzero) - 1) == 0
+
+    def test_dispatch_answers(self):
+        for prog, proj in self.programs(113, lambda rng, trial: Angle.exact(trial % 8, 4)):
+            choice = marginals._choose_evaluator(prog, proj)
+            want = marginals._EVALUATORS[choice](prog, proj).as_array()
+            assert np.array_equal(marginal_distribution(prog, proj).as_array(), want)
+
+    @pytest.mark.parametrize(
+        "n, l, theta, q, gen, evaluator",
+        [
+            (40, 16, Angle.exact(1, 16), 8, "dense", "push"),
+            (30, 14, Angle.radians(0.8), 8, "dense", "push"),
+            (24, 16, Angle.radians(0.8), 6, "colsparse", "beta"),
+            (30, 14, Angle.radians(0.8), 2, "pairs", "beta"),
+            (500, 14, Angle.exact(1, 8), 8, "dense", "push"),
+            (1000, 32, Angle.exact(1, 4), 6, "dense", "image"),
+            (40, 20, Angle.exact(1, 8), 6, "dense", "beta"),
+            (30, 18, Angle.radians(0.8), 3, "dense", "beta"),
+            (40, 16, Angle.radians(0.8), 7, "dense", "push"),
+            (1000, 32, Angle.exact(1, 4), 2, "dense", "image"),
+            (60, 14, Angle.radians(0.8), 3, "dense", "beta"),
+        ],
+    )
+    def test_dispatch_on_benchmark_shapes(self, n, l, theta, q, gen, evaluator):
+        # the first six are the benchmark's marginal calls; past the
+        # domain limit a generic angle leaves only the beta loop; the last
+        # three weigh the beta loop's odd-row counts
+        rng = Random(114)
+        for _ in range(5):
+            prog = XProgram(bench_rows(rng, n, l, gen), theta)
+            mask = BitVector(l, sum(1 << b for b in rng.sample(range(l), q)))
+            proj = diagonal_projector(mask)
+            choices = {marginals._choose_evaluator(prog, proj) for _ in range(2)}
+            assert choices == {evaluator}
+
+    def test_dispatch_weighs_support_against_gauss_sums(self):
+        # the quarter-turn support of the 1101 x 1101 identity costs more
+        # than 15 Gauss sums on at most four rows each
+        l = 1101
+        prog = XProgram(BinaryMatrix.identity(l), Angle.exact(1, 4))
+        proj = diagonal_projector(BitVector(l, 0b1111 << (l - 4)))
+        assert marginals._choose_evaluator(prog, proj) == "beta"
+        got = marginal_distribution(prog, proj).as_array()
+        assert got.tolist() == [1 / 16] * 16
 
 
 class TestMarginalPi8:
