@@ -337,9 +337,7 @@ def _cmd_marginal(args, prog: XProgram):
         )
     else:
         dist = marginals.marginal_distribution(prog, proj, threads=args.threads)
-    # the range vector of coordinates ix, by the span walk over the R basis
-    labels = marginals._span([base.bits for base in proj.R_basis])
-    entries = _distribution_payload(dist, labels, proj.l)
+    entries = _distribution_payload(dist, proj.range_vectors(), proj.l)
     fields = {
         "path": path,
         "range_dim": proj.range_dim,

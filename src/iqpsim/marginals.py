@@ -3,7 +3,7 @@
 A projector is any idempotent linear map m on the output bits. The
 masked output m(X) lives in the range R of m and is labeled by its
 coordinates there. marginal_distribution is one engine with three
-evaluators of the same law, chosen by an estimate of their work:
+evaluators of the same law, chosen by a count of their work:
 
 * the push-forward: the full distribution's phase sweep, summed over
   the fibres of m (only up to the full-distribution domain limit);
@@ -61,20 +61,10 @@ DEFAULT_RANGE_LIMIT = 20
 PI8_RANGE_LIMIT = 24
 _CACHE_LIMIT = 4096  # conditionals kept per sampler
 
-# Estimated microseconds of each evaluator's parts on one core, fitted by
-# least squares to process times of about 40 random instances apiece.
-_COST_CALL = 75.0  # one beta call: affinify, transpose, elimination
-_COST_ROW = 0.14  # per row scanned by affinify
-_COST_WIDTH = 1.8  # per column eliminated
-_COST_ODD_BIT = 0.025  # per bit of an odd row, transposed
-_COST_GAUSS = 0.5  # per squared rank of a Gauss sum
-_COST_WORD = 0.0085  # per enumerated codeword
-_COST_SWEEP_SETUP = 110.0
-_COST_SWEEP = 0.014  # per outcome per transform level
-_COST_KEY = 0.05  # per row histogrammed by the sweep
-_COST_SUPPORT_SETUP = 115.0
-_COST_SUPPORT_PAIR = 0.25  # per column pair: Gram matrix and kernels
-_COST_SUPPORT_BIT = 0.033  # per matrix bit: transpose and hit counts
+# The fixed work of one beta call (affinify, transpose, elimination) in
+# steps of the phase sweep: about 100 us against about 0.015 us per
+# outcome per transform level on one core.
+_BETA_CALL_WORK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -112,6 +102,10 @@ class Projector:
         for dual in self._dual_basis:
             coords = (coords << 1) | ((bits & dual).bit_count() & 1)
         return coords
+
+    def range_vectors(self) -> list[int]:
+        """Every vector of R packed as an int, indexed by its coordinates."""
+        return _span([base.bits for base in self.R_basis])
 
     def coords_to_vector(self, w) -> BitVector:
         bits = w.bits if isinstance(w, BitVector) else int(w)
@@ -251,43 +245,20 @@ _EVALUATORS = {
 
 
 def _choose_evaluator(prog: XProgram, proj: Projector) -> str:
-    """The evaluator with the least estimated work, a pure function of
-    the program and the projector.
+    """The evaluator with the least work, a pure function of the shapes.
 
-    Row r is odd against s_v exactly when key(r) . v = 1, with key(r)
-    the R coordinates of r, so the odd-row counts of all dual-range
-    vectors are (n - E) / 2 with E the transform of the key histogram.
-    An odd-row count bounds the rank of the code each beta evaluates.
-    The histogram is only built when the beta loop's fixed cost per
-    call does not already exceed another evaluator's estimate.
+    The push-forward sweeps l levels over 2^l outcomes, the image builds
+    the support from the Gram matrix of the l columns over the n rows,
+    and the beta loop makes 2^q calls that each scan the rows and
+    columns once.
     """
     n, l, q = prog.n, prog.l, proj.range_dim
-    theta = prog.theta
-    costs = {}
+    work = {"beta": (1 << q) * (_BETA_CALL_WORK + n + l)}
     if l <= xprogram.DEFAULT_DOMAIN_LIMIT:
-        costs["push"] = (
-            _COST_SWEEP_SETUP + _COST_SWEEP * (l + 4) * (1 << l) + _COST_KEY * n
-        )
-    if theta.is_fourth_root:
-        costs["image"] = (
-            _COST_SUPPORT_SETUP + _COST_SUPPORT_PAIR * l * l + _COST_SUPPORT_BIT * n * l
-        )
-    calls = (1 << q) - 1
-    floor = calls * (_COST_CALL + _COST_ROW * n + _COST_WIDTH * l)
-    cheapest = min(costs, key=costs.get, default="beta")
-    if cheapest == "beta" or costs[cheapest] <= floor:
-        return cheapest
-    keys = [proj._coord_bits(row.bits) for row in prog.P.rows]
-    hist = np.bincount(np.asarray(keys, dtype=np.intp), minlength=1 << q)
-    walsh_hadamard(hist)
-    odd = (n - hist[1:]) // 2
-    ranks = np.minimum(odd, l).astype(float)
-    if theta.doubled().is_fourth_root:
-        per_rank = _COST_GAUSS * float((ranks * ranks).sum())
-    else:
-        per_rank = _COST_WORD * float(np.exp2(ranks).sum())
-    costs["beta"] = floor + _COST_ODD_BIT * l * float(odd.sum()) + per_rank
-    return min(costs, key=costs.get)
+        work["push"] = l << l
+    if prog.theta.is_fourth_root:
+        work["image"] = l * l + n * l
+    return min(work, key=work.get)
 
 
 def marginal_distribution(
@@ -299,7 +270,7 @@ def marginal_distribution(
 ) -> Distribution:
     """Exact marginal of m(X) over the range of the projector.
 
-    The evaluator is the cheapest by _choose_evaluator's estimate; all
+    The evaluator is the one with the least work by _choose_evaluator; all
     three give the same law, exactly at multiples of pi/4. threads is
     accepted for compatibility and ignored, here and in the other
     marginal entry points.
@@ -320,12 +291,13 @@ def marginal_pi8(
     threads: int | None = None,
     range_limit: int = PI8_RANGE_LIMIT,
 ) -> Distribution:
-    """Marginal at angle pi/8, exact for any matrix size.
+    """Marginal at angle pi/8 by the dispatched engine, with a wider
+    range limit.
 
-    The doubled angle is pi/4, so the generic evaluator takes every
-    coefficient from an exact fourth-root Gauss sum; no codeword
-    enumeration happens and the cost is polynomial in the matrix
-    dimensions times 2^range_dim. Only the range limit is wider.
+    The doubled angle is pi/4, so when the engine picks the beta loop
+    every coefficient is an exact fourth-root Gauss sum, polynomial in
+    the matrix size; for l up to the domain limit it may instead pick
+    the push-forward's single sweep.
     """
     prog = XProgram(P, Angle.exact(1, 8))
     return marginal_distribution(prog, proj, range_limit=range_limit)
@@ -341,10 +313,10 @@ def marginal_sparse(
 ) -> Distribution:
     """Marginal for column-sparse matrices, any angle.
 
-    With every column weight at most column_bound and s supported on few
-    bits, the affinified matrix for s has at most column_bound * |s|
-    rows, so the generic evaluator enumerates only a tiny code for each
-    coefficient.
+    Checks that every column weight is at most column_bound, then runs
+    the dispatched engine. When that is the beta loop and s is supported
+    on few bits, the affinified matrix for s has at most
+    column_bound * |s| rows, so each coefficient enumerates a tiny code.
     """
     for j, w in enumerate(prog.P.column_weights()):
         if w > column_bound:

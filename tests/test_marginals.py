@@ -122,6 +122,16 @@ class TestMakeProjector:
                 coords = proj.vector_to_coords(image)
                 assert proj.coords_to_vector(coords) == image
 
+    def test_range_vectors_indexed_by_coords(self):
+        rng = Random(85)
+        for _ in range(40):
+            l = rng.randint(0, 8)
+            proj = random_projector(rng, l)
+            vectors = proj.range_vectors()
+            assert len(vectors) == 1 << proj.range_dim
+            for ix, bits in enumerate(vectors):
+                assert proj.coords_to_vector(ix).bits == bits
+
     def test_apply_is_idempotent(self):
         rng = Random(84)
         for _ in range(30):
@@ -281,15 +291,11 @@ class TestEvaluators:
             (1000, 32, Angle.exact(1, 4), 6, "dense", "image"),
             (40, 20, Angle.exact(1, 8), 6, "dense", "beta"),
             (30, 18, Angle.radians(0.8), 3, "dense", "beta"),
-            (40, 16, Angle.radians(0.8), 7, "dense", "push"),
-            (1000, 32, Angle.exact(1, 4), 2, "dense", "image"),
-            (60, 14, Angle.radians(0.8), 3, "dense", "beta"),
         ],
     )
     def test_dispatch_on_benchmark_shapes(self, n, l, theta, q, gen, evaluator):
         # the first six are the benchmark's marginal calls; past the
-        # domain limit a generic angle leaves only the beta loop; the last
-        # three weigh the beta loop's odd-row counts
+        # domain limit a generic angle leaves only the beta loop
         rng = Random(114)
         for _ in range(5):
             prog = XProgram(bench_rows(rng, n, l, gen), theta)
