@@ -44,7 +44,7 @@ _BITS = frozenset("01")
 
 def parse_matrix_text(text: str, origin: str = "<input>") -> BinaryMatrix:
     header: tuple[int, int] | None = None
-    rows: list[BitVector] = []
+    rows: list[int] = []
     last_line = 0
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -85,7 +85,7 @@ def parse_matrix_text(text: str, origin: str = "<input>") -> BinaryMatrix:
             raise BadCharacter(
                 f"{origin}: invalid character {bad!r} in row", line=number
             )
-        rows.append(BitVector(l, int(line, 2)))
+        rows.append(int(line, 2))
     if header is None:
         raise MalformedHeader(f"{origin}: no header line found", line=last_line)
     n, l = header
@@ -93,7 +93,7 @@ def parse_matrix_text(text: str, origin: str = "<input>") -> BinaryMatrix:
         raise BadRowLength(
             f"{origin}: expected {n} rows, found {len(rows)}", line=last_line
         )
-    return BinaryMatrix.from_rows(l, rows)
+    return BinaryMatrix(n, l, tuple(rows))
 
 
 def parse_matrix_file(path: str) -> BinaryMatrix:

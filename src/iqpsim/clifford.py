@@ -64,8 +64,7 @@ class GaussianInteger:
 
 def _reduced_generators(M: BinaryMatrix) -> list[int]:
     """Independent generators of the column-span code, as packed ints."""
-    columns = [col.bits for col in gf2.transpose(M).rows]
-    return list(gf2._eliminate(columns, {}).values())
+    return list(gf2._eliminate(gf2.transpose(M).bits, {}).values())
 
 
 def _gram(vectors: list[int]) -> list[int]:
@@ -235,8 +234,8 @@ def clifford_support(P: BinaryMatrix) -> AffineSupport:
     # the rows of P^T P up to their order, which the kernel ignores; _gram
     # numbers bits from the low end and BitVector coordinates from the
     # high end, hence the reversed columns
-    cols = [c.bits for c in reversed(gf2.transpose(P).rows)]
-    V = gf2.kernel(BinaryMatrix.from_rows(l, (BitVector(l, g) for g in _gram(cols))))
+    cols = gf2.transpose(P).bits[::-1]
+    V = gf2.kernel(BinaryMatrix(l, l, tuple(_gram(cols))))
     bad = []
     good = []
     for s in V:
@@ -251,10 +250,8 @@ def clifford_support(P: BinaryMatrix) -> AffineSupport:
         witness = None
         U = list(V)
         case = "one"
-    if V:
-        directions = gf2.kernel(BinaryMatrix.from_rows(l, V))
-    else:
-        directions = [BitVector.unit(l, i) for i in range(l)]
+    # with V empty this is the kernel of a 0 x l matrix: every unit vector
+    directions = gf2.kernel(BinaryMatrix.from_rows(l, V))
     dim = l - len(V)
     if case == "one":
         offset = BitVector(l)

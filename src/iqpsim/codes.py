@@ -197,12 +197,11 @@ def alpha(
     """
     n = P.n
     if theta.is_fourth_root:
-        t = theta.fourth_root_index
-        gens = clifford._reduced_generators(P)
-        w = clifford.wenum_from_generators(gens, (-t) % 4)
+        w, r, odd = _fourth_root_alpha(P, theta.fourth_root_index)
         # int / int stays finite where 2^r overflows a float
-        scale = 1 << len(gens)
-        value = cmath.exp(1j * math.pi * t * n / 4) * complex(w.re / scale, w.im / scale)
+        value = complex(w.re / (1 << r), w.im / (1 << r))
+        if odd:  # times e^(i pi / 4) = (1 + i) / sqrt(2), exactly 0 where re = +-im
+            value = complex(value.real - value.imag, value.real + value.imag) * math.sqrt(0.5)
     else:
         profile = weight_enumerator(P, rank_limit=rank_limit)
         th = theta.value
@@ -215,6 +214,18 @@ def alpha(
     return value
 
 
+def _fourth_root_alpha(P: BinaryMatrix, t: int) -> tuple[clifford.GaussianInteger, int, bool]:
+    """alpha(P, t pi / 4) as (w, r, odd) with alpha = e^(i pi odd / 4) w / 2^r.
+
+    The global phase e^(i pi t n / 4) splits into the power of i that w
+    absorbs exactly and one eighth root of unity, left when t n is odd.
+    """
+    gens = clifford._reduced_generators(P)
+    w = clifford.wenum_from_generators(gens, (-t) % 4)
+    tn = t * P.n
+    return w.times_i_power(tn // 2), len(gens), bool(tn % 2)
+
+
 def alpha_exact_fourth_root(
     P: BinaryMatrix, theta: Angle
 ) -> tuple[clifford.GaussianInteger, int] | None:
@@ -223,18 +234,12 @@ def alpha_exact_fourth_root(
     Only available when theta is a fourth-root angle and the global
     phase is itself a power of i; returns None otherwise.
     """
-    if not theta.is_fourth_root:
+    if not theta.is_fourth_root or (theta.fourth_root_index * P.n) % 2:
         return None
-    t = theta.fourth_root_index
-    n = P.n
-    if (t * n) % 2:
-        return None
-    gens = clifford._reduced_generators(P)
-    w = clifford.wenum_from_generators(gens, (-t) % 4)
-    r = len(gens)
+    w, r, _ = _fourth_root_alpha(P, theta.fourth_root_index)
     # int / int stays exact where 2^r overflows a float
     _check_alpha(complex(w.re / (1 << r), w.im / (1 << r)))
-    return w.times_i_power((t * n // 2) % 4), r
+    return w, r
 
 
 def project(P: BinaryMatrix, x: BitVector) -> BinaryMatrix:
@@ -249,8 +254,7 @@ def project(P: BinaryMatrix, x: BitVector) -> BinaryMatrix:
         raise DimensionMismatch("direction length does not match the matrix")
     if x.is_zero():
         raise ZeroDirection("cannot project along the zero vector")
-    rows = (BitVector(P.l, min(a.bits, a.bits ^ x.bits)) for a in P.rows)
-    return BinaryMatrix.from_rows(P.l, rows)
+    return BinaryMatrix(P.n, P.l, tuple(min(a, a ^ x.bits) for a in P.bits))
 
 
 def affinify(P: BinaryMatrix, s: BitVector) -> BinaryMatrix:
@@ -261,7 +265,8 @@ def affinify(P: BinaryMatrix, s: BitVector) -> BinaryMatrix:
     """
     if s.n != P.l:
         raise DimensionMismatch("functional length does not match the matrix")
-    return BinaryMatrix.from_rows(P.l, (a for a in P.rows if a.dot(s)))
+    rows = tuple(a for a in P.bits if (a & s.bits).bit_count() & 1)
+    return BinaryMatrix(len(rows), P.l, rows)
 
 
 def is_even_code(P: BinaryMatrix) -> bool:
@@ -271,6 +276,6 @@ def is_even_code(P: BinaryMatrix) -> bool:
     P has even weight, i.e. when the xor-fold of the rows vanishes.
     """
     fold = 0
-    for row in P.rows:
-        fold ^= row.bits
+    for row in P.bits:
+        fold ^= row
     return fold == 0

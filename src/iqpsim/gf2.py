@@ -114,52 +114,58 @@ class BinaryMatrix:
     Attributes:
         n: row count.
         l: column count.
-        rows: the rows, each a BitVector of length l.
+        bits: the rows packed like BitVector.bits, each in [0, 2^l).
     """
 
     n: int
     l: int
-    rows: tuple[BitVector, ...]
+    bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n != len(self.rows):
+        if self.n != len(self.bits):
             raise ValueError("row count does not match the rows given")
         if self.l < 0:
             raise ValueError("column count must be nonnegative")
-        for row in self.rows:
-            if row.n != self.l:
-                raise ValueError("row length does not match the column count")
+        if self.bits and (min(self.bits) < 0 or max(self.bits) >> self.l):
+            raise ValueError("row bits exceed the column count")
 
     @classmethod
     def from_strings(cls, lines: Sequence[str]) -> "BinaryMatrix":
-        rows = tuple(BitVector.from_string(line) for line in lines)
-        l = rows[0].n if rows else 0
-        return cls(len(rows), l, rows)
+        rows = [BitVector.from_string(line) for line in lines]
+        return cls.from_rows(rows[0].n if rows else 0, rows)
 
     @classmethod
     def from_rows(cls, l: int, rows: Iterable[BitVector]) -> "BinaryMatrix":
         rows = tuple(rows)
-        return cls(len(rows), l, rows)
+        if any(row.n != l for row in rows):
+            raise ValueError("row length does not match the column count")
+        return cls(len(rows), l, tuple(row.bits for row in rows))
 
     @classmethod
     def zeros(cls, n: int, l: int) -> "BinaryMatrix":
-        return cls(n, l, tuple(BitVector(l) for _ in range(n)))
+        return cls(n, l, (0,) * n)
 
     @classmethod
     def identity(cls, l: int) -> "BinaryMatrix":
-        return cls(l, l, tuple(BitVector.unit(l, i) for i in range(l)))
+        return cls(l, l, tuple(1 << (l - 1 - i) for i in range(l)))
+
+    @property
+    def rows(self) -> tuple[BitVector, ...]:
+        """The rows as BitVectors, built on each access."""
+        return tuple(BitVector(self.l, b) for b in self.bits)
 
     def row(self, i: int) -> BitVector:
-        return self.rows[i]
+        return BitVector(self.l, self.bits[i])
 
     def row_weights(self) -> list[int]:
-        return [row.weight() for row in self.rows]
+        return [b.bit_count() for b in self.bits]
 
     def column_weights(self) -> list[int]:
-        return [col.weight() for col in transpose(self).rows]
+        return [c.bit_count() for c in transpose(self).bits]
 
     def to_strings(self) -> list[str]:
-        return [row.to_string() for row in self.rows]
+        # a leading 1 pads each row to l + 1 digits and is cut off again
+        return [format(b | 1 << self.l, "b")[1:] for b in self.bits]
 
 
 def _eliminate(
@@ -210,7 +216,12 @@ def _back_substitute(pivots: dict[int, int]) -> list[tuple[int, int]]:
 
 def rank(M: BinaryMatrix) -> int:
     """Dimension of the row space of M."""
-    return len(_eliminate([row.bits for row in M.rows], {}))
+    return len(_eliminate(M.bits, {}))
+
+
+def _rref(vectors: Iterable[int]) -> list[int]:
+    """Canonical reduced basis of the span, by descending leading bit."""
+    return [v for _, v in _back_substitute(_eliminate(vectors, {}))]
 
 
 def _row_tags(n: int) -> list[int]:
@@ -218,12 +229,12 @@ def _row_tags(n: int) -> list[int]:
     return [1 << (n - 1 - i) for i in range(n)]
 
 
-def _tag_on_basis(tag: int, n: int, basis_rows: tuple[int, ...]) -> BitVector:
+def _tag_on_basis(tag: int, n: int, basis_rows: tuple[int, ...]) -> int:
     # a tag over all n input rows, read on the basis rows only
     bits = 0
     for i in basis_rows:
         bits = (bits << 1) | ((tag >> (n - 1 - i)) & 1)
-    return BitVector(len(basis_rows), bits)
+    return bits
 
 
 @dataclass(frozen=True)
@@ -260,16 +271,13 @@ class EchelonForm:
         _eliminate([x.bits << n], dict(self._pivots), n, residue)
         if residue[0] >> n:
             raise ValueError("vector is outside the row space")
-        return _tag_on_basis(residue[0], n, self.basis_rows)
+        return BitVector(self.rank, _tag_on_basis(residue[0], n, self.basis_rows))
 
     def dual_map(self, s: BitVector) -> BitVector:
         """Image of a functional s under restriction to the basis rows."""
         if s.n != self.col_map.l:
             raise DimensionMismatch("functional length does not match the matrix")
-        bits = 0
-        for row in self.col_map.rows:
-            bits = (bits << 1) | row.dot(s)
-        return BitVector(len(self.basis_rows), bits)
+        return mat_vec(self.col_map, s)
 
 
 def echelon_reduce(M: BinaryMatrix) -> EchelonForm:
@@ -282,17 +290,14 @@ def echelon_reduce(M: BinaryMatrix) -> EchelonForm:
     n = M.n
     tags = _row_tags(n)
     residues: list[int] = []
-    pivots = _eliminate(
-        [(row.bits << n) | t for row, t in zip(M.rows, tags)], {}, n, residues
-    )
+    pivots = _eliminate([(b << n) | t for b, t in zip(M.bits, tags)], {}, n, residues)
     basis_rows = tuple(i for i, w in enumerate(residues) if w >> n)
+    r = len(basis_rows)
     # a basis row is its own tag; a dependent row leaves a tag holding its
     # own bit plus those of the basis rows that sum to it
     combos = (t if w >> n else w ^ t for w, t in zip(residues, tags))
-    reduced = BinaryMatrix.from_rows(
-        len(basis_rows), (_tag_on_basis(c, n, basis_rows) for c in combos)
-    )
-    col_map = BinaryMatrix.from_rows(M.l, (M.rows[i] for i in basis_rows))
+    reduced = BinaryMatrix(n, r, tuple(_tag_on_basis(c, n, basis_rows) for c in combos))
+    col_map = BinaryMatrix(r, M.l, tuple(M.bits[i] for i in basis_rows))
     return EchelonForm(reduced, basis_rows, col_map, tuple(pivots.items()))
 
 
@@ -303,12 +308,12 @@ def span_rref(vectors: Iterable[BitVector], length: int) -> list[BitVector]:
         if vec.n != length:
             raise DimensionMismatch("vector length does not match the span")
         bits.append(vec.bits)
-    return [BitVector(length, v) for _, v in _back_substitute(_eliminate(bits, {}))]
+    return [BitVector(length, v) for v in _rref(bits)]
 
 
 def kernel(M: BinaryMatrix) -> list[BitVector]:
     """Canonical basis of the right null space {v : M v = 0}."""
-    rref = _back_substitute(_eliminate([row.bits for row in M.rows], {}))
+    rref = _back_substitute(_eliminate(M.bits, {}))
     taken = {p for p, _ in rref}
     basis = []
     for f in range(M.l):
@@ -318,24 +323,24 @@ def kernel(M: BinaryMatrix) -> list[BitVector]:
         for p, b in rref:
             if (b >> f) & 1:
                 v |= 1 << p
-        basis.append(BitVector(M.l, v))
-    return span_rref(basis, M.l)
+        basis.append(v)
+    return [BitVector(M.l, v) for v in _rref(basis)]
 
 
 def mat_mul(A: BinaryMatrix, B: BinaryMatrix) -> BinaryMatrix:
     """GF(2) matrix product A * B."""
     if A.l != B.n:
         raise DimensionMismatch(f"cannot multiply {A.n}x{A.l} by {B.n}x{B.l}")
+    rows = B.bits
     out = []
-    for row in A.rows:
+    for v in A.bits:
         acc = 0
-        v = row.bits
         while v:
             low = v & -v
-            acc ^= B.rows[A.l - low.bit_length()].bits
+            acc ^= rows[A.l - low.bit_length()]
             v ^= low
-        out.append(BitVector(B.l, acc))
-    return BinaryMatrix.from_rows(B.l, out)
+        out.append(acc)
+    return BinaryMatrix(A.n, B.l, tuple(out))
 
 
 def mat_vec(A: BinaryMatrix, v: BitVector) -> BitVector:
@@ -343,8 +348,8 @@ def mat_vec(A: BinaryMatrix, v: BitVector) -> BitVector:
     if v.n != A.l:
         raise DimensionMismatch(f"cannot apply {A.n}x{A.l} to a length-{v.n} vector")
     bits = 0
-    for row in A.rows:
-        bits = (bits << 1) | ((row.bits & v.bits).bit_count() & 1)
+    for row in A.bits:
+        bits = (bits << 1) | ((row & v.bits).bit_count() & 1)
     return BitVector(A.n, bits)
 
 
@@ -355,24 +360,23 @@ def transpose(M: BinaryMatrix) -> BinaryMatrix:
         # unpack the rows' big-endian bytes into a bit matrix and pack its
         # transpose; each row's leading pad bits are dropped first
         width, stride = (l + 7) // 8, (n + 7) // 8
-        data = b"".join(row.bits.to_bytes(width, "big") for row in M.rows)
+        data = b"".join(b.to_bytes(width, "big") for b in M.bits)
         bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8).reshape(n, width), axis=1)
         packed = np.packbits(bits[:, 8 * width - l :].T, axis=1).tobytes()
         pad = 8 * stride - n
-        cols = (
+        cols = tuple(
             int.from_bytes(packed[j * stride : (j + 1) * stride], "big") >> pad
             for j in range(l)
         )
-        return BinaryMatrix.from_rows(n, (BitVector(n, c) for c in cols))
+        return BinaryMatrix(l, n, cols)
     cols = [0] * l
-    for i, row in enumerate(M.rows):
-        v = row.bits
+    for i, v in enumerate(M.bits):
         mark = 1 << (n - 1 - i)
         while v:
             low = v & -v
             cols[l - low.bit_length()] |= mark
             v ^= low
-    return BinaryMatrix.from_rows(n, (BitVector(n, c) for c in cols))
+    return BinaryMatrix(l, n, tuple(cols))
 
 
 def solve(A: BinaryMatrix, b: BitVector) -> BitVector | None:
@@ -385,7 +389,7 @@ def solve(A: BinaryMatrix, b: BitVector) -> BitVector | None:
     # each row carries its right-hand-side bit as a one-bit tag
     residues: list[int] = []
     pivots = _eliminate(
-        [(row.bits << 1) | b.get(i) for i, row in enumerate(A.rows)], {}, 1, residues
+        [(row << 1) | b.get(i) for i, row in enumerate(A.bits)], {}, 1, residues
     )
     if 1 in residues:  # some row reduced to the equation 0 = 1
         return None
@@ -406,10 +410,7 @@ def inverse(M: BinaryMatrix) -> BinaryMatrix:
     l = M.l
     # each row carries its row of the identity as a tag; once the rows
     # reduce to the identity, the tags are the inverse
-    pivots = _eliminate(
-        [(row.bits << l) | t for row, t in zip(M.rows, _row_tags(l))], {}, l
-    )
+    pivots = _eliminate([(b << l) | t for b, t in zip(M.bits, _row_tags(l))], {}, l)
     if len(pivots) < l:
         raise ValueError("matrix is singular")
-    rows = [t & ((1 << l) - 1) for _, t in _back_substitute(pivots)]
-    return BinaryMatrix.from_rows(l, (BitVector(l, t) for t in rows))
+    return BinaryMatrix(l, l, tuple(t & ((1 << l) - 1) for _, t in _back_substitute(pivots)))

@@ -109,11 +109,11 @@ class Projector:
 
     def coords_to_vector(self, w) -> BitVector:
         bits = w.bits if isinstance(w, BitVector) else int(w)
-        out = BitVector(self.l, 0)
+        out = 0
         for j, base in enumerate(self.R_basis):
             if (bits >> (self.range_dim - 1 - j)) & 1:
-                out = out ^ base
-        return out
+                out ^= base.bits
+        return BitVector(self.l, out)
 
     def apply(self, x: BitVector) -> BitVector:
         return gf2.mat_vec(self.matrix, x)
@@ -128,11 +128,11 @@ def make_projector(M: BinaryMatrix) -> Projector:
     l = M.l
     transposed = gf2.transpose(M)
     K = gf2.kernel(M)
-    R = gf2.span_rref(list(transposed.rows), l)
+    R = [BitVector(l, v) for v in gf2._rref(transposed.bits)]
     Kstar = gf2.kernel(transposed)
-    Rstar = gf2.span_rref(list(M.rows), l)
+    Rstar = [BitVector(l, v) for v in gf2._rref(M.bits)]
     q = len(R)
-    support = sum(1 for col in transposed.rows if not col.is_zero())
+    support = sum(1 for col in transposed.bits if col)
     # row k of the pairing holds R_j . Rstar_k over j; its inverse maps
     # pairings to R coordinates, so row j of the inverse holds the Rstar
     # coordinates of D_j
@@ -142,7 +142,7 @@ def make_projector(M: BinaryMatrix) -> Projector:
         solver = gf2.inverse(pairing)
     except ValueError as exc:
         raise NumericalInconsistency("range pairing is degenerate") from exc
-    dual = gf2.mat_mul(solver, BinaryMatrix.from_rows(l, Rstar)).rows
+    dual = gf2.mat_mul(solver, BinaryMatrix.from_rows(l, Rstar)).bits
     return Projector(
         matrix=M,
         K_basis=tuple(K),
@@ -151,17 +151,15 @@ def make_projector(M: BinaryMatrix) -> Projector:
         Rstar_basis=tuple(Rstar),
         range_dim=q,
         support_bits=support,
-        _dual_basis=tuple(d.bits for d in dual),
+        _dual_basis=dual,
     )
 
 
 def diagonal_projector(mask: BitVector) -> Projector:
     """Projector keeping exactly the bits set in mask."""
-    rows = [
-        BitVector.unit(mask.n, j) if mask.get(j) else BitVector(mask.n, 0)
-        for j in range(mask.n)
-    ]
-    return make_projector(BinaryMatrix.from_rows(mask.n, rows))
+    l = mask.n
+    rows = tuple(mask.bits & (1 << (l - 1 - j)) for j in range(l))
+    return make_projector(BinaryMatrix(l, l, rows))
 
 
 def _span(basis: list[int]) -> list[int]:
@@ -200,8 +198,7 @@ def _push_forward(prog: XProgram, proj: Projector) -> Distribution:
     coordinates of the unit vectors, the packed bit 1 << b first.
     """
     l, q = prog.l, proj.range_dim
-    rows = [row.bits for row in prog.P.rows]
-    probs = xprogram._sweep_probabilities(rows, None, l, prog.theta)
+    probs = xprogram._sweep_probabilities(prog.P.bits, None, l, prog.theta)
     units = [proj._coord_bits(1 << b) for b in range(l)]
     coords = codes._enumeration_table(units, l).astype(np.intp)
     return Distribution(q, np.bincount(coords, weights=probs, minlength=1 << q))
@@ -225,8 +222,8 @@ def _quarter_turn_image(prog: XProgram, proj: Projector) -> Distribution:
     else:
         offset = 0
         if t % 4 == 2:
-            for row in prog.P.rows:
-                offset ^= row.bits
+            for row in prog.P.bits:
+                offset ^= row
         directions = []
     pivots = gf2._eliminate((proj._coord_bits(d) for d in directions), {})
     k = len(pivots)
@@ -326,7 +323,7 @@ def marginal_sparse(
     return marginal_distribution(prog, proj, range_limit=range_limit)
 
 
-def _graphic_beta(rows: list[int], l: int, s: BitVector, phi: float) -> float:
+def _graphic_beta(rows: tuple[int, ...], l: int, s: BitVector, phi: float) -> float:
     """Closed-form correlation when every row has weight at most two.
 
     Rows odd against s each contain exactly one hub bit (a set bit of s)
@@ -380,12 +377,11 @@ def marginal_graphic(
             f"projector touches {proj.support_bits} bits, bound is 2"
         )
     phi = prog.theta.doubled().value
-    rows = [r.bits for r in prog.P.rows]
 
     def beta_at(s: BitVector) -> float:
         if s.is_zero():
             return 1.0
-        return _graphic_beta(rows, prog.l, s, phi)
+        return _graphic_beta(prog.P.bits, prog.l, s, phi)
 
     return _range_transform(proj, beta_at)
 
@@ -421,7 +417,7 @@ class MarginalSampler:
         self.proj = proj
         self.rng = rng if rng is not None else Random()
         self._cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._rows = [r.bits for r in prog.P.rows]
+        self._rows = prog.P.bits
         self._keys = [proj._coord_bits(r) for r in self._rows]
 
     def conditional(self, shift) -> np.ndarray:

@@ -110,7 +110,6 @@ def tutte_subset_sum(
     n = P.n
     if n > row_limit:
         raise TooManyRows(f"{n} rows exceed the subset-sum limit {row_limit}")
-    rows = [r.bits for r in P.rows]
     total_rank = gf2.rank(P)
     counts: dict[tuple[int, int], int] = {}
     basis: dict[int, int] = {}
@@ -125,7 +124,7 @@ def tutte_subset_sum(
             return
         walk(i + 1, size)
         r = len(basis)
-        gf2._eliminate((rows[i],), basis)
+        gf2._eliminate((P.bits[i],), basis)
         walk(i + 1, size + 1)
         if len(basis) > r:
             basis.popitem()
@@ -144,7 +143,7 @@ def tutte_subset_sum(
 def _canonical_key(rows: list[int]) -> tuple:
     # coordinates of every row in the canonical basis of their own span;
     # equal keys mean linearly isomorphic row multisets
-    masks = [1 << p for p, _ in gf2._back_substitute(gf2._eliminate(rows, {}))]
+    masks = [1 << (v.bit_length() - 1) for v in gf2._rref(rows)]
     coords = []
     for v in rows:
         c = 0
@@ -201,7 +200,7 @@ def tutte_eval(
             memo[key] = evaluate(deleted) + evaluate(contracted)
         return factor * memo[key]
 
-    return evaluate([r.bits for r in P.rows])
+    return evaluate(list(P.bits))
 
 
 def greene_alpha(

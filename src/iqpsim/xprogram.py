@@ -212,8 +212,7 @@ def full_distribution(
     l = prog.l
     if l > domain_limit:
         raise DomainTooLarge(f"2^{l} outcomes exceed the limit 2^{domain_limit}")
-    keys = [row.bits for row in prog.P.rows]
-    return Distribution(l, _sweep_probabilities(keys, None, l, prog.theta))
+    return Distribution(l, _sweep_probabilities(prog.P.bits, None, l, prog.theta))
 
 
 @dataclass(frozen=True)
@@ -245,10 +244,8 @@ class ReducedProgram:
         return cmath.exp(1j * self.theta.value * self.phase_exponent)
 
     def to_xprogram(self) -> XProgram:
-        expanded = []
-        for row, mult in self.rows:
-            expanded.extend([row] * mult)
-        return XProgram(BinaryMatrix.from_rows(self.l, expanded), self.theta)
+        bits = tuple(row.bits for row, mult in self.rows for _ in range(mult))
+        return XProgram(BinaryMatrix(len(bits), self.l, bits), self.theta)
 
 
 def reduce_rows(prog: XProgram, *, term_limit: int = 2_000_000) -> ReducedProgram:
@@ -268,24 +265,27 @@ def reduce_rows(prog: XProgram, *, term_limit: int = 2_000_000) -> ReducedProgra
     c, d = parts
     modulus = (2 << d) // gcd(c, 2 << d) if c else 1
     counts: dict[int, int] = {}
+    # per row weight w: (sz, coefficient on a size-sz sub-support, number
+    # of such sub-supports), for the nonzero coefficients only
+    expansions: dict[int, list[tuple[int, int, int]]] = {}
     budget = 0
-    for row in prog.P.rows:
-        w = row.weight()
-        support = [b for b in range(prog.l) if row.get(b)]
-        # expansion coefficient on a size-sz sub-support of a weight-w row
-        coeffs = {}
-        for sz in range(0, min(d, w) + 1):
-            f = sum((-1) ** j * comb(w - sz, j) for j in range(d - sz + 1)) % modulus
-            if f:
-                coeffs[sz] = f
-        for sz, f in coeffs.items():
-            budget += comb(w, sz)
+    for row in prog.P.bits:
+        w = row.bit_count()
+        terms = expansions.get(w)
+        if terms is None:
+            terms = expansions[w] = []
+            for sz in range(0, min(d, w) + 1):
+                f = sum((-1) ** j * comb(w - sz, j) for j in range(d - sz + 1)) % modulus
+                if f:
+                    terms.append((sz, f, comb(w, sz)))
+        support = [1 << b for b in range(prog.l) if row >> b & 1]
+        for sz, f, size in terms:
+            budget += size
             if budget > term_limit:
                 raise BudgetExceeded(f"row expansion exceeds {term_limit} terms")
+            # the bits of a sub-support are disjoint, so their sum is their union
             for subset in combinations(support, sz):
-                key = 0
-                for b in subset:
-                    key |= 1 << (prog.l - 1 - b)
+                key = sum(subset)
                 counts[key] = (counts.get(key, 0) + f) % modulus
     phase_exponent = counts.pop(0, 0)
     rows = tuple(

@@ -66,23 +66,68 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+def run_contract(argv: list[str]) -> dict | None:
+    """Runs one command line and checks the exit-code contract; returns
+    the JSON report on exit 0, else None."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        return json.loads(out.getvalue(), parse_constant=_reject_constant)
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["exit_code"] == code
+    return None
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(case=command_lines())
 def test_exit_code_contract(workdir, case):
     text, command, args = case
     path = workdir / "m.txt"
     path.write_text(text)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command, str(path), *args])
-    assert code in (0, 2, 3, 4)
-    if code == 0:
-        json.loads(out.getvalue(), parse_constant=_reject_constant)
-        return
-    assert out.getvalue() == ""
-    lines = err.getvalue().splitlines()
-    assert len(lines) == 1
-    assert json.loads(lines[0])["exit_code"] == code
+    run_contract([command, str(path), *args])
+
+
+@st.composite
+def tall_low_rank_lines(draw):
+    """Up to 300 rows drawn from the span of at most 3 generators, so rows
+    repeat and depend heavily, over the commands that read the rows' code
+    or matroid."""
+    l = draw(st.integers(0, 8))
+    gens = draw(st.lists(st.integers(0, (1 << l) - 1), max_size=3))
+    n = 300 - draw(st.integers(0, 300))  # mostly tall, shrinking toward 300 rows
+    rng = draw(st.randoms(use_true_random=False))
+    rows = []
+    for _ in range(n):
+        v = 0
+        for g in gens:
+            if rng.getrandbits(1):
+                v ^= g
+        rows.append(format(v, f"0{l}b") if l else "")
+    command = draw(st.sampled_from(["tutte", "alpha", "prob", "clifford", "wenum", "reduce"]))
+    args = []
+    if command == "tutte":
+        point = st.sampled_from(["2", "3", "-1", "0.5", "1"])
+        args += ["--at", pick(draw, point), pick(draw, point)]
+    if command in ("alpha", "prob", "reduce"):
+        args += ["--theta", pick(draw, st.sampled_from(THETAS))]
+    if command == "prob":
+        args += ["--x", pick(draw, st.text(alphabet="01", min_size=l, max_size=l))]
+    return f"{n} {l}\n" + "".join(r + "\n" for r in rows), command, args
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=tall_low_rank_lines())
+def test_tall_low_rank_exit_code_contract(workdir, case):
+    text, command, args = case
+    path = workdir / "m.txt"
+    path.write_text(text)
+    report = run_contract([command, str(path), *args])
+    if report is not None and command == "wenum":
+        assert report["rank"] <= 3
 
 
 QUARTER_TURNS = [f"{t}/4" for t in range(8)]
@@ -136,15 +181,6 @@ def test_marginal_exit_code_contract(workdir, case):
         proj_path = workdir / "p.txt"
         proj_path.write_text(f"{len(projector)} {len(projector)}\n" + "\n".join(projector) + "\n")
         args = [*args, "--projector", str(proj_path)]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["marginal", str(path), *args])
-    assert code in (0, 2, 3, 4)
-    if code == 0:
-        report = json.loads(out.getvalue(), parse_constant=_reject_constant)
+    report = run_contract(["marginal", str(path), *args])
+    if report is not None:
         assert abs(sum(e["p"] for e in report["entries"]) - 1.0) < 1e-9
-        return
-    assert out.getvalue() == ""
-    lines = err.getvalue().splitlines()
-    assert len(lines) == 1
-    assert json.loads(lines[0])["exit_code"] == code

@@ -198,6 +198,38 @@ class TestAlphaExactFourthRoot:
             exact = numerator.to_complex() / (1 << log2_denominator)
             assert cmath.isclose(exact, alpha(m, theta), abs_tol=1e-12)
 
+    def test_alpha_equals_exact_value(self):
+        # with t n even the global phase is a power of i, so alpha carries
+        # no rounding beyond the one division by 2^r
+        rng = Random(26)
+        for _ in range(30):
+            m = random_matrix(rng, rng.randint(0, 12), rng.randint(0, 8))
+            for t in range(8):
+                if t * m.n % 2:
+                    continue
+                theta = Angle.exact(t, 4)
+                numerator, r = codes.alpha_exact_fourth_root(m, theta)
+                assert alpha(m, theta) == complex(numerator.re / 2**r, numerator.im / 2**r)
+
+    def test_cancelled_parts_are_zero_at_odd_phase(self):
+        # at odd t n alpha is a mean of eighth roots e^(i pi k / 4); a part
+        # whose cosines or sines cancel exactly must read exactly 0
+        rng = Random(27)
+        for _ in range(60):
+            n, l = 2 * rng.randint(0, 5) + 1, rng.randint(1, 6)
+            m = random_matrix(rng, n, l)
+            t = rng.choice([1, 3, 5, 7])
+            words = {gf2.mat_vec(m, BitVector(l, v)).bits for v in range(1 << l)}
+            k = [0] * 8
+            for w in words:
+                k[t * (n - 2 * w.bit_count()) % 8] += 1
+            value = alpha(m, Angle.exact(t, 4))
+            if k[0] == k[4] and k[1] + k[7] == k[3] + k[5]:
+                assert value.real == 0.0
+            if k[2] == k[6] and k[1] + k[3] == k[5] + k[7]:
+                assert value.imag == 0.0
+        assert alpha(BinaryMatrix.identity(1), Angle.exact(1, 4)).imag == 0.0
+
 
 class TestProject:
     def test_pex_fixture(self, pex):

@@ -89,6 +89,44 @@ class TestBinaryMatrix:
         assert pex.row_weights() == [3, 2, 0, 2, 3, 2]
         assert pex.column_weights() == [2, 4, 2, 4]
 
+    @pytest.mark.parametrize(
+        "n, l, bits",
+        [(1, 3, (-1,)), (2, 3, (1, 8)), (1, 0, (1,)), (2, 2, (1,)), (1, -1, (0,))],
+    )
+    def test_rejects_bad_packed_rows(self, n, l, bits):
+        # a negative row, a row of 2^l or more, or a wrong row count
+        with pytest.raises(ValueError):
+            BinaryMatrix(n, l, bits)
+
+    def test_from_rows_checks_lengths(self):
+        with pytest.raises(ValueError):
+            BinaryMatrix.from_rows(3, [BitVector(3, 5), BitVector(2, 1)])
+        with pytest.raises(ValueError):
+            BinaryMatrix.from_strings(["101", "10"])
+
+    def test_views_round_trip(self):
+        rng = Random(3)
+        for n, l in [(0, 0), (3, 0), (0, 4), (5, 1), (6, 9), (40, 70)]:
+            m = random_matrix(rng, n, l)
+            assert len(m.bits) == n
+            assert all(isinstance(b, int) and 0 <= b < 1 << l for b in m.bits)
+            assert all(row.n == l for row in m.rows)
+            assert tuple(row.bits for row in m.rows) == m.bits
+            assert [m.row(i) for i in range(n)] == list(m.rows)
+            assert BinaryMatrix.from_rows(l, m.rows) == m
+            assert m.to_strings() == [row.to_string() for row in m.rows]
+            if n:
+                assert BinaryMatrix.from_strings(m.to_strings()) == m
+
+    def test_equality_and_hash_by_fields(self):
+        a = BinaryMatrix(2, 3, (5, 1))
+        b = BinaryMatrix.from_strings(["101", "001"])
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, BinaryMatrix(2, 3, (1, 5))}) == 2
+        # the same packed rows at another width are another matrix
+        assert a != BinaryMatrix(2, 4, (5, 1))
+        assert a != BinaryMatrix(3, 3, (5, 1, 0))
+
     def test_empty_shapes_allowed(self):
         m = BinaryMatrix.zeros(0, 4)
         assert gf2.rank(m) == 0
