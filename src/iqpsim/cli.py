@@ -279,7 +279,7 @@ def _cmd_beta(args, prog: XProgram):
 
 
 def _cmd_dist(args, prog: XProgram):
-    dist = xprogram.full_distribution(prog, threads=args.threads)
+    dist = xprogram.full_distribution(prog)
     entries = _distribution_payload(dist)
     fields = {
         "domain_bits": dist.domain_bits,
@@ -328,15 +328,13 @@ def _cmd_marginal(args, prog: XProgram):
     if path == "pi8":
         if theta != Angle.exact(1, 8):
             raise BadAngle("the pi8 path requires --theta 1/8")
-        dist = marginals.marginal_pi8(M, proj, threads=args.threads)
+        dist = marginals.marginal_pi8(M, proj)
     elif path == "graphic":
-        dist = marginals.marginal_graphic(prog, proj, threads=args.threads)
+        dist = marginals.marginal_graphic(prog, proj)
     elif path == "sparse":
-        dist = marginals.marginal_sparse(
-            prog, proj, args.sparse_bound, threads=args.threads
-        )
+        dist = marginals.marginal_sparse(prog, proj, args.sparse_bound)
     else:
-        dist = marginals.marginal_distribution(prog, proj, threads=args.threads)
+        dist = marginals.marginal_distribution(prog, proj)
     entries = _distribution_payload(dist, proj.range_vectors(), proj.l)
     fields = {
         "path": path,
@@ -356,7 +354,8 @@ def _cmd_sample(args, prog: XProgram):
 
 def _cmd_reduce(args, prog: XProgram):
     reduced = xprogram.reduce_rows(prog)
-    rows = [(row.to_string(), mult) for row, mult in reduced.rows]
+    # a monomial's support is never zero, so the padded binary form is its string
+    rows = [(format(bits, f"0{prog.l}b"), mult) for bits, mult in reduced.monomials]
     fields = {
         "degree": reduced.degree,
         "period": reduced.period,
@@ -394,7 +393,7 @@ def _cmd_verify(args, prog: XProgram) -> None:
         worst = max(worst, abs(xprogram.beta(prog, s) - oracle.oracle_beta(prog, s)))
     report("correlations vs oracle", worst, 1e-9)
 
-    dist = xprogram.full_distribution(prog, threads=args.threads)
+    dist = xprogram.full_distribution(prog)
     dense = oracle.oracle_distribution(prog)
     worst = float(
         max(
@@ -431,7 +430,7 @@ def _cmd_verify(args, prog: XProgram) -> None:
     kept = min(2, M.l)
     mask = BitVector.from_string("1" * kept + "0" * (M.l - kept)) if M.l else BitVector(0, 0)
     proj = marginals.diagonal_projector(mask)
-    got = marginals.marginal_distribution(prog, proj, threads=args.threads)
+    got = marginals.marginal_distribution(prog, proj)
     want = oracle.oracle_marginal(prog, proj)
     worst = float(
         max(

@@ -79,7 +79,7 @@ class RankTooLarge(BudgetError):
 
 
 class TooManyRows(BudgetError):
-    """Subset enumeration over 2^n row subsets is out of budget."""
+    """More rows than an exact Tutte expansion allows."""
 
 
 class BudgetExceeded(BudgetError):

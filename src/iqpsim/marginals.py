@@ -41,7 +41,7 @@ from .errors import (
     SupportTooLarge,
 )
 from .gf2 import BinaryMatrix, BitVector
-from .xprogram import Distribution, XProgram, walsh_hadamard
+from .xprogram import PROBABILITY_TOLERANCE, Distribution, XProgram, walsh_hadamard
 
 __all__ = [
     "Projector",
@@ -435,7 +435,7 @@ class MarginalSampler:
             self._keys, signs, self.proj.range_dim, self.prog.theta
         )
         total = float(probs.sum())
-        if abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > PROBABILITY_TOLERANCE:
             raise NumericalInconsistency(f"conditional sums to {total}")
         cdf = np.cumsum(probs)
         entry = (probs, cdf)

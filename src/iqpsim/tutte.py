@@ -1,18 +1,16 @@
 """Tutte polynomial of the row matroid of a GF(2) matrix.
 
-Two routes are provided and cross-checked: an exact subset-sum over all
-2^n row subsets (the corank-nullity definition) and a deletion and
-contraction recursion with memoization on canonicalized minors, which
-reaches much larger instances when the matroid has structure. A Greene
-identity evaluator turns Tutte values into the alpha scalar, and a
-closed-form product covers star multigraphs.
+One deletion and contraction recursion over parallel classes, memoized on
+canonicalized minors, computes every Tutte value: run on numbers it
+evaluates T at a point, run on the indeterminates x and y it expands the
+polynomial. A Greene identity evaluator turns Tutte values into the alpha
+scalar, and a closed-form product covers star multigraphs.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from math import comb
 
 from . import gf2
 from .errors import BudgetExceeded, NumericalInconsistency, TooManyRows
@@ -63,6 +61,12 @@ class TuttePolynomial:
                 out[key] = out.get(key, 0) + v1 * v2
         return TuttePolynomial(out)
 
+    def __pow__(self, k: int) -> "TuttePolynomial":
+        out = TuttePolynomial({(0, 0): 1})
+        for _ in range(k):
+            out = out * self
+        return out
+
     def __eq__(self, other: object) -> bool:
         return isinstance(other, TuttePolynomial) and self._c == other._c
 
@@ -102,42 +106,15 @@ def _check_nonnegative(poly: TuttePolynomial) -> TuttePolynomial:
 def tutte_subset_sum(
     P: BinaryMatrix, *, row_limit: int = DEFAULT_ROW_LIMIT
 ) -> TuttePolynomial:
-    """Exact Tutte polynomial by the corank-nullity sum over row subsets.
+    """Exact Tutte polynomial: tutte_eval run at the indeterminates x and y.
 
     Raises:
-        TooManyRows: when 2^n subsets exceed the budget.
+        TooManyRows: when the row count exceeds row_limit.
     """
-    n = P.n
-    if n > row_limit:
-        raise TooManyRows(f"{n} rows exceed the subset-sum limit {row_limit}")
-    total_rank = gf2.rank(P)
-    counts: dict[tuple[int, int], int] = {}
-    basis: dict[int, int] = {}
-
-    # depth-first walk sharing one elimination basis along each prefix;
-    # a row that joins the basis is the last one in and leaves on the way back
-    def walk(i: int, size: int) -> None:
-        if i == n:
-            r = len(basis)
-            key = (total_rank - r, size - r)
-            counts[key] = counts.get(key, 0) + 1
-            return
-        walk(i + 1, size)
-        r = len(basis)
-        gf2._eliminate((P.bits[i],), basis)
-        walk(i + 1, size + 1)
-        if len(basis) > r:
-            basis.popitem()
-
-    walk(0, 0)
-    out: dict[tuple[int, int], int] = {}
-    for (a, b), mult in counts.items():
-        for p in range(a + 1):
-            for q in range(b + 1):
-                sign = -1 if (a - p + b - q) & 1 else 1
-                key = (p, q)
-                out[key] = out.get(key, 0) + mult * sign * comb(a, p) * comb(b, q)
-    return _check_nonnegative(TuttePolynomial(out))
+    if P.n > row_limit:
+        raise TooManyRows(f"{P.n} rows exceed the subset-sum limit {row_limit}")
+    x, y = TuttePolynomial({(1, 0): 1}), TuttePolynomial({(0, 1): 1})
+    return _check_nonnegative(tutte_eval(P, x, y))
 
 
 def _canonical_key(rows: list[int]) -> tuple:
@@ -159,45 +136,65 @@ def tutte_eval(
 ):
     """Tutte polynomial value at (x, y) by deletion and contraction.
 
-    Loops and coloops are stripped as multiplicative factors first; the
-    remaining minors are memoized under a canonical relabeling so that
-    repeated isomorphic minors are evaluated once.
+    Each minor is taken by parallel classes. Its k zero rows give the
+    factor y^k and each class of k parallel coloops the factor
+    x + y + ... + y^(k-1); the rest branches on one whole class C of k
+    rows, with e in C, as T(M \\ C) + (1 + y + ... + y^(k-1)) T(M/e \\ C).
+    The depth is therefore at most the number of distinct rows. Minors
+    are memoized under a canonical relabeling so that repeated isomorphic
+    minors are evaluated once. Only +, * and ** touch x and y, so the
+    same recursion runs on numbers and on TuttePolynomial values.
 
     Raises:
         BudgetExceeded: when the memo table outgrows memo_limit.
     """
     memo: dict[tuple, complex] = {}
 
+    def series(first, k: int):
+        # first + y + ... + y^(k-1), by products: y ** j raises
+        # OverflowError on complex values where this gives inf
+        total, power = first, y**0
+        for _ in range(k - 1):
+            power = power * y
+            total = total + power
+        return total
+
     def evaluate(rows: list[int]):
-        nonzero = [v for v in rows if v]
-        m = len(nonzero)
+        sizes: dict[int, int] = {}
+        for v in rows:
+            sizes[v] = sizes.get(v, 0) + 1
+        factor = y ** sizes.pop(0, 0)
+        distinct = list(sizes)
+        m = len(distinct)
         # a coloop is a row in no circuit. Tagged with its own bit, each
         # dependent row leaves a tag holding one circuit-space element, and
         # these tags span that space; removing coloops changes no circuit,
-        # so one pass finds them all
+        # so one pass finds them all. A class of parallel copies of a
+        # coloop of the distinct rows is a separator of the whole matroid
         residues: list[int] = []
         gf2._eliminate(
-            [(v << m) | (1 << i) for i, v in enumerate(nonzero)], {}, m, residues
+            [(v << m) | (1 << i) for i, v in enumerate(distinct)], {}, m, residues
         )
         in_circuit = 0
         for w in residues:
             if w >> m == 0:
                 in_circuit |= w
-        nonzero = [v for i, v in enumerate(nonzero) if (in_circuit >> i) & 1]
-        factor = y ** (len(rows) - m)
-        for _ in range(m - len(nonzero)):
-            factor = factor * x  # x ** k raises OverflowError where this gives inf
-        if not nonzero:
+        for i, v in enumerate(distinct):
+            if not (in_circuit >> i) & 1:
+                factor = factor * series(x, sizes.pop(v))
+        if not sizes:
             return factor
-        key = _canonical_key(nonzero)
+        rest = [v for v in rows if v in sizes]
+        key = _canonical_key(rest)
         if key not in memo:
             if len(memo) >= memo_limit:
                 raise BudgetExceeded(f"minor memo exceeded {memo_limit} entries")
-            e = nonzero[0]
-            deleted = nonzero[1:]
+            e = next(iter(sizes))
+            deleted = [v for v in rest if v != e]
             pivot = 1 << (e.bit_length() - 1)
             contracted = [v ^ e if v & pivot else v for v in deleted]
-            memo[key] = evaluate(deleted) + evaluate(contracted)
+            weight = series(y**0, sizes[e])
+            memo[key] = evaluate(deleted) + weight * evaluate(contracted)
         return factor * memo[key]
 
     return evaluate(list(P.bits))

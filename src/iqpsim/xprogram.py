@@ -45,6 +45,7 @@ __all__ = [
 
 DEFAULT_DOMAIN_LIMIT = 16
 IMAG_TOLERANCE = 1e-9
+PROBABILITY_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -66,32 +67,25 @@ class XProgram:
 class Distribution:
     """Probability vector over l-bit strings, indexed by packed value.
 
-    Entries in [-negative_tolerance, 0) are clamped to zero and the
+    Entries in [-PROBABILITY_TOLERANCE, 0) are clamped to zero and the
     largest clamped magnitude is kept in clamp_drift; anything more
-    negative, or a total off 1 by more than sum_tolerance, raises.
+    negative, or a total off 1 by more than PROBABILITY_TOLERANCE, raises.
     The vector is stored as observed, never renormalized.
     """
 
-    def __init__(
-        self,
-        domain_bits: int,
-        values,
-        *,
-        negative_tolerance: float = 1e-9,
-        sum_tolerance: float = 1e-9,
-    ):
+    def __init__(self, domain_bits: int, values):
         arr = np.array(values, dtype=np.float64)
         if arr.shape != (1 << domain_bits,):
             raise DimensionMismatch(
                 f"expected {1 << domain_bits} entries, got {arr.shape}"
             )
         lowest = float(arr.min()) if arr.size else 0.0
-        if lowest < -negative_tolerance:
+        if lowest < -PROBABILITY_TOLERANCE:
             raise NumericalInconsistency(f"probability {lowest} below tolerance")
         self.clamp_drift = max(0.0, -lowest)
         arr[arr < 0.0] = 0.0
         total = float(arr.sum())
-        if abs(total - 1.0) > sum_tolerance:
+        if abs(total - 1.0) > PROBABILITY_TOLERANCE:
             raise NumericalInconsistency(f"probabilities sum to {total}")
         self.sum_drift = total - 1.0
         self.domain_bits = domain_bits
@@ -222,29 +216,35 @@ class ReducedProgram:
     Every support has Hamming weight at most degree; multiplicities live
     in [0, period) with period the order of exp(i theta m X) in m. The
     scalar exp(i theta phase_exponent) is the global phase dropped from
-    the row list; it never affects the distribution.
+    the row list; it never affects the distribution. monomials holds the
+    (support, multiplicity) pairs with supports packed like BitVector.bits.
     """
 
     l: int
     theta: Angle
-    rows: tuple[tuple[BitVector, int], ...]
+    monomials: tuple[tuple[int, int], ...]
     phase_exponent: int
     degree: int
     period: int
 
     @property
+    def rows(self) -> tuple[tuple[BitVector, int], ...]:
+        """The monomials with BitVector supports, built on each access."""
+        return tuple((BitVector(self.l, bits), mult) for bits, mult in self.monomials)
+
+    @property
     def monomial_count(self) -> int:
-        return len(self.rows)
+        return len(self.monomials)
 
     @property
     def expanded_row_count(self) -> int:
-        return sum(m for _, m in self.rows)
+        return sum(m for _, m in self.monomials)
 
     def global_phase(self) -> complex:
         return cmath.exp(1j * self.theta.value * self.phase_exponent)
 
     def to_xprogram(self) -> XProgram:
-        bits = tuple(row.bits for row, mult in self.rows for _ in range(mult))
+        bits = tuple(row for row, mult in self.monomials for _ in range(mult))
         return XProgram(BinaryMatrix(len(bits), self.l, bits), self.theta)
 
 
@@ -288,15 +288,10 @@ def reduce_rows(prog: XProgram, *, term_limit: int = 2_000_000) -> ReducedProgra
                 key = sum(subset)
                 counts[key] = (counts.get(key, 0) + f) % modulus
     phase_exponent = counts.pop(0, 0)
-    rows = tuple(
-        (BitVector(prog.l, bits), mult)
-        for bits, mult in sorted(counts.items())
-        if mult
-    )
     return ReducedProgram(
         l=prog.l,
         theta=prog.theta,
-        rows=rows,
+        monomials=tuple((bits, mult) for bits, mult in sorted(counts.items()) if mult),
         phase_exponent=phase_exponent,
         degree=d,
         period=modulus,

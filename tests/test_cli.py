@@ -169,6 +169,17 @@ class TestTutteCommand:
         assert payload["value"]["re"] == 6
         assert payload["value"]["im"] == 0
 
+    def test_tall_rank_two_at_point(self, capsys, tmp_path):
+        # three parallel classes of a rank-2 matroid: a basis is two rows
+        # from two different classes; one recursion level per class
+        sizes = {"10": 700, "01": 655, "11": 645}
+        rows = [r for r, k in sizes.items() for _ in range(k)]
+        path = write_matrix(tmp_path, "tall.txt", len(rows), 2, rows)
+        code, out, _ = run_cli(capsys, "tutte", path, "--at", "1", "1")
+        assert code == 0
+        a, b, c = sizes.values()
+        assert json.loads(out)["value"] == {"re": a * b + a * c + b * c, "im": 0}
+
 
 class TestAlphaCommand:
     def test_pex_at_pi(self, capsys, pex_file):

@@ -1,7 +1,9 @@
 """Sanity checks on the brute-force reference implementations."""
 
+import ast
 import cmath
 import math
+from pathlib import Path
 from random import Random
 
 import numpy as np
@@ -118,3 +120,25 @@ class TestOracleTutte:
     def test_loops_and_coloops(self):
         assert oracle.oracle_tutte(BinaryMatrix.zeros(3, 2)).items() == [((0, 3), 1)]
         assert oracle.oracle_tutte(BinaryMatrix.identity(2)).items() == [((2, 0), 1)]
+
+
+class TestIndependence:
+    def test_imports_only_containers_and_errors(self):
+        # the oracle is the independent reference for every fast path,
+        # the Tutte recursion included: it may share containers and error
+        # types with the package, never a module or an algorithm
+        allowed = {
+            "BinaryMatrix", "BitVector", "Projector", "TuttePolynomial",
+            "Distribution", "XProgram",
+            "NumericalInconsistency", "TooManyQubits", "TooManyRows",
+        }
+        tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("iqpsim")
+            ):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                assert not any(a.name.startswith("iqpsim") for a in node.names)
+        assert imported <= allowed

@@ -144,6 +144,13 @@ class TestTutteEval:
             for x, y in [(2, 3), (-1, 2), (0, 0), (1, -3)]:
                 assert tutte_eval(m, x, y) == poly.evaluate(x, y)
 
+    def test_depth_is_the_distinct_row_count(self):
+        # one class of 1990 parallel coloops and 10 loops: one level deep,
+        # where a recursion per row would pass Python's recursion limit
+        m = BinaryMatrix(2000, 3, (5,) * 1990 + (0,) * 10)
+        want = 3**10 * (2 + sum(3**j for j in range(1, 1990)))
+        assert tutte_eval(m, 2, 3) == want
+
     def test_handles_more_rows_than_subset_sum(self):
         # 2^26 subsets would be far out of reach for the direct sum
         rng = Random(44)
@@ -165,6 +172,49 @@ class TestTutteEval:
                 rows.extend(["0" * arm + "1" + "0" * (width - arm - 1)] * size)
             m = BinaryMatrix.from_strings(rows)
             assert tutte_subset_sum(m) == star_tutte(arms)
+
+
+def _classes_program(rng: Random) -> BinaryMatrix:
+    # a low-rank part with zero and repeated rows, plus one or two classes
+    # of k >= 2 copies of a row on a bit the rest never touch: a coloop of
+    # the distinct rows, so each class is a separator of the matroid
+    l = rng.randint(3, 7)
+    coloops = rng.randint(1, 2)
+    basis = [rng.getrandbits(l - coloops) for _ in range(rng.randint(1, 3))]
+    rows = []
+    for _ in range(rng.randint(0, 6)):
+        pick = rng.random()
+        if pick < 0.2:
+            rows.append(0)
+        elif pick < 0.45 and rows:
+            rows.append(rng.choice(rows))
+        else:
+            v = 0
+            for b in basis:
+                v ^= b * rng.getrandbits(1)
+            rows.append(v)
+    for c in range(coloops):
+        top = 1 << (l - 1 - c)
+        v = top | rng.getrandbits(l - coloops)
+        rows.extend([v] * rng.randint(2, (12 - len(rows)) // (coloops - c)))
+    rng.shuffle(rows)
+    return BinaryMatrix(len(rows), l, tuple(rows))
+
+
+class TestAgainstOracle:
+    """Both faces of the one recursion against the independent subset sum."""
+
+    POINTS = [(2, 3), (-1, 2), (0, 0), (1, -3), (-1, -1)]
+
+    def test_classes_of_loops_repeats_and_coloops(self):
+        rng = Random(47)
+        for _ in range(60):
+            m = _classes_program(rng)
+            assert m.n <= 12
+            want = oracle.oracle_tutte(m)
+            assert tutte_subset_sum(m) == want
+            for x, y in self.POINTS:
+                assert tutte_eval(m, x, y) == want.evaluate(x, y)
 
 
 class TestStarTutte:

@@ -251,6 +251,8 @@ class TestReduceRows:
             "100": 7, "010": 7, "001": 7,
             "110": 1, "101": 1, "011": 1,
         }
+        assert got.monomials == tuple((row.bits, mult) for row, mult in got.rows)
+        assert got.monomials == tuple(sorted(got.monomials))
 
     def test_weight_bound(self):
         rng = Random(60)
