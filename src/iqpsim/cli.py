@@ -390,16 +390,13 @@ def _cmd_verify(args, prog: XProgram) -> None:
     worst = 0.0
     for ix in range(1 << M.l):
         s = BitVector(M.l, ix)
-        worst = max(worst, abs(xprogram.beta(prog, s) - oracle.oracle_beta(prog, s)))
+        worst = max(worst, abs(xprogram.beta(prog, s) - sv.beta(s)))
     report("correlations vs oracle", worst, 1e-9)
 
     dist = xprogram.full_distribution(prog)
-    dense = oracle.oracle_distribution(prog)
+    dense = sv.probabilities()
     worst = float(
-        max(
-            abs(dist.probability(ix) - dense.probability(ix))
-            for ix in range(1 << M.l)
-        )
+        max(abs(dist.probability(ix) - float(dense[ix])) for ix in range(1 << M.l))
     )
     report("distribution vs oracle", worst, 1e-9)
 
@@ -431,7 +428,7 @@ def _cmd_verify(args, prog: XProgram) -> None:
     mask = BitVector.from_string("1" * kept + "0" * (M.l - kept)) if M.l else BitVector(0, 0)
     proj = marginals.diagonal_projector(mask)
     got = marginals.marginal_distribution(prog, proj)
-    want = oracle.oracle_marginal(prog, proj)
+    want = sv.marginal(proj)
     worst = float(
         max(
             abs(got.probability(ix) - want.probability(ix))

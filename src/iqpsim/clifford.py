@@ -2,13 +2,12 @@
 
 The weight enumerator of a binary code at z in {1, i, -1, -i} is a sum of
 2^r fourth roots, hence a Gaussian integer. Evaluating it by enumeration
-costs 2^r; this module instead classifies the quadratic form
-q(c) = (|c| / 2) mod 2 on the even-weight subcode, whose polar form is
-the plain GF(2) inner product b(c, c') = |c & c'| mod 2, and reads the
-sum off the form's hyperbolic decomposition and its value on the
-radical. An odd-weight coset, when present, is handled by the same
-reduction applied to a linearly shifted form. Total cost is polynomial
-in the matrix size.
+costs 2^r; this module instead reduces the Z4-valued quadratic form
+Q(c) = |c| mod 4 over the whole code, whose polar form is twice the
+plain GF(2) inner product b(c, c') = |c & c'| mod 2. Odd vectors
+split off one factor 1 + i or 1 - i each, and the sum over the even
+rest is read off its hyperbolic planes and its value on the radical.
+Total cost is polynomial in the matrix size.
 
 The same machinery solves the quarter-turn case exactly: the output
 distribution is uniform over an affine subspace computed from the kernel
@@ -78,69 +77,71 @@ def _gram(vectors: list[int]) -> list[int]:
     return gram
 
 
-def _gauss_sum(vectors: list[int], shift: int) -> int:
-    """Sum of (-1)^Q(v) over the span of the given even-weight vectors.
+def _indices(mask: int):
+    """Positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    Q(v) = (|v| / 2 + |v & shift|) mod 2 is a quadratic refinement of the
-    inner-product polar form. The reduction peels hyperbolic planes off
-    the Gram matrix, each contributing a factor of +-2, and finishes on
-    the radical, where Q is linear: a nonzero character sums to 0 and the
-    zero character to a power of two.
+
+def _gauss_sum(vectors: list[int]) -> GaussianInteger:
+    """Sum of i^|c| over the span of the given independent vectors.
+
+    Q(c) = |c| mod 4 is a Z4-valued quadratic form, Q(a + b) = Q(a) +
+    Q(b) + 2 b(a, b), and the Gram matrix of b holds Q mod 2 on its
+    diagonal. An odd v splits off as the factor 1 + i^Q(v) once the other
+    vectors are made orthogonal to it. On the even rest Q / 2 is a Z2 form
+    with polar form b: each hyperbolic plane contributes +-2, and on the
+    radical, where Q is linear, the sum is 0 or a power of two.
     """
-    m = len(vectors)
-    if m == 0:
-        return 1
-    # even weights leave the diagonal clear, so no vector pairs with itself
     gram = _gram(vectors)
-    qbits = 0
+    odd = high = 0  # the two bits of each Q(v_i), as masks over i
     for i, v in enumerate(vectors):
-        q = ((v.bit_count() >> 1) & 1) ^ ((v & shift).bit_count() & 1)
-        if q:
-            qbits |= 1 << i
-    active = (1 << m) - 1
-    sign = 1
-    power = 0
-    while active:
-        pair = None
-        rem = active
-        while rem:
-            low = rem & -rem
-            i = low.bit_length() - 1
-            rem ^= low
-            row = gram[i] & active
-            if row:
-                pair = (i, (row & -row).bit_length() - 1)
-                break
-        if pair is None:
-            # the polar form vanishes here, so Q is a linear character
-            if qbits & active:
-                return 0
-            power += active.bit_count()
-            break
-        i, j = pair
-        qi = (qbits >> i) & 1
-        qj = (qbits >> j) & 1
-        if qi and qj:
-            sign = -sign
+        w = v.bit_count()
+        odd |= (w & 1) << i
+        high |= (w >> 1 & 1) << i
+    active = (1 << len(vectors)) - 1
+    halves = turns = power = 0  # the sum is (1 + i)^halves i^turns 2^power
+    while active & odd:
+        low = active & odd & -(active & odd)
+        active ^= low
+        a = gram[low.bit_length() - 1] & active
+        # v_k += v_i for k in a makes them orthogonal to v_i: Q(v_k) gains
+        # Q(v_i) + 2, and the products among those k flip, diagonal included
+        halves += 1
+        if high & low:  # 1 + i^3 = -i (1 + i), and Q(v_k) gains 1
+            turns += 3
+            high ^= a & odd
+        else:  # Q(v_k) gains 3
+            high ^= a & ~odd
+        odd ^= a
+        for k in _indices(a):
+            gram[k] ^= a
+    for i in _indices(active):
+        row = gram[i] & active
+        if not active >> i & 1 or not row:
+            continue  # paired already, or in the radical for good
+        j = (row & -row).bit_length() - 1
+        qi, qj = high >> i & 1, high >> j & 1
+        turns += 2 * (qi & qj)
         power += 1
         active &= ~((1 << i) | (1 << j))
         a = gram[i] & active
         bb = gram[j] & active
         # v_k += a_k v_j + bb_k v_i restores orthogonality to the pair;
         # track Q and the Gram matrix symbolically instead of touching vectors
-        upd = (a if qj else 0) ^ (bb if qi else 0) ^ (a & bb)
-        qbits ^= upd
-        rem = a
-        while rem:
-            low = rem & -rem
-            gram[low.bit_length() - 1] ^= bb
-            rem ^= low
-        rem = bb
-        while rem:
-            low = rem & -rem
-            gram[low.bit_length() - 1] ^= a
-            rem ^= low
-    return sign * (1 << power)
+        high ^= (a if qj else 0) ^ (bb if qi else 0) ^ (a & bb)
+        for k in _indices(a):
+            gram[k] ^= bb
+        for k in _indices(bb):
+            gram[k] ^= a
+    # the polar form vanishes on what is left, so Q / 2 is linear there
+    if high & active:
+        return GaussianInteger(0, 0)
+    scale = 1 << (power + active.bit_count() + halves // 2)  # (1 + i)^2 = 2i
+    value = GaussianInteger(scale, scale if halves & 1 else 0)
+    return value.times_i_power(turns + halves // 2)
 
 
 def wenum_from_generators(generators: list[int], k: int) -> GaussianInteger:
@@ -154,22 +155,11 @@ def wenum_from_generators(generators: list[int], k: int) -> GaussianInteger:
     k %= 4
     if k == 0:
         return GaussianInteger(1 << r, 0)
-    odd = [g for g in generators if g.bit_count() & 1]
     if k == 2:
         # parity of the weight is linear, so the sum collapses
+        odd = any(g.bit_count() & 1 for g in generators)
         return GaussianInteger(0 if odd else 1 << r, 0)
-    even = [g for g in generators if not g.bit_count() & 1]
-    if odd:
-        pivot = odd[0]
-        even_basis = even + [g ^ pivot for g in odd[1:]]
-        re = _gauss_sum(even_basis, 0)
-        c0 = ((pivot.bit_count() - 1) >> 1) & 1
-        im = _gauss_sum(even_basis, pivot)
-        if c0:
-            im = -im
-        value = GaussianInteger(re, im)
-    else:
-        value = GaussianInteger(_gauss_sum(generators, 0), 0)
+    value = _gauss_sum(generators)
     return value if k == 1 else value.conjugate()
 
 

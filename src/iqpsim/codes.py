@@ -160,21 +160,13 @@ def weight_enumerator(
     gen_lanes = [[(g >> (64 * w)) & ((1 << 64) - 1) for g in gens] for w in range(lanes)]
     low = min(r, _BLOCK_LOG)
     tables = [_enumeration_table(gl, low) for gl in gen_lanes]
+    # one block per word of the span of the high generators
+    heads = [_enumeration_table(gl[low:], r - low) for gl in gen_lanes]
     counts = np.zeros(n + 1, dtype=np.int64)
-    high_gens = list(zip(*(gl[low:] for gl in gen_lanes))) if r > low else []
-    # walk the high generators in Gray-code order so each step is one xor
-    head = [0] * lanes
-    gray = 0
-    for step in range(1 << (r - low) if r > low else 1):
-        if step:
-            new_gray = step ^ (step >> 1)
-            flip = (new_gray ^ gray).bit_length() - 1
-            gray = new_gray
-            for w in range(lanes):
-                head[w] ^= high_gens[flip][w]
-        weights = np.bitwise_count(tables[0] ^ np.uint64(head[0])).astype(np.int64)
+    for step in range(1 << (r - low)):
+        weights = np.bitwise_count(tables[0] ^ heads[0][step]).astype(np.int64)
         for w in range(1, lanes):
-            weights += np.bitwise_count(tables[w] ^ np.uint64(head[w]))
+            weights += np.bitwise_count(tables[w] ^ heads[w][step])
         counts += np.bincount(weights, minlength=n + 1)
     weights_out = tuple(int(c) for c in counts)
     if sum(weights_out) != 1 << r or weights_out[0] < 1:

@@ -131,25 +131,18 @@ def make_projector(M: BinaryMatrix) -> Projector:
     R = [BitVector(l, v) for v in gf2._rref(transposed.bits)]
     Kstar = gf2.kernel(transposed)
     Rstar = [BitVector(l, v) for v in gf2._rref(M.bits)]
-    q = len(R)
     support = sum(1 for col in transposed.bits if col)
-    # row k of the pairing holds R_j . Rstar_k over j; its inverse maps
-    # pairings to R coordinates, so row j of the inverse holds the Rstar
-    # coordinates of D_j
-    R_matrix = BinaryMatrix.from_rows(l, R)
-    pairing = BinaryMatrix.from_rows(q, [gf2.mat_vec(R_matrix, s) for s in Rstar])
-    try:
-        solver = gf2.inverse(pairing)
-    except ValueError as exc:
-        raise NumericalInconsistency("range pairing is degenerate") from exc
-    dual = gf2.mat_mul(solver, BinaryMatrix.from_rows(l, Rstar)).bits
+    # M fixes R, so row c of M pairs with R_i as coordinate c of R_i; at
+    # the leading bit of R_j the reduced basis R has the identity, so that
+    # row of M (a vector of Rstar) is D_j
+    dual = tuple(M.bits[l - r.bits.bit_length()] for r in R)
     return Projector(
         matrix=M,
         K_basis=tuple(K),
         R_basis=tuple(R),
         Kstar_basis=tuple(Kstar),
         Rstar_basis=tuple(Rstar),
-        range_dim=q,
+        range_dim=len(R),
         support_bits=support,
         _dual_basis=dual,
     )

@@ -44,6 +44,34 @@ class StateVector:
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
+    def beta(self, s: BitVector) -> float:
+        """2 P[X.s = 0] - 1 read directly off the dense distribution."""
+        probs = self.probabilities()
+        indices = np.arange(len(probs), dtype=np.uint64)
+        parities = np.bitwise_count(indices & np.uint64(s.bits)) & 1
+        agree = float(probs[parities == 0].sum())
+        return 2.0 * agree - 1.0
+
+    def marginal(self, proj: Projector) -> Distribution:
+        """Sum the dense distribution over kernel cosets of the projector.
+
+        The image m(y) is recomputed here by row dot products; only the
+        outcome labeling (coordinates in the projector's range basis) is
+        shared with the production path, so both sides index identically.
+        """
+        probs = self.probabilities()
+        l = self.l
+        rows = [r.bits for r in proj.matrix.rows]
+        out = np.zeros(1 << proj.range_dim, dtype=np.float64)
+        for y in range(1 << l):
+            image = 0
+            for i, row in enumerate(rows):
+                if bin(row & y).count("1") & 1:
+                    image |= 1 << (l - 1 - i)
+            w = proj.vector_to_coords(BitVector(l, image))
+            out[w.bits] += probs[y]
+        return Distribution(proj.range_dim, out)
+
 
 def statevector(prog: XProgram, *, qubit_limit: int = QUBIT_LIMIT) -> StateVector:
     """Evolve |0...0> by every row's rotation, one dense pass per row."""
@@ -74,33 +102,11 @@ def oracle_distribution(prog: XProgram) -> Distribution:
 
 
 def oracle_beta(prog: XProgram, s: BitVector) -> float:
-    """2 P[X.s = 0] - 1 read directly off the dense distribution."""
-    probs = statevector(prog).probabilities()
-    indices = np.arange(len(probs), dtype=np.uint64)
-    parities = np.bitwise_count(indices & np.uint64(s.bits)) & 1
-    agree = float(probs[parities == 0].sum())
-    return 2.0 * agree - 1.0
+    return statevector(prog).beta(s)
 
 
 def oracle_marginal(prog: XProgram, proj: Projector) -> Distribution:
-    """Sum the dense distribution over kernel cosets of the projector.
-
-    The image m(y) is recomputed here by row dot products; only the
-    outcome labeling (coordinates in the projector's range basis) is
-    shared with the production path, so both sides index identically.
-    """
-    probs = statevector(prog).probabilities()
-    l = prog.l
-    rows = [r.bits for r in proj.matrix.rows]
-    out = np.zeros(1 << proj.range_dim, dtype=np.float64)
-    for y in range(1 << l):
-        image = 0
-        for i, row in enumerate(rows):
-            if bin(row & y).count("1") & 1:
-                image |= 1 << (l - 1 - i)
-        w = proj.vector_to_coords(BitVector(l, image))
-        out[w.bits] += probs[y]
-    return Distribution(proj.range_dim, out)
+    return statevector(prog).marginal(proj)
 
 
 def oracle_tutte(P: BinaryMatrix, *, row_limit: int = 20) -> TuttePolynomial:

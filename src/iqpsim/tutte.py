@@ -159,11 +159,22 @@ def tutte_eval(
             total = total + power
         return total
 
+    def power(k: int):
+        # y^k by squaring, in the order complex ** takes for k <= 100, so
+        # the values agree bit for bit; an overflow gives inf, never raises
+        total, square = y**0, y
+        while k:
+            if k & 1:
+                total = total * square
+            square = square * square
+            k >>= 1
+        return total
+
     def evaluate(rows: list[int]):
         sizes: dict[int, int] = {}
         for v in rows:
             sizes[v] = sizes.get(v, 0) + 1
-        factor = y ** sizes.pop(0, 0)
+        factor = power(sizes.pop(0, 0))
         distinct = list(sizes)
         m = len(distinct)
         # a coloop is a row in no circuit. Tagged with its own bit, each

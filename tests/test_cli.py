@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from iqpsim import cli, gf2, tutte
+from iqpsim import cli, gf2, oracle, tutte
 from iqpsim.cli import dump_matrix, main, parse_angle, parse_matrix_text
 from iqpsim.codes import Angle
 from iqpsim.errors import (
@@ -425,6 +425,22 @@ class TestVerifyCommand:
         assert code == 0
         assert out.strip().splitlines()[-1] == "all 7 checks passed"
 
+    def test_builds_two_dense_states(self, capsys, pex_file, monkeypatch):
+        # every reference at the program's angle is read off one dense
+        # state; the quarter-turn check builds the other
+        thetas = []
+        build = oracle.statevector
+
+        def counted(prog, **kwargs):
+            thetas.append(str(prog.theta))
+            return build(prog, **kwargs)
+
+        monkeypatch.setattr(oracle, "statevector", counted)
+        code, out, _ = run_cli(capsys, "verify", pex_file)
+        assert code == 0
+        assert out.strip().splitlines()[-1] == "all 7 checks passed"
+        assert thetas == ["1/8 pi", "1/4 pi"]
+
     def test_size_guard(self, capsys, tmp_path):
         rows = ["0" * 11] * 2
         path = write_matrix(tmp_path, "wide.txt", 2, 11, rows)
@@ -483,13 +499,15 @@ class TestErrorPaths:
         assert payload["exit_code"] == 4
 
     def test_non_finite_report_exit_four(self, capsys, tmp_path):
-        # finite inputs whose Tutte value overflows; strict JSON refuses it
-        path = write_matrix(tmp_path, "m.txt", 3, 2, ["10", "01", "11"])
-        code, out, err = run_cli(capsys, "tutte", path, "--at", "1e200", "1e200")
-        assert code == 4
-        assert out == ""
-        assert len(err.strip().splitlines()) == 1
-        assert json.loads(err)["error"] == "NumericalInconsistency"
+        # finite inputs whose Tutte value overflows; strict JSON refuses it.
+        # The zero-row factor y^k overflows too, to inf or nan, never raising
+        for rows in (["10", "01", "11"], ["00", "00", "10"], ["00"] * 4 + ["10"]):
+            path = write_matrix(tmp_path, "m.txt", len(rows), 2, rows)
+            code, out, err = run_cli(capsys, "tutte", path, "--at", "1e200", "1e200")
+            assert code == 4
+            assert out == ""
+            assert len(err.strip().splitlines()) == 1
+            assert json.loads(err)["error"] == "NumericalInconsistency"
 
     def test_non_finite_point_exit_two(self, capsys, tmp_path):
         path = write_matrix(tmp_path, "m.txt", 3, 2, ["10", "01", "11"])

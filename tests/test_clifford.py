@@ -51,6 +51,50 @@ def exact_wenum_by_histogram(m: BinaryMatrix, k: int) -> GaussianInteger:
     return GaussianInteger(parts[0] - parts[2], parts[1] - parts[3])
 
 
+def structured_code(rng: Random, kind: str, max_n: int, max_l: int) -> BinaryMatrix:
+    """A random matrix whose column code is of the given kind.
+
+    dense: uniform rows; odd: every column of odd weight; even: rows in
+    duplicated pairs, so every codeword has even weight; sparse: rows of
+    weight at most two; low: rows from the span of at most three vectors.
+    """
+    l = rng.randint(1, max_l)
+    n = rng.randint(1, max_n)
+    if kind == "even":
+        rows = [rng.getrandbits(l) for _ in range((n + 1) // 2)] * 2
+    elif kind == "sparse":
+        rows = [(1 << rng.randrange(l)) | (1 << rng.randrange(l)) * rng.getrandbits(1)
+                for _ in range(n)]
+        rows = [0 if rng.random() < 0.1 else v for v in rows]
+    elif kind == "low":
+        basis = [rng.getrandbits(l) for _ in range(rng.randint(0, 3))]
+        rows = []
+        for _ in range(n):
+            v = 0
+            for b in basis:
+                v ^= b * rng.getrandbits(1)
+            rows.append(v)
+    else:
+        rows = [rng.getrandbits(l) for _ in range(n)]
+    if kind == "odd":
+        fold = 0
+        for v in rows:
+            fold ^= v
+        rows[0] ^= fold ^ ((1 << l) - 1)
+    return BinaryMatrix(len(rows), l, tuple(rows))
+
+
+def block_diagonal(blocks: list[BinaryMatrix]) -> BinaryMatrix:
+    """The matrix with the given blocks on its diagonal."""
+    width = sum(b.l for b in blocks)
+    rows = []
+    shift = width
+    for b in blocks:
+        shift -= b.l
+        rows += [v << shift for v in b.bits]
+    return BinaryMatrix(len(rows), width, tuple(rows))
+
+
 class TestWenumAtFourthRoot:
     def test_pex_values(self, pex):
         assert wenum_at_fourth_root(pex, 0) == GaussianInteger(8, 0)
@@ -82,10 +126,56 @@ class TestWenumAtFourthRoot:
 
     def test_matches_enumeration(self):
         rng = Random(34)
-        for _ in range(120):
-            m = random_matrix(rng, rng.randint(0, 14), rng.randint(1, 12))
+        inputs = [
+            random_matrix(rng, rng.randint(0, 14), rng.randint(1, 12))
+            for _ in range(120)
+        ]
+        for kind in ("odd", "even", "sparse", "low"):
+            inputs += [structured_code(rng, kind, 14, 12) for _ in range(60)]
+        for m in inputs:
             for k in range(4):
                 assert wenum_at_fourth_root(m, k) == exact_wenum_by_histogram(m, k)
+
+    def test_block_diagonal_sums_multiply(self):
+        # a block-diagonal P spans the direct sum of its blocks' codes, so
+        # the value is the product of the blocks' enumerated values: exact
+        # at ranks that enumeration cannot reach
+        rng = Random(42)
+        kinds = ("dense", "odd", "even", "sparse", "low")
+        for trial in range(10):
+            blocks = []
+            while sum(gf2.rank(b) for b in blocks) < 120:
+                b = structured_code(rng, kinds[(trial + len(blocks)) % 5], 12, 9)
+                # a block summing to 0 at z = i would zero every product
+                if exact_wenum_by_histogram(b, 1) != GaussianInteger(0, 0):
+                    blocks.append(b)
+            P = block_diagonal(blocks)
+            assert gf2.rank(P) >= 120
+            for k in range(4):
+                want = GaussianInteger(1, 0)
+                for b in blocks:
+                    w = exact_wenum_by_histogram(b, k)
+                    want = GaussianInteger(
+                        want.re * w.re - want.im * w.im, want.re * w.im + want.im * w.re
+                    )
+                assert wenum_at_fourth_root(P, k) == want
+
+    def test_one_gauss_sum_per_code(self, monkeypatch):
+        rng = Random(43)
+        calls = []
+        gauss_sum = clifford._gauss_sum
+
+        def counted(vectors):
+            calls.append(len(vectors))
+            return gauss_sum(vectors)
+
+        monkeypatch.setattr(clifford, "_gauss_sum", counted)
+        for kind in ("dense", "odd", "even", "sparse", "low"):
+            m = structured_code(rng, kind, 14, 12)
+            for k in range(4):
+                calls.clear()
+                wenum_at_fourth_root(m, k)
+                assert len(calls) == (k % 2)
 
     def test_zero_matrix(self):
         m = BinaryMatrix.zeros(4, 3)

@@ -99,6 +99,20 @@ class TestMakeProjector:
                     assert ks.dot(r) == 0
             assert len(proj.K_basis) + len(proj.R_basis) == l
 
+    def test_dual_basis_is_rows_of_matrix(self):
+        # R_i . D_j = [i == j], and each D_j is a row of M, on conjugated
+        # projectors up to 80 bits wide
+        rng = Random(86)
+        for trial in range(40):
+            l = rng.randint(1, 80)
+            proj = random_projector(rng, l)
+            assert len(proj._dual_basis) == proj.range_dim
+            rows = set(proj.matrix.bits)
+            for j, dual in enumerate(proj._dual_basis):
+                assert dual in rows
+                for i, base in enumerate(proj.R_basis):
+                    assert (base.bits & dual).bit_count() & 1 == (i == j)
+
     def test_unsupported_bits_in_kernel(self):
         # bits outside the supported columns cannot influence the image
         rng = Random(82)
