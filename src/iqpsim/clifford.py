@@ -202,14 +202,11 @@ class AffineSupport:
         return x.dot(self.odd_witness) == 1
 
     def sample(self, rng: Random) -> BitVector:
-        bits = self.offset.bits
-        if self.dim:
-            combo = rng.getrandbits(self.dim)
-            for d in self.directions:
-                if combo & 1:
-                    bits ^= d.bits
-                combo >>= 1
-        return BitVector(self.offset.n, bits)
+        # bit j of the draw picks directions[j], so the basis goes in reversed
+        picked = gf2._combine(
+            [d.bits for d in reversed(self.directions)], rng.getrandbits(self.dim)
+        )
+        return BitVector(self.offset.n, self.offset.bits ^ picked)
 
 
 def clifford_support(P: BinaryMatrix) -> AffineSupport:

@@ -327,20 +327,22 @@ def kernel(M: BinaryMatrix) -> list[BitVector]:
     return [BitVector(M.l, v) for v in _rref(basis)]
 
 
+def _combine(rows: Sequence[int], bits: int) -> int:
+    """Xor of the rows picked by bits < 2^len(rows), rows[0] by the top bit."""
+    top = len(rows)
+    acc = 0
+    while bits:
+        low = bits & -bits
+        acc ^= rows[top - low.bit_length()]
+        bits ^= low
+    return acc
+
+
 def mat_mul(A: BinaryMatrix, B: BinaryMatrix) -> BinaryMatrix:
     """GF(2) matrix product A * B."""
     if A.l != B.n:
         raise DimensionMismatch(f"cannot multiply {A.n}x{A.l} by {B.n}x{B.l}")
-    rows = B.bits
-    out = []
-    for v in A.bits:
-        acc = 0
-        while v:
-            low = v & -v
-            acc ^= rows[A.l - low.bit_length()]
-            v ^= low
-        out.append(acc)
-    return BinaryMatrix(A.n, B.l, tuple(out))
+    return BinaryMatrix(A.n, B.l, tuple(_combine(B.bits, v) for v in A.bits))
 
 
 def mat_vec(A: BinaryMatrix, v: BitVector) -> BitVector:

@@ -16,7 +16,8 @@ evaluators of the same law, chosen by a count of their work:
 Rows of weight at most two have a closed form for the coefficients; the
 pi/8 and column-sparse entry points check their preconditions and run
 the engine. A sampler draws from the marginal by randomizing over the
-dual kernel Kstar, one fresh shift per sample.
+dual kernel Kstar, one fresh shift per sample, and keeps the CDFs of the
+shifts it has seen within a fixed budget of floats.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ __all__ = [
 
 DEFAULT_RANGE_LIMIT = 20
 PI8_RANGE_LIMIT = 24
-_CACHE_LIMIT = 4096  # conditionals kept per sampler
+_CACHE_FLOATS = 1 << 20  # CDF entries a sampler keeps over all its shifts
 
 # The fixed work of one beta call (affinify, transpose, elimination) in
 # steps of the phase sweep: about 100 us against about 0.015 us per
@@ -108,12 +109,8 @@ class Projector:
         return _span([base.bits for base in self.R_basis])
 
     def coords_to_vector(self, w) -> BitVector:
-        bits = w.bits if isinstance(w, BitVector) else int(w)
-        out = 0
-        for j, base in enumerate(self.R_basis):
-            if (bits >> (self.range_dim - 1 - j)) & 1:
-                out ^= base.bits
-        return BitVector(self.l, out)
+        bits = (w.bits if isinstance(w, BitVector) else int(w)) & ((1 << self.range_dim) - 1)
+        return BitVector(self.l, gf2._combine([b.bits for b in self.R_basis], bits))
 
     def apply(self, x: BitVector) -> BitVector:
         return gf2.mat_vec(self.matrix, x)
@@ -127,21 +124,23 @@ def make_projector(M: BinaryMatrix) -> Projector:
         raise NotIdempotent("matrix is not idempotent")
     l = M.l
     transposed = gf2.transpose(M)
-    K = gf2.kernel(M)
-    R = [BitVector(l, v) for v in gf2._rref(transposed.bits)]
-    Kstar = gf2.kernel(transposed)
-    Rstar = [BitVector(l, v) for v in gf2._rref(M.bits)]
+    # K and Kstar are the ranges of the complementary projector I + M and
+    # of its transpose: the spans of its columns and of its rows
+    K = gf2._rref(c ^ (1 << (l - 1 - j)) for j, c in enumerate(transposed.bits))
+    R = gf2._rref(transposed.bits)
+    Kstar = gf2._rref(r ^ (1 << (l - 1 - i)) for i, r in enumerate(M.bits))
+    Rstar = gf2._rref(M.bits)
     support = sum(1 for col in transposed.bits if col)
     # M fixes R, so row c of M pairs with R_i as coordinate c of R_i; at
     # the leading bit of R_j the reduced basis R has the identity, so that
     # row of M (a vector of Rstar) is D_j
-    dual = tuple(M.bits[l - r.bits.bit_length()] for r in R)
+    dual = tuple(M.bits[l - r.bit_length()] for r in R)
     return Projector(
         matrix=M,
-        K_basis=tuple(K),
-        R_basis=tuple(R),
-        Kstar_basis=tuple(Kstar),
-        Rstar_basis=tuple(Rstar),
+        K_basis=tuple(BitVector(l, v) for v in K),
+        R_basis=tuple(BitVector(l, v) for v in R),
+        Kstar_basis=tuple(BitVector(l, v) for v in Kstar),
+        Rstar_basis=tuple(BitVector(l, v) for v in Rstar),
         range_dim=len(R),
         support_bits=support,
         _dual_basis=dual,
@@ -208,16 +207,14 @@ def _quarter_turn_image(prog: XProgram, proj: Projector) -> Distribution:
     uniform affine law is uniform on the image, here 2^k points.
     """
     t = prog.theta.fourth_root_index
+    offset, directions = 0, []
     if t % 2:
         support = clifford.clifford_support(prog.P)
         offset = support.offset.bits
         directions = [d.bits for d in support.directions]
-    else:
-        offset = 0
-        if t % 4 == 2:
-            for row in prog.P.bits:
-                offset ^= row
-        directions = []
+    elif t % 4 == 2:
+        for row in prog.P.bits:
+            offset ^= row
     pivots = gf2._eliminate((proj._coord_bits(d) for d in directions), {})
     k = len(pivots)
     points = codes._enumeration_table(list(pivots.values()), k)
@@ -251,6 +248,15 @@ def _choose_evaluator(prog: XProgram, proj: Projector) -> str:
     return min(work, key=work.get)
 
 
+def _check(prog: XProgram, proj: Projector, range_limit: int) -> None:
+    if proj.l != prog.l:
+        raise DimensionMismatch("projector size differs from program width")
+    if proj.range_dim > range_limit:
+        raise RangeTooLarge(
+            f"range dimension {proj.range_dim} exceeds the limit {range_limit}"
+        )
+
+
 def marginal_distribution(
     prog: XProgram,
     proj: Projector,
@@ -265,12 +271,7 @@ def marginal_distribution(
     accepted for compatibility and ignored, here and in the other
     marginal entry points.
     """
-    if proj.l != prog.l:
-        raise DimensionMismatch("projector size differs from program width")
-    if proj.range_dim > range_limit:
-        raise RangeTooLarge(
-            f"range dimension {proj.range_dim} exceeds the limit {range_limit}"
-        )
+    _check(prog, proj, range_limit)
     return _EVALUATORS[_choose_evaluator(prog, proj)](prog, proj)
 
 
@@ -388,8 +389,9 @@ class MarginalSampler:
     coordinates, each row signed by its parity against k, so a
     conditional costs two transforms of length 2^q. The average over
     shifts reproduces the marginal exactly, so sampling a uniform shift
-    then the conditional outcome samples the marginal. Conditional
-    vectors are cached per shift.
+    then the conditional outcome samples the marginal. The CDFs of the
+    first shifts drawn are kept, _CACHE_FLOATS >> q of them, so the
+    memory stays fixed however many draws are made.
     """
 
     def __init__(
@@ -400,55 +402,36 @@ class MarginalSampler:
         *,
         range_limit: int = DEFAULT_RANGE_LIMIT,
     ):
-        if proj.l != prog.l:
-            raise DimensionMismatch("projector size differs from program width")
-        if proj.range_dim > range_limit:
-            raise RangeTooLarge(
-                f"range dimension {proj.range_dim} exceeds the limit {range_limit}"
-            )
+        _check(prog, proj, range_limit)
         self.prog = prog
         self.proj = proj
         self.rng = rng if rng is not None else Random()
-        self._cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._rows = prog.P.bits
-        self._keys = [proj._coord_bits(r) for r in self._rows]
+        self._cdfs: dict[int, np.ndarray] = {}
+        self._keys = [proj._coord_bits(r) for r in prog.P.bits]
+        # bit j of a draw picks Kstar_basis[j]
+        self._shifts = [k.bits for k in reversed(proj.Kstar_basis)]
 
     def conditional(self, shift) -> np.ndarray:
         """Conditional probability vector for one dual-kernel shift."""
         bits = shift.bits if isinstance(shift, BitVector) else int(shift)
-        cached = self._cache.get(bits)
-        if cached is not None:
-            return cached[0].copy()
-        probs, _ = self._build(bits)
-        return probs.copy()
-
-    def _build(self, shift_bits: int) -> tuple[np.ndarray, np.ndarray]:
-        signs = [1 - 2 * ((r & shift_bits).bit_count() & 1) for r in self._rows]
+        signs = [1 - 2 * ((r & bits).bit_count() & 1) for r in self.prog.P.bits]
         probs = xprogram._sweep_probabilities(
             self._keys, signs, self.proj.range_dim, self.prog.theta
         )
         total = float(probs.sum())
         if abs(total - 1.0) > PROBABILITY_TOLERANCE:
             raise NumericalInconsistency(f"conditional sums to {total}")
-        cdf = np.cumsum(probs)
-        entry = (probs, cdf)
-        if len(self._cache) < _CACHE_LIMIT:
-            self._cache[shift_bits] = entry
-        return entry
+        return probs
 
     def sample(self) -> BitVector:
         """One masked output, as a full-width vector in the range of m."""
-        dim = len(self.proj.Kstar_basis)
-        pick = self.rng.getrandbits(dim) if dim else 0
-        shift = 0
-        for j in range(dim):
-            if (pick >> j) & 1:
-                shift ^= self.proj.Kstar_basis[j].bits
-        cached = self._cache.get(shift)
-        probs, cdf = cached if cached is not None else self._build(shift)
-        ix = bisect_left(cdf, self.rng.random())
-        if ix >= len(probs):
-            ix = len(probs) - 1
+        shift = gf2._combine(self._shifts, self.rng.getrandbits(len(self._shifts)))
+        cdf = self._cdfs.get(shift)
+        if cdf is None:
+            cdf = np.cumsum(self.conditional(shift))
+            if len(self._cdfs) < _CACHE_FLOATS >> self.proj.range_dim:
+                self._cdfs[shift] = cdf
+        ix = min(bisect_left(cdf, self.rng.random()), len(cdf) - 1)
         return self.proj.coords_to_vector(ix)
 
 

@@ -147,6 +147,7 @@ def tutte_eval(
 
     Raises:
         BudgetExceeded: when the memo table outgrows memo_limit.
+        NumericalInconsistency: when a float or complex value is not finite.
     """
     memo: dict[tuple, complex] = {}
 
@@ -208,7 +209,10 @@ def tutte_eval(
             memo[key] = evaluate(deleted) + weight * evaluate(contracted)
         return factor * memo[key]
 
-    return evaluate(list(P.bits))
+    value = evaluate(list(P.bits))
+    if isinstance(value, (float, complex)) and not cmath.isfinite(value):
+        raise NumericalInconsistency(f"Tutte value {value} is not finite")
+    return value
 
 
 def greene_alpha(

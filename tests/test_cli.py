@@ -299,6 +299,21 @@ class TestMarginalCommand:
         assert code == 0
         assert json.loads(out)["path"] == "graphic"
 
+    def test_graphic_answers_beyond_the_engine(self, capsys, tmp_path):
+        # a hub with 34 partners at l = 40 and a raw angle: the generic
+        # engine needs a rank-34 enumeration, past its limit of 26
+        l = 40
+        rows = ["1" + "0" * i + "1" + "0" * (l - 2 - i) for i in range(34)]
+        path = write_matrix(tmp_path, "star.txt", 34, l, rows)
+        argv = ("marginal", path, "--theta", "rad:0.7", "--mask", "11" + "0" * (l - 2))
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["path"] == "graphic"
+        code, out, err = run_cli(capsys, *argv, "--path", "generic")
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"] == "RankTooLarge"
+
     def test_auto_picks_sparse(self, capsys, tmp_path):
         path = write_matrix(tmp_path, "s.txt", 3, 3, ["111", "100", "010"])
         code, out, _ = run_cli(

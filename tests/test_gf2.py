@@ -279,6 +279,17 @@ class TestProducts:
     def test_mat_vec_zero(self, pex):
         assert gf2.mat_vec(pex, BitVector(4)).is_zero()
 
+    def test_combine_picks_rows_from_the_top_bit(self):
+        rng = Random(17)
+        for _ in range(200):
+            rows = [rng.getrandbits(70) for _ in range(rng.randint(0, 12))]
+            bits = rng.getrandbits(len(rows))
+            want = 0
+            for j, row in enumerate(rows):
+                if (bits >> (len(rows) - 1 - j)) & 1:
+                    want ^= row
+            assert gf2._combine(rows, bits) == want
+
     def test_dimension_mismatch(self, pex):
         with pytest.raises(DimensionMismatch):
             gf2.mat_vec(pex, BitVector(3))

@@ -1,5 +1,6 @@
 """Projectors, the four marginal paths, and the per-draw sampler."""
 
+import tracemalloc
 from random import Random
 
 import numpy as np
@@ -12,6 +13,7 @@ from iqpsim.errors import (
     DimensionMismatch,
     NotIdempotent,
     RangeTooLarge,
+    RankTooLarge,
     RowWeightViolated,
     SupportTooLarge,
 )
@@ -112,6 +114,17 @@ class TestMakeProjector:
                 assert dual in rows
                 for i, base in enumerate(proj.R_basis):
                     assert (base.bits & dual).bit_count() & 1 == (i == j)
+
+    def test_bases_are_the_canonical_kernels(self):
+        # K and Kstar come from the complementary projector I + M; they
+        # equal the canonical kernel bases of M and of its transpose
+        rng = Random(87)
+        for trial in range(400):
+            l = rng.randint(1, 40)
+            proj = random_projector(rng, l)
+            m = proj.matrix
+            assert list(proj.K_basis) == gf2.kernel(m)
+            assert list(proj.Kstar_basis) == gf2.kernel(gf2.transpose(m))
 
     def test_unsupported_bits_in_kernel(self):
         # bits outside the supported columns cannot influence the image
@@ -431,6 +444,20 @@ class TestMarginalGraphic:
         d = marginal_graphic(XProgram(m, Angle.exact(1, 5)), proj)
         assert abs(sum(p for _, p in d.outcomes()) - 1.0) < 1e-9
 
+    def test_star_beyond_the_engine(self):
+        # a hub with 34 partners at l = 40: no push-forward (l > 16), no
+        # quarter-turn image at a raw angle, and every beta coefficient
+        # against the hub enumerates a code of rank 34 > 26; only the
+        # closed form answers
+        l = 40
+        rows = tuple(1 << (l - 1) | 1 << (l - 2 - i) for i in range(34))
+        prog = XProgram(BinaryMatrix(34, l, rows), Angle.radians(0.7))
+        proj = diagonal_projector(BitVector(l, 0b11 << (l - 2)))
+        d = marginal_graphic(prog, proj)
+        assert abs(sum(p for _, p in d.outcomes()) - 1.0) < 1e-9
+        with pytest.raises(RankTooLarge):
+            marginal_distribution(prog, proj)
+
 
 class TestAllPathsTogether:
     def test_pairwise_agreement(self):
@@ -468,12 +495,7 @@ class TestMarginalSampler:
             )
             proj = diagonal_projector(small_mask(rng, l, 3))
             sampler = MarginalSampler(prog, proj, Random(1))
-            dim = len(proj.Kstar_basis)
-            for pick in range(1 << dim):
-                shift = 0
-                for j in range(dim):
-                    if (pick >> j) & 1:
-                        shift ^= proj.Kstar_basis[j].bits
+            for shift in marginals._span([k.bits for k in proj.Kstar_basis]):
                 cond = sampler.conditional(shift)
                 assert cond.min() >= -1e-12
                 assert abs(cond.sum() - 1.0) < 1e-9
@@ -487,15 +509,8 @@ class TestMarginalSampler:
             )
             proj = diagonal_projector(small_mask(rng, l, 2))
             sampler = MarginalSampler(prog, proj, Random(2))
-            dim = len(proj.Kstar_basis)
-            total = np.zeros(1 << proj.range_dim)
-            for pick in range(1 << dim):
-                shift = 0
-                for j in range(dim):
-                    if (pick >> j) & 1:
-                        shift ^= proj.Kstar_basis[j].bits
-                total += sampler.conditional(shift)
-            total /= 1 << dim
+            shifts = marginals._span([k.bits for k in proj.Kstar_basis])
+            total = sum(sampler.conditional(shift) for shift in shifts) / len(shifts)
             want = marginal_distribution(prog, proj).as_array()
             assert np.abs(total - want).max() < 1e-9
 
@@ -512,17 +527,13 @@ class TestMarginalSampler:
                 assert proj.vector_to_coords(base) == BitVector.unit(q, i)
             prog = XProgram(random_matrix(rng, rng.randint(0, 8), l), angles[trial % 3])
             sampler = MarginalSampler(prog, proj, Random(5))
-            dim = len(proj.Kstar_basis)
+            shifts = marginals._span([k.bits for k in proj.Kstar_basis])
             total = np.zeros(1 << q)
-            for pick in range(1 << dim):
-                shift = 0
-                for j in range(dim):
-                    if (pick >> j) & 1:
-                        shift ^= proj.Kstar_basis[j].bits
+            for shift in shifts:
                 cond = sampler.conditional(shift)
                 assert abs(cond.sum() - 1.0) < 1e-9
                 total += cond
-            total /= 1 << dim
+            total /= len(shifts)
             want = marginal_distribution(prog, proj).as_array()
             assert np.abs(total - want).max() < 1e-9
 
@@ -580,3 +591,41 @@ class TestMarginalSampler:
         proj = make_projector(BinaryMatrix.identity(6))
         with pytest.raises(RangeTooLarge):
             MarginalSampler(prog, proj, Random(0), range_limit=4)
+
+    def test_shared_input_checks(self):
+        # the width check comes before the range check, in both entry points
+        rng = Random(109)
+        prog = XProgram(random_matrix(rng, 3, 6), Angle.exact(1, 8))
+        wide = make_projector(BinaryMatrix.identity(7))
+        for build in (MarginalSampler, marginal_distribution):
+            with pytest.raises(DimensionMismatch):
+                build(prog, wide, range_limit=4)
+
+    def test_conditional_is_not_cached(self):
+        rng = Random(110)
+        prog = XProgram(random_matrix(rng, 6, 6), Angle.radians(0.8))
+        proj = diagonal_projector(BitVector.from_string("110000"))
+        sampler = MarginalSampler(prog, proj, Random(8))
+        for k in proj.Kstar_basis:
+            sampler.conditional(k)
+        assert sampler._cdfs == {}
+        sampler.sample()
+        assert len(sampler._cdfs) == 1
+
+    def test_memory_is_bounded(self):
+        # every draw at q = 14 on 40 bits takes a fresh shift out of 2^26;
+        # the sampler keeps (1 << 20) >> 14 = 64 CDFs of 128 KB, 8 MB in all
+        rng = Random(111)
+        prog = XProgram(random_matrix(rng, 40, 40), Angle.exact(1, 16))
+        keep = rng.sample(range(40), 14)
+        proj = diagonal_projector(BitVector(40, sum(1 << (39 - b) for b in keep)))
+        tracemalloc.start()
+        try:
+            sampler = MarginalSampler(prog, proj, Random(12))
+            for _ in range(600):
+                sampler.sample()
+            current, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert current < 16 << 20
+        assert len(sampler._cdfs) == 64

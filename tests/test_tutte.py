@@ -8,7 +8,7 @@ import pytest
 
 from iqpsim import codes, gf2, oracle
 from iqpsim.codes import Angle
-from iqpsim.errors import BudgetExceeded, TooManyRows
+from iqpsim.errors import BudgetExceeded, NumericalInconsistency, TooManyRows
 from iqpsim.gf2 import BinaryMatrix
 from iqpsim.tutte import (
     TuttePolynomial,
@@ -157,6 +157,20 @@ class TestTutteEval:
         m = random_matrix(rng, 26, 4)
         got = tutte_eval(m, 2.0, 2.0)
         assert got == pytest.approx(2.0**26, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "rows", [["10", "01", "11"], ["00", "00", "10"], ["00"] * 4 + ["10"]]
+    )
+    def test_non_finite_values_raise(self, rows):
+        # (1e200, 1e200) overflows to inf+nanj or nan+nanj; exact ints are
+        # not checked, as complex() of a huge int overflows
+        m = BinaryMatrix.from_strings(rows)
+        with pytest.raises(NumericalInconsistency):
+            tutte_eval(m, complex(1e200), complex(1e200))
+        with pytest.raises(NumericalInconsistency):
+            tutte_eval(m, 1e200, 1e200)
+        exact = tutte_eval(m, 10**200, 10**200)
+        assert exact == tutte_subset_sum(m).evaluate(10**200, 10**200) > 0
 
     def test_memo_budget(self):
         rng = Random(45)

@@ -1,0 +1,258 @@
+"""Run a seeded corpus of iqpsim command lines and print one digest per line.
+
+    python3 tools/cli_corpus.py --src src > new.txt
+    python3 tools/cli_corpus.py --src /path/to/other/checkout/src > old.txt
+    diff old.txt new.txt
+
+Every line of output is the sha256 of one call's exit code, stdout and
+stderr, then the call's command line. Two checkouts give the same lines
+exactly when every call gives byte-identical results, so the diff is an
+output check for changes that should not change any result.
+
+The corpus depends on --seed only. It covers every subcommand on random
+programs (n <= 14, l <= 12, dense, weight-<=2, column-sparse and low-rank
+rows), a few tall ones up to 2000 x 64, both --output values, masks and
+conjugated --projector files, multiples of pi/8 and raw angles, seeded
+sample draws, and the error cases of the command-line tests. The inputs
+are generated here without importing iqpsim and written to a temporary
+directory, which is the working directory of every call and is removed
+at the end, so file names in messages are the same on every run. Calls
+run in-process through iqpsim.cli.main, imported from --src.
+"""
+
+import argparse
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from random import Random
+
+PI8 = [f"{k}/8" for k in range(-1, 17)] + ["0", "1", "1/4", "1/2", "3/4", "3/2", "7/4"]
+OTHER = ["rad:0.7", "rad:1.1", "rad:0.3", "rad:2.5", "rad:-0.4", "rad:0", "1/5", "1/16",
+         "3/16", "2/3"]
+POINTS = [("2", "3"), ("1", "1"), ("-1", "-1"), ("0.5", "1.5"), ("0", "-1"), ("0.3", "-0.7"),
+          ("2", "2"), ("-1", "2")]
+
+
+def bits(rng: Random, l: int) -> str:
+    return format(rng.getrandbits(l), f"0{l}b") if l else ""
+
+
+def matrix_rows(rng: Random, n: int, l: int, kind: str) -> list[int]:
+    """Packed rows: dense, weight <= 2, column weights <= 3, or low rank
+    with zero and repeated rows."""
+    if kind == "dense":
+        return [rng.getrandbits(l) for _ in range(n)]
+    if kind == "pairs":
+        return [sum(1 << b for b in rng.sample(range(l), rng.randint(1, min(2, l))))
+                for _ in range(n)]
+    if kind == "colsparse":
+        rows = [0] * n
+        for j in range(l):
+            for i in rng.sample(range(n), rng.randint(0, min(3, n))):
+                rows[i] |= 1 << j
+        return rows
+    gens = [rng.getrandbits(l) for _ in range(rng.randint(1, 3))]
+    rows = []
+    for _ in range(n):
+        if rows and rng.random() < 0.25:
+            rows.append(rng.choice(rows))
+        else:
+            rows.append(_xor(g for g in gens if rng.getrandbits(1)))
+    return rows
+
+
+def _xor(values) -> int:
+    out = 0
+    for v in values:
+        out ^= v
+    return out
+
+
+def projector_rows(rng: Random, l: int) -> list[int]:
+    """A coordinate projector conjugated by random transvections T = I + E_ij,
+    each its own inverse: T M T adds row j to row i, then column i to column j."""
+    keep = set(rng.sample(range(l), rng.randint(0, min(l, 5))))
+    rows = [1 << (l - 1 - i) if i in keep else 0 for i in range(l)]
+    for _ in range(3 * l if l > 1 else 0):
+        i, j = rng.sample(range(l), 2)
+        rows[i] ^= rows[j]
+        bi, bj = 1 << (l - 1 - i), 1 << (l - 1 - j)
+        rows = [r ^ bj if r & bi else r for r in rows]
+    return rows
+
+
+def write_matrix(path: str, n: int, l: int, rows: list[int]) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(f"{n} {l}\n" + "".join(format(r, f"0{l}b") + "\n" for r in rows))
+
+
+def small_program_calls(rng: Random, name: str, n: int, l: int, proj: str | None):
+    """Command lines for one small program, each with a random --output."""
+    calls = [["wenum", name], ["tutte", name], ["clifford", name]]
+    for x, y in rng.sample(POINTS, 2):
+        calls.append(["tutte", name, "--at", x, y])
+    angles = [rng.choice(PI8), rng.choice(PI8), rng.choice(OTHER)]
+    for theta in angles:
+        # argparse reads a separate "-1/8" as an option
+        t = [f"--theta={theta}"] if theta.startswith("-") else ["--theta", theta]
+        calls += [
+            ["alpha", name, *t],
+            ["amplitude", name, *t, "--x", bits(rng, l)],
+            ["prob", name, *t, "--x", bits(rng, l)],
+            ["beta", name, *t, "--s", bits(rng, l)],
+            ["dist", name, *t],
+            ["marginal", name, *t, "--mask", bits(rng, l)],
+            ["marginal", name, *t, "--mask", bits(rng, l), "--path",
+             rng.choice(["generic", "pi8", "sparse", "graphic"])],
+            ["sample", name, *t, "--mask", bits(rng, l), "--samples",
+             str(rng.randint(0, 40)), "--seed", str(rng.randint(0, 99))],
+            ["reduce", name, *t],
+        ]
+        if proj is not None:
+            calls += [
+                ["marginal", name, *t, "--projector", proj],
+                ["sample", name, *t, "--projector", proj, "--samples", "25",
+                 "--seed", str(rng.randint(0, 99))],
+            ]
+    if l <= 10:
+        calls.append(["verify", name, "--theta", rng.choice(angles[::2])])
+    for call in calls:
+        call += ["--output", rng.choice(["json", "tsv"])]
+        if rng.random() < 0.1:
+            call.append("--dump")
+    return calls
+
+
+def tall_program_calls(rng: Random, name: str, l: int, low_rank: bool):
+    """Calls that answer in polynomial time on tall programs."""
+    calls = [["clifford", name], ["dist", name, "--theta", "1/4"], ["verify", name]]
+    if low_rank:
+        calls += [["wenum", name], ["tutte", name, "--at", "2", "3"],
+                  ["tutte", name, "--at", "-1", "-1"]]
+    for theta in ("1/4", "1/8", "3/4", "1/2", "5/4"):
+        t = ["--theta", theta]
+        calls += [
+            ["alpha", name, *t],
+            ["prob", name, *t, "--x", bits(rng, l)],
+            ["amplitude", name, *t, "--x", bits(rng, l)],
+            ["beta", name, *t, "--s", bits(rng, l)],
+            ["marginal", name, *t, "--mask", "1" * 3 + "0" * (l - 3)],
+            ["sample", name, *t, "--mask", "0" * (l - 4) + "1" * 4, "--samples", "20"],
+        ]
+    for call in calls:
+        call += ["--output", rng.choice(["json", "tsv"])]
+    return calls
+
+
+def error_calls(names: dict[str, str]):
+    """The error cases of the command-line tests, exit codes 0, 2, 3 and 4."""
+    m, pex = names["m"], names["pex"]
+    calls = [
+        ["wenum", "missing.txt"],
+        ["wenum", names["bad_char"]],
+        ["alpha", pex, "--theta", "0.25"],
+        ["amplitude", pex, "--theta", "1/8", "--x", "01"],
+        ["dist", names["wide17"], "--theta", "1/4"],
+        ["verify", names["wide11"]],
+        ["tutte", m, "--at", "nan", "1"],
+        ["sample", m, "--theta", "1/8", "--mask", "10", "--samples", "-3"],
+        ["sample", m, "--theta", "1/8", "--mask", "10", "--samples", "0"],
+        ["sample", m, "--theta", "1/8", "--mask", "10", "--samples", "abc"],
+        ["dist", m, "--theta", "1/4", "--output", "xml"],
+        ["dist", m],
+        ["dist"],
+        [],
+        ["bogus", m],
+        ["wenum", m, "--extra"],
+        ["--help"],
+        ["dist", "--help"],
+        ["marginal", pex, "--theta", "1/8"],
+        ["marginal", pex, "--theta", "1/5", "--mask", "0101", "--path", "pi8"],
+        ["marginal", pex, "--theta", "1/8", "--projector", names["not_idempotent"]],
+        ["marginal", pex, "--theta", "1/8", "--projector", names["not_square"]],
+        ["reduce", pex, "--theta", "rad:0.5"],
+        ["marginal", names["star"], "--theta", "rad:0.7", "--mask", "11" + "0" * 38],
+        ["marginal", names["star"], "--theta", "rad:0.7", "--mask", "11" + "0" * 38,
+         "--path", "generic"],
+    ]
+    for rows in ("m", "zeros2", "zeros4"):
+        calls.append(["tutte", names[rows], "--at", "1e200", "1e200"])
+    return calls
+
+
+def build_corpus(rng: Random, workdir: str) -> list[list[str]]:
+    def put(name: str, n: int, l: int, rows: list[int]) -> str:
+        write_matrix(os.path.join(workdir, name), n, l, rows)
+        return name
+
+    names = {
+        "m": put("m.txt", 3, 2, [0b10, 0b01, 0b11]),
+        "pex": put("pex.txt", 6, 4, [0b1101, 0b0110, 0, 0b0101, 0b1011, 0b0101]),
+        "wide17": put("wide17.txt", 1, 17, [0]),
+        "wide11": put("wide11.txt", 2, 11, [0, 0]),
+        "zeros2": put("zeros2.txt", 3, 2, [0, 0, 0b10]),
+        "zeros4": put("zeros4.txt", 5, 2, [0, 0, 0, 0, 0b10]),
+        "not_idempotent": put("swap.txt", 4, 4, [0b0100, 0b1000, 0b0010, 0b0001]),
+        "not_square": put("rect.txt", 3, 4, [0b1000, 0b0100, 0b0010]),
+        "star": put("star.txt", 34, 40, [1 << 39 | 1 << (38 - i) for i in range(34)]),
+    }
+    with open(os.path.join(workdir, "bad.txt"), "w", encoding="utf-8") as handle:
+        handle.write("1 4\n10x1\n")
+    names["bad_char"] = "bad.txt"
+    calls = error_calls(names)
+    for i in range(150):
+        n, l = rng.randint(0, 14), rng.randint(1, 12)
+        kind = rng.choice(["dense", "dense", "pairs", "colsparse", "lowrank"])
+        name = put(f"p{i}.txt", n, l, matrix_rows(rng, n, l, kind))
+        proj = None
+        if rng.random() < 0.5:
+            proj = put(f"q{i}.txt", l, l, projector_rows(rng, l))
+        calls += small_program_calls(rng, name, n, l, proj)
+    for i, (n, l, kind) in enumerate(
+        [(2000, 64, "dense"), (500, 14, "colsparse"), (300, 8, "lowrank"),
+         (2000, 4, "lowrank"), (1000, 32, "pairs")]
+    ):
+        name = put(f"tall{i}.txt", n, l, matrix_rows(rng, n, l, kind))
+        calls += tall_program_calls(rng, name, l, kind == "lowrank")
+    return calls
+
+
+def run(main, argv: list[str]) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help
+            code = exc.code
+    record = json.dumps([code, out.getvalue(), err.getvalue()])
+    return hashlib.sha256(record.encode()).hexdigest()
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", required=True, help="directory holding the iqpsim package")
+    parser.add_argument("--seed", type=int, default=1, help="corpus seed")
+    args = parser.parse_args()
+    sys.path.insert(0, os.path.abspath(args.src))
+    os.environ["COLUMNS"] = "80"  # argparse wraps --help text to the terminal
+    from iqpsim.cli import main as cli_main
+
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as workdir:
+        calls = build_corpus(Random(args.seed), workdir)
+        os.chdir(workdir)
+        try:
+            for argv in calls:
+                print(run(cli_main, argv), " ".join(argv))
+        finally:
+            os.chdir(home)
+    print(f"{len(calls)} command lines", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
