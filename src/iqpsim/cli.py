@@ -373,69 +373,46 @@ def _cmd_verify(args, prog: XProgram) -> None:
     """Prints one line per check instead of a report."""
     M, theta = prog.P, prog.theta
     sv = oracle.statevector(prog)
+    outcomes = [BitVector(M.l, ix) for ix in range(1 << M.l)]
     failures: list[str] = []
 
-    def report(name: str, worst: float, bound: float) -> None:
+    def check(name: str, errors, bound: float) -> None:
+        worst = max([0.0, *errors])  # folded up from 0.0, as max(worst, error)
         ok = worst <= bound
         print(f"check {name}: {'ok' if ok else 'FAILED'} (max error {worst:.3g})")
         if not ok:
             failures.append(name)
 
-    worst = 0.0
-    for ix in range(1 << M.l):
-        x = BitVector(M.l, ix)
-        worst = max(worst, abs(xprogram.amplitude(prog, x) - sv.amplitude(x)))
-    report("amplitudes vs oracle", worst, 1e-9)
-
-    worst = 0.0
-    for ix in range(1 << M.l):
-        s = BitVector(M.l, ix)
-        worst = max(worst, abs(xprogram.beta(prog, s) - sv.beta(s)))
-    report("correlations vs oracle", worst, 1e-9)
+    errors = (abs(xprogram.amplitude(prog, x) - sv.amplitude(x)) for x in outcomes)
+    check("amplitudes vs oracle", errors, 1e-9)
+    errors = (abs(xprogram.beta(prog, s) - sv.beta(s)) for s in outcomes)
+    check("correlations vs oracle", errors, 1e-9)
 
     dist = xprogram.full_distribution(prog)
-    dense = sv.probabilities()
-    worst = float(
-        max(abs(dist.probability(ix) - float(dense[ix])) for ix in range(1 << M.l))
-    )
-    report("distribution vs oracle", worst, 1e-9)
+    check("distribution vs oracle", abs(dist.as_array() - sv.probabilities()), 1e-9)
 
     a_code = codes.alpha(M, theta)
     a_tutte = tutte.greene_alpha(M, theta)
-    worst = abs(a_code - a_tutte) / max(1.0, abs(a_code))
-    report("alpha via tutte identity", worst, 1e-8)
+    check("alpha via tutte identity", [abs(a_code - a_tutte) / max(1.0, abs(a_code))], 1e-8)
 
     profile = codes.weight_enumerator(M)
     direct = [0] * (M.n + 1)
-    for v in range(1 << M.l):
-        word = gf2.mat_vec(M, BitVector(M.l, v))
-        direct[word.weight()] += 1
+    for x in outcomes:
+        direct[gf2.mat_vec(M, x).weight()] += 1
     scale = (1 << M.l) >> profile.rank
-    worst = 0.0 if tuple(c * scale for c in profile.weights) == tuple(direct) else 1.0
-    report("weight enumerator vs direct count", worst, 0.0)
+    same = [c * scale for c in profile.weights] == direct
+    check("weight enumerator vs direct count", [0.0 if same else 1.0], 0.0)
 
-    quarter = XProgram(M, Angle.exact(1, 4))
-    sv4 = oracle.statevector(quarter)
+    sv4 = oracle.statevector(XProgram(M, Angle.exact(1, 4)))
     support = clifford.clifford_support(M)
-    worst = 0.0
-    for ix in range(1 << M.l):
-        x = BitVector(M.l, ix)
-        exact_p = 2.0**-support.dim if support.contains(x) else 0.0
-        worst = max(worst, abs(exact_p - abs(sv4.amplitude(x)) ** 2))
-    report("clifford distribution vs oracle", worst, 1e-12)
+    exact = [2.0**-support.dim if support.contains(x) else 0.0 for x in outcomes]
+    errors = (abs(p - abs(sv4.amplitude(x)) ** 2) for p, x in zip(exact, outcomes))
+    check("clifford distribution vs oracle", errors, 1e-12)
 
-    kept = min(2, M.l)
-    mask = BitVector.from_string("1" * kept + "0" * (M.l - kept)) if M.l else BitVector(0, 0)
-    proj = marginals.diagonal_projector(mask)
+    proj = marginals.diagonal_projector(BitVector.from_string("11"[: M.l].ljust(M.l, "0")))
     got = marginals.marginal_distribution(prog, proj)
     want = sv.marginal(proj)
-    worst = float(
-        max(
-            abs(got.probability(ix) - want.probability(ix))
-            for ix in range(1 << proj.range_dim)
-        )
-    )
-    report("marginal vs oracle", worst, 1e-9)
+    check("marginal vs oracle", abs(got.as_array() - want.as_array()), 1e-9)
 
     if failures:
         print(f"{len(failures)} of 7 checks failed")

@@ -229,14 +229,6 @@ def _row_tags(n: int) -> list[int]:
     return [1 << (n - 1 - i) for i in range(n)]
 
 
-def _tag_on_basis(tag: int, n: int, basis_rows: tuple[int, ...]) -> int:
-    # a tag over all n input rows, read on the basis rows only
-    bits = 0
-    for i in basis_rows:
-        bits = (bits << 1) | ((tag >> (n - 1 - i)) & 1)
-    return bits
-
-
 @dataclass(frozen=True)
 class EchelonForm:
     """Gaussian elimination of a matrix's rows against its own first
@@ -271,7 +263,8 @@ class EchelonForm:
         _eliminate([x.bits << n], dict(self._pivots), n, residue)
         if residue[0] >> n:
             raise ValueError("vector is outside the row space")
-        return BitVector(self.rank, _tag_on_basis(residue[0], n, self.basis_rows))
+        basis_tags = [1 << (n - 1 - i) for i in self.basis_rows]
+        return BitVector(self.rank, _parities(residue[0], basis_tags))
 
     def dual_map(self, s: BitVector) -> BitVector:
         """Image of a functional s under restriction to the basis rows."""
@@ -296,7 +289,8 @@ def echelon_reduce(M: BinaryMatrix) -> EchelonForm:
     # a basis row is its own tag; a dependent row leaves a tag holding its
     # own bit plus those of the basis rows that sum to it
     combos = (t if w >> n else w ^ t for w, t in zip(residues, tags))
-    reduced = BinaryMatrix(n, r, tuple(_tag_on_basis(c, n, basis_rows) for c in combos))
+    basis_tags = [tags[i] for i in basis_rows]
+    reduced = BinaryMatrix(n, r, tuple(_parities(c, basis_tags) for c in combos))
     col_map = BinaryMatrix(r, M.l, tuple(M.bits[i] for i in basis_rows))
     return EchelonForm(reduced, basis_rows, col_map, tuple(pivots.items()))
 
@@ -338,6 +332,14 @@ def _combine(rows: Sequence[int], bits: int) -> int:
     return acc
 
 
+def _parities(v: int, masks: Sequence[int]) -> int:
+    """Parities of v against each mask, packed with masks[0] at the top bit."""
+    bits = 0
+    for m in masks:
+        bits = (bits << 1) | ((v & m).bit_count() & 1)
+    return bits
+
+
 def mat_mul(A: BinaryMatrix, B: BinaryMatrix) -> BinaryMatrix:
     """GF(2) matrix product A * B."""
     if A.l != B.n:
@@ -349,10 +351,7 @@ def mat_vec(A: BinaryMatrix, v: BitVector) -> BitVector:
     """GF(2) matrix-vector product A * v."""
     if v.n != A.l:
         raise DimensionMismatch(f"cannot apply {A.n}x{A.l} to a length-{v.n} vector")
-    bits = 0
-    for row in A.bits:
-        bits = (bits << 1) | ((row & v.bits).bit_count() & 1)
-    return BitVector(A.n, bits)
+    return BitVector(A.n, _parities(v.bits, A.bits))
 
 
 def transpose(M: BinaryMatrix) -> BinaryMatrix:

@@ -27,6 +27,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from random import Random
+from typing import Sequence
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from .errors import (
     SupportTooLarge,
 )
 from .gf2 import BinaryMatrix, BitVector
-from .xprogram import PROBABILITY_TOLERANCE, Distribution, XProgram, walsh_hadamard
+from .xprogram import Distribution, XProgram, walsh_hadamard
 
 __all__ = [
     "Projector",
@@ -87,6 +88,7 @@ class Projector:
     range_dim: int
     support_bits: int
     _dual_basis: tuple[int, ...] = field(repr=False, compare=False)
+    _range_basis: tuple[int, ...] = field(repr=False, compare=False)
 
     @property
     def l(self) -> int:
@@ -99,18 +101,15 @@ class Projector:
         return BitVector(self.range_dim, self._coord_bits(x.bits))
 
     def _coord_bits(self, bits: int) -> int:
-        coords = 0
-        for dual in self._dual_basis:
-            coords = (coords << 1) | ((bits & dual).bit_count() & 1)
-        return coords
+        return gf2._parities(bits, self._dual_basis)
 
     def range_vectors(self) -> list[int]:
         """Every vector of R packed as an int, indexed by its coordinates."""
-        return _span([base.bits for base in self.R_basis])
+        return _span(self._range_basis)
 
     def coords_to_vector(self, w) -> BitVector:
         bits = (w.bits if isinstance(w, BitVector) else int(w)) & ((1 << self.range_dim) - 1)
-        return BitVector(self.l, gf2._combine([b.bits for b in self.R_basis], bits))
+        return BitVector(self.l, gf2._combine(self._range_basis, bits))
 
     def apply(self, x: BitVector) -> BitVector:
         return gf2.mat_vec(self.matrix, x)
@@ -144,6 +143,7 @@ def make_projector(M: BinaryMatrix) -> Projector:
         range_dim=len(R),
         support_bits=support,
         _dual_basis=dual,
+        _range_basis=tuple(R),
     )
 
 
@@ -154,7 +154,7 @@ def diagonal_projector(mask: BitVector) -> Projector:
     return make_projector(BinaryMatrix(l, l, rows))
 
 
-def _span(basis: list[int]) -> list[int]:
+def _span(basis: Sequence[int]) -> list[int]:
     """Every combination of the packed basis; bit k of an index picks
     basis[-1 - k], so the first vector is the top bit."""
     span = [0]
@@ -171,7 +171,7 @@ def _range_transform(proj: Projector, beta_at) -> Distribution:
     the standard transform over v produces
     P[x] = 2^-q sum_v (-1)^(x.v) beta(s_v).
     """
-    span = _span(list(proj._dual_basis))
+    span = _span(proj._dual_basis)
     values = np.array([beta_at(BitVector(proj.l, s)) for s in span], dtype=float)
     walsh_hadamard(values)
     values /= len(span)
@@ -317,29 +317,26 @@ def marginal_sparse(
     return marginal_distribution(prog, proj, range_limit=range_limit)
 
 
-def _graphic_beta(rows: tuple[int, ...], l: int, s: BitVector, phi: float) -> float:
+def _graphic_beta(P: BinaryMatrix, s: BitVector, phi: float) -> float:
     """Closed-form correlation when every row has weight at most two.
 
     Rows odd against s each contain exactly one hub bit (a set bit of s)
-    plus at most one partner bit. Fixing the hub parities, partner bits
-    integrate to cosines and bare hubs to a pure phase; the average over
-    hub assignments is the coefficient.
+    plus at most one partner bit outside s. Fixing the hub parities,
+    partner bits integrate to cosines and bare hubs to a pure phase; the
+    average over hub assignments is the coefficient.
     """
-    hubs = [b for b in range(l) if s.get(b)]
-    hub_mask = s.bits
+    # hub i is the i-th set bit of s from the top, signed by bit i of an assignment
+    hubs = [1 << b for b in reversed(range(s.n)) if s.bits >> b & 1]
+    slot = {h: i for i, h in enumerate(hubs)}
     bare = [0] * len(hubs)
     partner: dict[int, list[int]] = {}
-    for bits in rows:
-        if (bin(bits & hub_mask).count("1")) & 1 == 0:
-            continue
-        hub_index = next(
-            i for i, h in enumerate(hubs) if (bits >> (l - 1 - h)) & 1
-        )
-        rest = bits & ~(1 << (l - 1 - hubs[hub_index]))
+    for row in codes.affinify(P, s).bits:
+        i = slot[row & s.bits]
+        rest = row & ~s.bits
         if rest == 0:
-            bare[hub_index] += 1
+            bare[i] += 1
         else:
-            partner.setdefault(rest, [0] * len(hubs))[hub_index] += 1
+            partner.setdefault(rest, [0] * len(hubs))[i] += 1
     total = 0j
     for assignment in range(1 << len(hubs)):
         signs = [1 - 2 * ((assignment >> i) & 1) for i in range(len(hubs))]
@@ -375,7 +372,7 @@ def marginal_graphic(
     def beta_at(s: BitVector) -> float:
         if s.is_zero():
             return 1.0
-        return _graphic_beta(prog.P.bits, prog.l, s, phi)
+        return _graphic_beta(prog.P, s, phi)
 
     return _range_transform(proj, beta_at)
 
@@ -418,9 +415,7 @@ class MarginalSampler:
         probs = xprogram._sweep_probabilities(
             self._keys, signs, self.proj.range_dim, self.prog.theta
         )
-        total = float(probs.sum())
-        if abs(total - 1.0) > PROBABILITY_TOLERANCE:
-            raise NumericalInconsistency(f"conditional sums to {total}")
+        xprogram._check_total(float(probs.sum()), "conditional sums to")
         return probs
 
     def sample(self) -> BitVector:

@@ -118,17 +118,10 @@ def tutte_subset_sum(
 
 
 def _canonical_key(rows: list[int]) -> tuple:
-    # coordinates of every row in the canonical basis of their own span;
-    # equal keys mean linearly isomorphic row multisets
+    # coordinates of every row in the canonical basis of their own span, read
+    # at the basis's leading bits; equal keys mean linearly isomorphic multisets
     masks = [1 << (v.bit_length() - 1) for v in gf2._rref(rows)]
-    coords = []
-    for v in rows:
-        c = 0
-        for m in masks:
-            c = (c << 1) | ((v & m) != 0)
-        coords.append(c)
-    coords.sort()
-    return (len(masks), tuple(coords))
+    return (len(masks), tuple(sorted(gf2._parities(v, masks) for v in rows)))
 
 
 def tutte_eval(

@@ -64,12 +64,18 @@ class XProgram:
         return self.P.l
 
 
+def _check_total(total: float, what: str) -> None:
+    # written so that a NaN total fails too
+    if not abs(total - 1.0) <= PROBABILITY_TOLERANCE:
+        raise NumericalInconsistency(f"{what} {total}")
+
+
 class Distribution:
     """Probability vector over l-bit strings, indexed by packed value.
 
     Entries in [-PROBABILITY_TOLERANCE, 0) are clamped to zero and the
     largest clamped magnitude is kept in clamp_drift; anything more
-    negative, or a total off 1 by more than PROBABILITY_TOLERANCE, raises.
+    negative, or a total not within PROBABILITY_TOLERANCE of 1, raises.
     The vector is stored as observed, never renormalized.
     """
 
@@ -85,8 +91,7 @@ class Distribution:
         self.clamp_drift = max(0.0, -lowest)
         arr[arr < 0.0] = 0.0
         total = float(arr.sum())
-        if abs(total - 1.0) > PROBABILITY_TOLERANCE:
-            raise NumericalInconsistency(f"probabilities sum to {total}")
+        _check_total(total, "probabilities sum to")
         self.sum_drift = total - 1.0
         self.domain_bits = domain_bits
         arr.flags.writeable = False

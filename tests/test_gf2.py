@@ -290,6 +290,27 @@ class TestProducts:
                     want ^= row
             assert gf2._combine(rows, bits) == want
 
+    def test_parities_read_masks_from_the_top_bit(self):
+        # empty mask lists, single-bit masks, widths above 64 and masks
+        # wider than v, against a bit-by-bit loop
+        rng = Random(18)
+        for trial in range(300):
+            width = rng.randint(0, 140)
+            v = rng.getrandbits(width)
+            count = rng.randint(0, 12)
+            if trial % 3:
+                masks = [rng.getrandbits(rng.randint(0, 150)) for _ in range(count)]
+            else:
+                masks = [1 << rng.randrange(150) for _ in range(count)]
+            want = 0
+            for m in masks:
+                parity = 0
+                for b in range(max(width, m.bit_length())):
+                    parity ^= (v >> b) & (m >> b) & 1
+                want = (want << 1) | parity
+            assert gf2._parities(v, masks) == want
+        assert gf2._parities(rng.getrandbits(70), []) == 0
+
     def test_dimension_mismatch(self, pex):
         with pytest.raises(DimensionMismatch):
             gf2.mat_vec(pex, BitVector(3))

@@ -6,12 +6,13 @@ from random import Random
 import numpy as np
 import pytest
 
-from iqpsim import gf2, marginals, oracle
+from iqpsim import gf2, marginals, oracle, xprogram
 from iqpsim.codes import Angle
 from iqpsim.errors import (
     ColumnBoundViolated,
     DimensionMismatch,
     NotIdempotent,
+    NumericalInconsistency,
     RangeTooLarge,
     RankTooLarge,
     RowWeightViolated,
@@ -139,9 +140,10 @@ class TestMakeProjector:
                     assert proj.apply(BitVector.unit(l, i)).is_zero()
 
     def test_coords_round_trip(self):
+        # conjugated projectors up to 80 bits wide after the first 40
         rng = Random(83)
-        for _ in range(40):
-            l = rng.randint(1, 8)
+        for case in range(50):
+            l = rng.randint(1, 8) if case < 40 else rng.randint(9, 80)
             proj = random_projector(rng, l)
             for trial in range(10):
                 x = BitVector(l, rng.getrandbits(l))
@@ -151,9 +153,11 @@ class TestMakeProjector:
 
     def test_range_vectors_indexed_by_coords(self):
         rng = Random(85)
-        for _ in range(40):
-            l = rng.randint(0, 8)
-            proj = random_projector(rng, l)
+        for case in range(50):
+            if case < 40:
+                proj = random_projector(rng, rng.randint(0, 8))
+            else:
+                proj = random_projector(rng, rng.randint(9, 80), max_range=10)
             vectors = proj.range_vectors()
             assert len(vectors) == 1 << proj.range_dim
             for ix, bits in enumerate(vectors):
@@ -415,11 +419,26 @@ class TestMarginalGraphic:
 
     def test_matches_generic(self):
         rng = Random(97)
+        angles = [Angle.exact(1, 8), Angle.exact(1, 5), Angle.radians(0.8)]
+        cases = []
         for _ in range(25):
             l = rng.randint(2, 8)
             m = self.graph_matrix(rng, l, rng.randint(1, 12))
-            theta = rng.choice([Angle.exact(1, 8), Angle.exact(1, 5), Angle.radians(0.8)])
-            proj = diagonal_projector(small_mask(rng, l, 2))
+            theta = rng.choice(angles)
+            cases.append((m, theta, small_mask(rng, l, 2)))
+        for _ in range(20):
+            # both hubs of a two-bit mask meet the same partners, once or
+            # twice each, beside bare hubs and the even hub-hub edge
+            l = rng.randint(3, 10)
+            u, v, *partners = [1 << i for i in rng.sample(range(l), l)]
+            shared = partners[: rng.randint(1, len(partners))]
+            rows = [h | p for p in shared for h in (u, v) for _ in range(rng.randint(1, 2))]
+            rows += rng.sample([u, v, u | v, u, v], rng.randint(0, 5))
+            rng.shuffle(rows)
+            m = BinaryMatrix(len(rows), l, tuple(rows))
+            cases.append((m, rng.choice(angles), BitVector(l, u | v)))
+        for m, theta, mask in cases:
+            proj = diagonal_projector(mask)
             a = marginal_graphic(XProgram(m, theta), proj).as_array()
             b = marginal_distribution(XProgram(m, theta), proj).as_array()
             assert np.abs(a - b).max() < 1e-9
@@ -600,6 +619,17 @@ class TestMarginalSampler:
         for build in (MarginalSampler, marginal_distribution):
             with pytest.raises(DimensionMismatch):
                 build(prog, wide, range_limit=4)
+
+    def test_conditional_rejects_nan(self, monkeypatch):
+        rng = Random(111)
+        prog = XProgram(random_matrix(rng, 6, 6), Angle.radians(0.8))
+        proj = diagonal_projector(BitVector.from_string("110000"))
+        sampler = MarginalSampler(prog, proj, Random(8))
+        monkeypatch.setattr(
+            xprogram, "_sweep_probabilities", lambda *args: np.full(4, np.nan)
+        )
+        with pytest.raises(NumericalInconsistency):
+            sampler.conditional(0)
 
     def test_conditional_is_not_cached(self):
         rng = Random(110)

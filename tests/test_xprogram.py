@@ -67,6 +67,12 @@ class TestDistribution:
         with pytest.raises(NumericalInconsistency):
             Distribution(1, [0.6, 0.6])
 
+    def test_rejects_nan(self):
+        # a NaN total is not within the tolerance of 1
+        for values in ([math.nan, math.nan], [math.nan, 1.0], [1.0, math.nan]):
+            with pytest.raises(NumericalInconsistency):
+                Distribution(1, values)
+
     def test_rejects_wrong_length(self):
         with pytest.raises(DimensionMismatch):
             Distribution(2, [0.5, 0.5])

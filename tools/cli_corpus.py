@@ -17,7 +17,9 @@ sample draws, and the error cases of the command-line tests. The inputs
 are generated here without importing iqpsim and written to a temporary
 directory, which is the working directory of every call and is removed
 at the end, so file names in messages are the same on every run. Calls
-run in-process through iqpsim.cli.main, imported from --src.
+run in-process through iqpsim.cli.main, imported from --src. An exception
+that escapes main is hashed as that call's result, its type and message
+in place of the exit code, so a fault changes only the lines it breaks.
 """
 
 import argparse
@@ -228,6 +230,8 @@ def run(main, argv: list[str]) -> str:
             code = main(argv)
         except SystemExit as exc:  # --help
             code = exc.code
+        except Exception as exc:  # a fault escaping main: hash it, run the next call
+            code = f"{type(exc).__name__}: {exc}"
     record = json.dumps([code, out.getvalue(), err.getvalue()])
     return hashlib.sha256(record.encode()).hexdigest()
 
