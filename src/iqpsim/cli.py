@@ -16,10 +16,14 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator
 from random import Random
+
+import numpy as np
 
 from . import clifford, codes, gf2, marginals, oracle, tutte, xprogram
 from .codes import Angle
@@ -156,24 +160,30 @@ def fmt(x: float):
     return float(f"{float(x):.12g}")
 
 
-def _emit_report(args, payload: dict, tsv_rows: list[tuple] | None = None) -> None:
+def _strict_json(value) -> str:
     # strict JSON: a non-finite value is a numerical failure, reported
     # before anything reaches stdout
     try:
-        if args.output == "json":
-            text = json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
-        else:
-            rows = tsv_rows
-            if rows is None:
-                rows = sorted(
-                    (k, json.dumps(v, sort_keys=True, allow_nan=False))
-                    for k, v in payload.items()
-                )
-            text = "".join("\t".join(str(cell) for cell in row) + "\n" for row in rows)
+        return json.dumps(value, sort_keys=True, allow_nan=False)
     except ValueError as exc:
-        message = f"non-finite value in the report: {exc}"
-        raise NumericalInconsistency(message) from None
-    print(text, end="")
+        raise NumericalInconsistency(f"non-finite value in the report: {exc}") from None
+
+
+def _emit_report(args, payload: dict, tsv_rows: Iterable[tuple] | None = None) -> None:
+    """Prints the report. A payload's "entries", when present, is already
+    JSON text (see _distribution_entries) and goes out at its sorted key."""
+    if args.output == "tsv":
+        rows = tsv_rows
+        if rows is None:
+            rows = sorted((k, _strict_json(v)) for k, v in payload.items())
+        print("".join("\t".join(map(str, row)) + "\n" for row in rows), end="")
+        return
+    entries = payload.get("entries")
+    if entries is None:
+        print(_strict_json(payload))
+        return
+    head, _, tail = _strict_json(payload | {"entries": []}).partition('"entries": []')
+    print(head, '"entries": ', entries, tail, sep="")
 
 
 def _base_payload(args, prog: XProgram) -> dict:
@@ -195,19 +205,47 @@ def _load_projector(args, l: int) -> Projector:
     return marginals.diagonal_projector(mask)
 
 
-def _distribution_payload(
+def _number_texts(values: np.ndarray) -> list[str]:
+    """_strict_json(fmt(v)) for each value, with one '%.12g' per value.
+
+    A decimal of 12 significant digits round-trips through a double, so
+    '%.12g' and repr(fmt(v)) have the same digits. They differ in form
+    only where '%.12g' drops repr's ".0" from a whole number, and where it
+    turns to e-form at 1e12 while repr waits for 1e16. Subnormal and
+    non-finite values, and magnitudes from 1e11 up, take _strict_json
+    itself, which raises on the non-finite ones.
+    """
+    texts = ("%.12g " * len(values) % tuple(values.tolist())).split()
+    size = np.abs(values)
+    odd = ~((size < 1e11) & ((size >= sys.float_info.min) | (size == 0)))
+    for ix in np.flatnonzero(odd).tolist():
+        texts[ix] = _strict_json(fmt(values[ix]))
+    return [t if "." in t or "e" in t else t + ".0" for t in texts]
+
+
+def _bit_labels(bits: int) -> list[str]:
+    """The bits-character 0/1 string of every index below 2^bits, in order."""
+    if bits <= 8:
+        return [format(ix, f"0{bits}b") for ix in range(1 << bits)] if bits else [""]
+    low = _bit_labels(bits // 2)
+    return [high + rest for high in _bit_labels(bits - bits // 2) for rest in low]
+
+
+def _distribution_entries(
     dist: xprogram.Distribution, labels: list[int] | None = None, width: int = 0
-) -> list[dict]:
-    """One entry per outcome; labels[ix], when given, is the packed
-    width-bit vector reported as the outcome's "x"."""
-    bits = dist.domain_bits
-    entries = []
-    for ix, p in enumerate(dist.as_array().tolist()):
-        entry = {"outcome": format(ix, f"0{bits}b") if bits else "", "p": fmt(p)}
-        if labels is not None:
-            entry["x"] = format(labels[ix], f"0{width}b") if width else ""
-        entries.append(entry)
-    return entries
+) -> tuple[str, Iterator[tuple]]:
+    """The report's entries, one per outcome, as JSON text and as TSV rows;
+    labels[ix], when given, is the packed width-bit vector reported as the
+    outcome's "x". The text is what json.dumps(..., sort_keys=True) writes
+    for the entries {"outcome": ..., "p": fmt(p)[, "x": ...]}."""
+    columns = [_bit_labels(dist.domain_bits), _number_texts(dist.as_array())]
+    item = '{"outcome": "%s", "p": %s}'
+    if labels is not None:
+        columns.append([format(v, f"0{width}b") if width else "" for v in labels])
+        item = '{"outcome": "%s", "p": %s, "x": "%s"}'
+    cells = tuple(itertools.chain.from_iterable(zip(*columns)))
+    text = "[" + ", ".join([item] * len(columns[0])) % cells + "]"
+    return text, zip(*columns)
 
 
 # Each reporting handler takes the parsed arguments and the program (whose
@@ -280,13 +318,13 @@ def _cmd_beta(args, prog: XProgram):
 
 def _cmd_dist(args, prog: XProgram):
     dist = xprogram.full_distribution(prog)
-    entries = _distribution_payload(dist)
+    entries, rows = _distribution_entries(dist)
     fields = {
         "domain_bits": dist.domain_bits,
         "entries": entries,
         "sum_drift": fmt(dist.sum_drift),
     }
-    return fields, [(e["outcome"], e["p"]) for e in entries]
+    return fields, rows
 
 
 def _cmd_clifford(args, prog: XProgram):
@@ -335,14 +373,14 @@ def _cmd_marginal(args, prog: XProgram):
         dist = marginals.marginal_sparse(prog, proj, args.sparse_bound)
     else:
         dist = marginals.marginal_distribution(prog, proj)
-    entries = _distribution_payload(dist, proj.range_vectors(), proj.l)
+    entries, rows = _distribution_entries(dist, proj.range_vectors(), proj.l)
     fields = {
         "path": path,
         "range_dim": proj.range_dim,
         "entries": entries,
         "sum_drift": fmt(dist.sum_drift),
     }
-    return fields, [(e["outcome"], e["x"], e["p"]) for e in entries]
+    return fields, ((outcome, x, p) for outcome, p, x in rows)
 
 
 def _cmd_sample(args, prog: XProgram):
@@ -377,7 +415,8 @@ def _cmd_verify(args, prog: XProgram) -> None:
     failures: list[str] = []
 
     def check(name: str, errors, bound: float) -> None:
-        worst = max([0.0, *errors])  # folded up from 0.0, as max(worst, error)
+        # folded up from 0.0; np.max keeps a NaN, where max(0.0, nan) is 0.0
+        worst = float(np.max([0.0, *errors]))
         ok = worst <= bound
         print(f"check {name}: {'ok' if ok else 'FAILED'} (max error {worst:.3g})")
         if not ok:

@@ -2,9 +2,10 @@
 
 One deletion and contraction recursion over parallel classes, memoized on
 canonicalized minors, computes every Tutte value: run on numbers it
-evaluates T at a point, run on the indeterminates x and y it expands the
-polynomial. A Greene identity evaluator turns Tutte values into the alpha
-scalar, and a closed-form product covers star multigraphs.
+evaluates T at a point, and run once on large enough powers of two it
+gives an integer whose digits are the polynomial's coefficients. A
+Greene identity evaluator turns Tutte values into the alpha scalar, and
+a closed-form product covers star multigraphs.
 """
 
 from __future__ import annotations
@@ -106,15 +107,22 @@ def _check_nonnegative(poly: TuttePolynomial) -> TuttePolynomial:
 def tutte_subset_sum(
     P: BinaryMatrix, *, row_limit: int = DEFAULT_ROW_LIMIT
 ) -> TuttePolynomial:
-    """Exact Tutte polynomial: tutte_eval run at the indeterminates x and y.
+    """Exact Tutte polynomial, read off one exact integer tutte_eval.
+
+    Every coefficient is at most the basis count, below 2^n, and every
+    degree is at most n. So at y = 2^(n+1) and x = y^(n+1) the value
+    holds the coefficient of x^i y^j as digit i (n+1) + j in base 2^(n+1).
 
     Raises:
         TooManyRows: when the row count exceeds row_limit.
     """
     if P.n > row_limit:
         raise TooManyRows(f"{P.n} rows exceed the subset-sum limit {row_limit}")
-    x, y = TuttePolynomial({(1, 0): 1}), TuttePolynomial({(0, 1): 1})
-    return _check_nonnegative(tutte_eval(P, x, y))
+    shift = P.n + 1
+    value = tutte_eval(P, 1 << (shift * shift), 1 << shift)
+    mask = (1 << shift) - 1
+    digits = {divmod(k, shift): (value >> (k * shift)) & mask for k in range(shift * shift)}
+    return _check_nonnegative(TuttePolynomial(digits))
 
 
 def _canonical_key(rows: list[int]) -> tuple:
@@ -136,7 +144,7 @@ def tutte_eval(
     The depth is therefore at most the number of distinct rows. Minors
     are memoized under a canonical relabeling so that repeated isomorphic
     minors are evaluated once. Only +, * and ** touch x and y, so the
-    same recursion runs on numbers and on TuttePolynomial values.
+    same recursion runs on ints, floats and complex values alike.
 
     Raises:
         BudgetExceeded: when the memo table outgrows memo_limit.

@@ -1,10 +1,12 @@
 """Command-line surface: parsing, payloads, exit codes, determinism."""
 
 import json
+from random import Random
 
+import numpy as np
 import pytest
 
-from iqpsim import cli, gf2, oracle, tutte
+from iqpsim import cli, gf2, marginals, oracle, tutte, xprogram
 from iqpsim.cli import dump_matrix, main, parse_angle, parse_matrix_text
 from iqpsim.codes import Angle
 from iqpsim.errors import (
@@ -15,7 +17,8 @@ from iqpsim.errors import (
     NumericalInconsistency,
     ParseError,
 )
-from iqpsim.gf2 import BitVector
+from iqpsim.gf2 import BinaryMatrix, BitVector
+from iqpsim.xprogram import XProgram
 
 from conftest import PEX_ROWS
 
@@ -246,6 +249,100 @@ class TestDistCommand:
         assert first == second
 
 
+def _dict_entries(values, labels=None, width=0) -> list[dict]:
+    # the dict-per-entry form that the report's entries writer replaced
+    bits = (len(values) - 1).bit_length()
+    entries = []
+    for ix, p in enumerate(values.tolist()):
+        entry = {"outcome": format(ix, f"0{bits}b") if bits else "", "p": cli.fmt(p)}
+        if labels is not None:
+            entry["x"] = format(labels[ix], f"0{width}b") if width else ""
+        entries.append(entry)
+    return entries
+
+
+def _non_finite_message(value: float) -> str:
+    try:
+        json.dumps(value, allow_nan=False)
+    except ValueError as exc:
+        return f"non-finite value in the report: {exc}"
+    raise AssertionError(f"{value} is finite")
+
+
+class TestReportWriter:
+    """The entries text of dist and marginal reports against json's text
+    for the same values."""
+
+    def test_numbers_match_json(self):
+        rng = Random(121)
+        values = [rng.random() for _ in range(3000)]
+        values += [k / 2**j for j in range(0, 64, 3) for k in range(0, 9)]
+        values += [0.0, -0.0, 1.0, 1 - 1e-15, 0.9999999999999, 0.5, 0.25, 2.0]
+        values += [1e-5, 1e-17, 1.5e-7, 9.99999999999995e-5, 0.0001, 1e-300]
+        values += [5e-324, 1e-310, 2.2250738585072014e-308, -1e-310]
+        values += [99999999999.7, 999999999999.7, 1e11, 1e12, 123456789012.5, 1e16, 1e300]
+        values += [-v for v in values[:50]] + [rng.random() * 10.0**rng.randint(-30, 20)
+                                                 for _ in range(3000)]
+        got = cli._number_texts(np.array(values))
+        assert got == [json.dumps(cli.fmt(v)) for v in values]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_numbers_raise(self, value):
+        with pytest.raises(NumericalInconsistency) as info:
+            cli._number_texts(np.array([0.5, value, 0.25]))
+        assert str(info.value) == _non_finite_message(value)
+
+    @pytest.mark.parametrize("output", ["json", "tsv"])
+    def test_non_finite_entry_exit_four(self, capsys, pex_file, monkeypatch, output):
+        class Broken:
+            domain_bits, sum_drift = 1, 0.0
+
+            def as_array(self):
+                return np.array([float("nan"), 0.5])
+
+        monkeypatch.setattr(xprogram, "full_distribution", lambda prog: Broken())
+        code, out, err = run_cli(capsys, "dist", pex_file, "--theta", "1/8", "--output", output)
+        assert code == 4
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "NumericalInconsistency",
+            "exit_code": 4,
+            "message": _non_finite_message(float("nan")),
+        }
+
+    def test_reports_match_dict_form(self, capsys, tmp_path):
+        rng = Random(122)
+        thetas = ["1/4", "1/8", "1/16", "3/16", "rad:0.7", "0", "1/2"]
+        shapes = [(0, 0), (1, 1), (3, 2)] + [(rng.randint(1, 14), rng.randint(1, 9))
+                                               for _ in range(12)]
+        for trial, (n, l) in enumerate(shapes):
+            rows = [format(rng.getrandbits(l), f"0{l}b") if l else "" for _ in range(n)]
+            path = write_matrix(tmp_path, "m.txt", n, l, rows)
+            M = BinaryMatrix(n, l, tuple(int(r, 2) for r in rows))
+            theta = thetas[trial % len(thetas)]
+            prog = XProgram(M, parse_angle(theta))
+            mask = "".join(rng.choice("01") for _ in range(l))
+            proj = marginals.diagonal_projector(BitVector.from_string(mask))
+            cases = [
+                (["dist", path, "--theta", theta, "--dump"],
+                 _dict_entries(xprogram.full_distribution(prog).as_array()),
+                 ("outcome", "p")),
+                (["marginal", path, "--theta", theta, "--mask", mask, "--path", "generic"],
+                 _dict_entries(marginals.marginal_distribution(prog, proj).as_array(),
+                               proj.range_vectors(), l),
+                 ("outcome", "x", "p")),
+            ]
+            for argv, entries, columns in cases:
+                code, out, _ = run_cli(capsys, *argv)
+                assert code == 0
+                payload = json.loads(out) | {"entries": entries}
+                assert out == json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
+                code, tsv, _ = run_cli(capsys, *argv, "--output", "tsv")
+                assert code == 0
+                want = "".join("\t".join(str(e[c]) for c in columns) + "\n" for e in entries)
+                assert tsv == want
+
+
 class TestCliffordCommand:
     def test_pex_fixture(self, capsys, pex_file):
         code, out, _ = run_cli(capsys, "clifford", pex_file)
@@ -455,6 +552,22 @@ class TestVerifyCommand:
         assert code == 0
         assert out.strip().splitlines()[-1] == "all 7 checks passed"
         assert thetas == ["1/8 pi", "1/4 pi"]
+
+    def test_nan_error_fails_its_check(self, capsys, tmp_path, monkeypatch):
+        # max(0.0, nan) is 0.0, so a plain fold would pass a NaN error
+        path = write_matrix(tmp_path, "m.txt", 3, 3, ["110", "011", "101"])
+        exact = xprogram.beta
+
+        def beta(prog, s, **kwargs):
+            return float("nan") if s.to_string() == "111" else exact(prog, s, **kwargs)
+
+        monkeypatch.setattr(xprogram, "beta", beta)
+        code, out, err = run_cli(capsys, "verify", path, "--theta", "1/8")
+        assert code == 4
+        lines = out.splitlines()
+        assert "check correlations vs oracle: FAILED (max error nan)" in lines
+        assert lines[-1] == "1 of 7 checks failed"
+        assert json.loads(err)["error"] == "NumericalInconsistency"
 
     def test_size_guard(self, capsys, tmp_path):
         rows = ["0" * 11] * 2
@@ -671,8 +784,6 @@ def test_arithmetic_errors_exit_four(capsys, tmp_path, monkeypatch):
 
 def test_marginal_labels_are_range_vectors(capsys, tmp_path):
     # each entry's x is the range vector whose coordinates are its outcome
-    from random import Random
-
     from iqpsim.marginals import make_projector
 
     from test_marginals import random_projector

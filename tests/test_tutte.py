@@ -103,8 +103,16 @@ class TestSubsetSum:
     def test_matches_independent_oracle(self):
         rng = Random(42)
         for _ in range(40):
-            m = random_matrix(rng, rng.randint(0, 12), rng.randint(1, 8))
+            m = random_matrix(rng, rng.randint(0, 14), rng.randint(1, 9))
             assert tutte_subset_sum(m) == oracle.oracle_tutte(m)
+
+    def test_digits_at_the_row_limit(self):
+        # the largest degrees (y^n of n loops) and a coefficient of every
+        # parallel class size read off at n = 20
+        assert tutte_subset_sum(BinaryMatrix.zeros(20, 2)) == TuttePolynomial({(0, 20): 1})
+        rows = ["10"] * 19 + ["01"]
+        want = {(2, 0): 1} | {(1, j): 1 for j in range(1, 19)}
+        assert tutte_subset_sum(BinaryMatrix.from_strings(rows)) == TuttePolynomial(want)
 
 
 class TestTutteEval:
