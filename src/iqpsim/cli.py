@@ -32,6 +32,7 @@ from .errors import (
     BadCharacter,
     BadRowLength,
     BudgetError,
+    BudgetExceeded,
     InputError,
     MalformedHeader,
     NumericalInconsistency,
@@ -113,6 +114,15 @@ def dump_matrix(M: BinaryMatrix) -> str:
     lines = [f"{M.n} {M.l}"]
     lines.extend(M.to_strings())
     return "\n".join(lines)
+
+
+def number(text: str) -> int | float:
+    """A number from the command line: an int when written as one, so
+    that exact evaluators can keep it exact, else a float."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
 
 
 def parse_angle(text: str) -> Angle:
@@ -262,6 +272,18 @@ def _cmd_wenum(args, prog: XProgram):
 def _cmd_tutte(args, prog: XProgram):
     if args.at is not None:
         x, y = args.at
+        if isinstance(x, int) and isinstance(y, int):
+            # the recursion runs on the ints themselves: the value is exact
+            value = tutte.tutte_eval(prog.P, x, y)
+            try:
+                str(value)  # the interpreter caps the length of integer text
+            except ValueError as exc:
+                raise BudgetExceeded(f"exact Tutte value: {exc}") from None
+            return {"x": x, "y": y, "value": {"re": value, "im": 0}}, None
+        try:
+            x, y = float(x), float(y)
+        except OverflowError:  # an int past the float range
+            x = y = math.inf
         if not (math.isfinite(x) and math.isfinite(y)):
             raise InputError(f"--at needs finite values, got {x} {y}")
         value = tutte.tutte_eval(prog.P, complex(x), complex(y))
@@ -512,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument(
                 "--at",
                 nargs=2,
-                type=float,
+                type=number,
                 metavar=("X", "Y"),
                 default=None,
                 help="evaluate at a point instead of expanding",

@@ -7,8 +7,10 @@ and rank r. Its weight histogram determines the scalar
 
 the mean phase over codewords, which is the central quantity of the
 whole engine. Angles that are exact multiples of pi/4 dispatch to the
-polynomial-time Gauss-sum evaluator; everything else enumerates the 2^r
-codewords under a budget.
+polynomial-time Gauss-sum evaluator. Everything else enumerates, under a
+budget, the 2^r codewords or, by the MacWilliams identity, the 2^(n-r)
+words of the dual code C-perp, the circuit space of the matroid on P's
+rows, whichever is fewer.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from math import gcd
 
 import numpy as np
 
-from . import clifford
+from . import clifford, gf2
 from .errors import (
     DimensionMismatch,
     NumericalInconsistency,
@@ -128,7 +130,7 @@ class CodeProfile:
         return total
 
 
-_BLOCK_LOG = 18  # doubling-table size cap for the enumeration
+_BLOCK_LOG = 14  # doubling-table size cap for the enumeration
 
 
 def _enumeration_table(generators: list[int], count: int) -> np.ndarray:
@@ -140,38 +142,52 @@ def _enumeration_table(generators: list[int], count: int) -> np.ndarray:
     return table
 
 
+def _histogram(generators: list[int], n: int, offset: int = 0) -> np.ndarray:
+    """Weight histogram of the coset offset + span(generators) in F2^n.
+
+    The generators must be independent. The words are enumerated in
+    blocks: a doubling table of the low generators, xored with one word
+    of the span of the high ones, offset included, per block. Popcounts
+    run 64 bits per lane.
+    """
+    r = len(generators)
+    lanes = max(1, (n + 63) // 64)
+    low = min(r, _BLOCK_LOG)
+    tables, heads = [], []
+    for w in range(lanes):
+        lane = [(g >> (64 * w)) & ((1 << 64) - 1) for g in generators]
+        tables.append(_enumeration_table(lane, low))
+        shift = np.uint64((offset >> (64 * w)) & ((1 << 64) - 1))
+        heads.append(_enumeration_table(lane[low:], r - low) ^ shift)
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for step in range(1 << (r - low)):
+        weights = np.bitwise_count(tables[0] ^ heads[0][step])
+        if lanes > 1:  # a sum of lanes can pass the uint8 popcount range
+            weights = weights.astype(np.intp)
+            for w in range(1, lanes):
+                weights += np.bitwise_count(tables[w] ^ heads[w][step])
+        counts += np.bincount(weights, minlength=n + 1)
+    return counts
+
+
 def weight_enumerator(
     P: BinaryMatrix, *, rank_limit: int = DEFAULT_RANK_LIMIT
 ) -> CodeProfile:
     """Exact weight histogram of the column-span code of P.
 
-    Enumerates the 2^r codewords from an independent generator set in
-    vectorized blocks, with popcounts done 64 bits per lane.
+    Enumerates the 2^r codewords from an independent generator set.
 
     Raises:
         RankTooLarge: if r exceeds rank_limit.
     """
-    n = P.n
     gens = clifford._reduced_generators(P)
     r = len(gens)
     if r > rank_limit:
         raise RankTooLarge(f"rank {r} exceeds the enumeration limit {rank_limit}")
-    lanes = max(1, (n + 63) // 64)
-    gen_lanes = [[(g >> (64 * w)) & ((1 << 64) - 1) for g in gens] for w in range(lanes)]
-    low = min(r, _BLOCK_LOG)
-    tables = [_enumeration_table(gl, low) for gl in gen_lanes]
-    # one block per word of the span of the high generators
-    heads = [_enumeration_table(gl[low:], r - low) for gl in gen_lanes]
-    counts = np.zeros(n + 1, dtype=np.int64)
-    for step in range(1 << (r - low)):
-        weights = np.bitwise_count(tables[0] ^ heads[0][step]).astype(np.int64)
-        for w in range(1, lanes):
-            weights += np.bitwise_count(tables[w] ^ heads[w][step])
-        counts += np.bincount(weights, minlength=n + 1)
-    weights_out = tuple(int(c) for c in counts)
+    weights_out = tuple(_histogram(gens, P.n).tolist())
     if sum(weights_out) != 1 << r or weights_out[0] < 1:
         raise NumericalInconsistency("weight histogram failed its count check")
-    return CodeProfile(n, r, weights_out)
+    return CodeProfile(P.n, r, weights_out)
 
 
 def _check_alpha(value: complex) -> None:
@@ -179,29 +195,93 @@ def _check_alpha(value: complex) -> None:
         raise NumericalInconsistency(f"|alpha| = {abs(value)} exceeds 1")
 
 
+def _primal_sum(counts: np.ndarray, r: int, n: int, th: float) -> complex:
+    """2^-r sum_w counts[w] exp(i th (n - 2 w)): the phase sum over C."""
+    total = 0j
+    for weight, count in enumerate(counts.tolist()):
+        if count:
+            total += count * cmath.exp(1j * th * (n - 2 * weight))
+    return total / (1 << r)
+
+
+def _dual_sum(counts: np.ndarray, n: int, th: float) -> complex:
+    """sum_w counts[w] cos(th)^(n - w) (i sin(th))^w: the gate expansion."""
+    c, s = math.cos(th), math.sin(th)
+    parts = [0.0, 0.0, 0.0, 0.0]  # by the power i^w
+    for weight, count in enumerate(counts.tolist()):
+        if count:
+            parts[weight % 4] += count * c ** (n - weight) * s**weight
+    return complex(parts[0] - parts[2], parts[1] - parts[3])
+
+
+def _enumerated_amplitude(P: BinaryMatrix, x: int, th: float, rank_limit: int) -> complex:
+    """<x|U|0> at the angle th, by one enumeration of C or of C-perp.
+
+    One tagged elimination of the rows a_i gives the rank r, a basis of
+    the circuit space C-perp = {d : sum d_i a_i = 0} (the tags left on
+    dependent rows) and, reducing x, a row set S0 with sum_{S0} a_i = x,
+    or the fact that x is outside the row space, where the amplitude is
+    exactly 0. With exp(i th X_a) = cos th + i sin th X_a the amplitude
+    sums cos^(n-|d|) (i sin)^|d| over the coset S0 + C-perp, 2^(n-r)
+    words. On C it is 2^-r sum_c (-1)^(S0.c) exp(i th (n - 2|c|)). The
+    sign is a character of C; adding one odd generator h to the other
+    odd ones leaves a basis of its kernel H, so the sum is the histogram
+    of H minus that of the coset h + H, 2^r words in all. The smaller
+    side is enumerated.
+
+    Raises:
+        RankTooLarge: if min(r, n - r) exceeds rank_limit.
+    """
+    n = P.n
+    residues: list[int] = []
+    tagged = [(a << n) | t for a, t in zip(P.bits, gf2._row_tags(n))]
+    pivots = gf2._eliminate(tagged, {}, n, residues)
+    r = len(pivots)
+    s0 = 0
+    if x:
+        gf2._eliminate([x << n], pivots, n, residues)
+        s0 = residues.pop()
+        if s0 >> n:  # x is outside the row space
+            return 0j
+    if min(r, n - r) > rank_limit:
+        raise RankTooLarge(
+            f"rank {r} and dual dimension {n - r} both exceed the enumeration limit {rank_limit}"
+        )
+    if n - r < r:
+        dual = [w for w in residues if not w >> n]
+        value = _dual_sum(_histogram(dual, n, s0), n, th)
+    else:
+        columns = gf2.transpose(P).bits
+        # the columns at the pivot positions of the rows are a basis of C
+        gens = [columns[P.l - 1 - (top - n)] for top in pivots]
+        odd = [g for g in gens if (g & s0).bit_count() & 1]
+        if odd:
+            h = odd[0]
+            even = [g ^ h if (g & s0).bit_count() & 1 else g for g in gens if g != h]
+            counts = _histogram(even, n) - _histogram(even, n, h)
+        else:
+            counts = _histogram(gens, n)
+        value = _primal_sum(counts, r, n, th)
+    _check_alpha(value)
+    return value
+
+
 def alpha(
     P: BinaryMatrix, theta: Angle, *, rank_limit: int = DEFAULT_RANK_LIMIT
 ) -> complex:
     """Mean codeword phase 2^(-r) sum_c exp(i theta (n - 2 |c|)).
 
-    Fourth-root angles are evaluated exactly in polynomial time; other
-    angles enumerate the code within the rank budget.
+    Fourth-root angles are evaluated exactly in polynomial time. Other
+    angles enumerate whichever of the code C and its dual C-perp has the
+    smaller dimension, so the budget bounds min(r, n - r).
     """
-    n = P.n
-    if theta.is_fourth_root:
-        w, r, odd = _fourth_root_alpha(P, theta.fourth_root_index)
-        # int / int stays finite where 2^r overflows a float
-        value = complex(w.re / (1 << r), w.im / (1 << r))
-        if odd:  # times e^(i pi / 4) = (1 + i) / sqrt(2), exactly 0 where re = +-im
-            value = complex(value.real - value.imag, value.real + value.imag) * math.sqrt(0.5)
-    else:
-        profile = weight_enumerator(P, rank_limit=rank_limit)
-        th = theta.value
-        total = 0j
-        for weight, count in enumerate(profile.weights):
-            if count:
-                total += count * cmath.exp(1j * th * (n - 2 * weight))
-        value = total / (1 << profile.rank)
+    if not theta.is_fourth_root:
+        return _enumerated_amplitude(P, 0, theta.value, rank_limit)
+    w, r, odd = _fourth_root_alpha(P, theta.fourth_root_index)
+    # int / int stays finite where 2^r overflows a float
+    value = complex(w.re / (1 << r), w.im / (1 << r))
+    if odd:  # times e^(i pi / 4) = (1 + i) / sqrt(2), exactly 0 where re = +-im
+        value = complex(value.real - value.imag, value.real + value.imag) * math.sqrt(0.5)
     _check_alpha(value)
     return value
 

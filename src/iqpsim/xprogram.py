@@ -135,14 +135,22 @@ def walsh_hadamard(values: np.ndarray) -> np.ndarray:
 
 
 def amplitude(prog: XProgram, x: BitVector, *, rank_limit: int | None = None) -> complex:
-    """Transition amplitude from the all-zeros state to x."""
+    """Transition amplitude from the all-zeros state to x.
+
+    At multiples of pi/4 it is alpha(project(P, x)) - alpha(P), two exact
+    Gauss sums. Other angles make one enumeration of the smaller of the
+    code C and its dual, so the budget bounds min(r, n - r); x outside
+    the row space gives exactly 0.
+    """
     if x.n != prog.l:
         raise DimensionMismatch(f"x has {x.n} bits, program has {prog.l}")
-    kwargs = {} if rank_limit is None else {"rank_limit": rank_limit}
-    base = codes.alpha(prog.P, prog.theta, **kwargs)
+    if not prog.theta.is_fourth_root:
+        limit = codes.DEFAULT_RANK_LIMIT if rank_limit is None else rank_limit
+        return codes._enumerated_amplitude(prog.P, x.bits, prog.theta.value, limit)
+    base = codes.alpha(prog.P, prog.theta)
     if x.is_zero():
         return base
-    return codes.alpha(codes.project(prog.P, x), prog.theta, **kwargs) - base
+    return codes.alpha(codes.project(prog.P, x), prog.theta) - base
 
 
 def probability(prog: XProgram, x: BitVector, *, rank_limit: int | None = None) -> float:
@@ -152,7 +160,8 @@ def probability(prog: XProgram, x: BitVector, *, rank_limit: int | None = None) 
 def beta(prog: XProgram, s: BitVector, *, rank_limit: int | None = None) -> float:
     """Correlation coefficient of the parity X.s, equal to 2 P[X.s=0] - 1.
 
-    Computed as alpha of the affinified matrix at the doubled angle; the
+    Computed as alpha of the affinified matrix at the doubled angle, so
+    the enumeration budget bounds min(r, n - r) of that matrix; the
     result is real because that code contains the all-ones word, pairing
     codewords into conjugate contributions.
     """

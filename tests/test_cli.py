@@ -184,6 +184,28 @@ class TestTutteCommand:
         assert json.loads(out)["value"] == {"re": a * b + a * c + b * c, "im": 0}
 
 
+    def test_integer_point_stays_exact(self, capsys, tmp_path):
+        # T(2, 3) of 2000 rows of rank 2 has 954 digits, past the float
+        # range; integer --at values keep it an exact JSON integer
+        rng = Random(72)
+        rows = [rng.choice(["10", "01", "11"]) for _ in range(2000)]
+        path = write_matrix(tmp_path, "tall.txt", 2000, 2, rows)
+        code, out, _ = run_cli(capsys, "tutte", path, "--at", "2", "3")
+        assert code == 0
+        payload = json.loads(out)
+        want = tutte.tutte_eval(BinaryMatrix.from_strings(rows), 2, 3)
+        assert len(str(want)) == 954
+        assert (payload["x"], payload["y"]) == (2, 3)
+        assert payload["value"] == {"re": want, "im": 0}
+        # a float point is evaluated in floats, which overflow here
+        code, out, err = run_cli(capsys, "tutte", path, "--at", "2.0", "3")
+        assert code == 4
+        assert json.loads(err)["error"] == "NumericalInconsistency"
+        # past the interpreter's cap on the length of integer text
+        code, out, err = run_cli(capsys, "tutte", path, "--at", "1000", "1000")
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"] == "BudgetExceeded"
+
 class TestAlphaCommand:
     def test_pex_at_pi(self, capsys, pex_file):
         code, out, _ = run_cli(capsys, "alpha", pex_file, "--theta", "1/1")
@@ -202,6 +224,22 @@ class TestAlphaCommand:
         assert payload["exact"] is False
         assert "gaussian_integer" not in payload
 
+
+    def test_full_rank_beyond_the_rank_limit(self, capsys, tmp_path):
+        # rank 30 is past the limit of 26, but the dual code is {0}, so
+        # alpha is cos(0.7)^30
+        rng = Random(71)
+        while True:
+            m = BinaryMatrix(30, 30, tuple(rng.getrandbits(30) for _ in range(30)))
+            if gf2.rank(m) == 30:
+                break
+        path = write_matrix(tmp_path, "full.txt", 30, 30, m.to_strings())
+        code, out, _ = run_cli(capsys, "alpha", path, "--theta", "rad:0.7")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["re"] == cli.fmt(np.cos(0.7) ** 30)
+        assert payload["im"] == 0.0
+        assert payload["exact"] is False
 
 class TestPointCommands:
     def test_amplitude(self, capsys, pex_file):
@@ -396,12 +434,29 @@ class TestMarginalCommand:
         assert code == 0
         assert json.loads(out)["path"] == "graphic"
 
-    def test_graphic_answers_beyond_the_engine(self, capsys, tmp_path):
-        # a hub with 34 partners at l = 40 and a raw angle: the generic
-        # engine needs a rank-34 enumeration, past its limit of 26
+    def test_generic_answers_the_star(self, capsys, tmp_path):
+        # a hub with 34 partners at l = 40 and a raw angle: the code has
+        # rank 34, past the limit of 26, but its dual has dimension 0
         l = 40
         rows = ["1" + "0" * i + "1" + "0" * (l - 2 - i) for i in range(34)]
         path = write_matrix(tmp_path, "star.txt", 34, l, rows)
+        argv = ("marginal", path, "--theta", "rad:0.7", "--mask", "11" + "0" * (l - 2))
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        graphic = json.loads(out)
+        assert graphic["path"] == "graphic"
+        code, out, _ = run_cli(capsys, *argv, "--path", "generic")
+        assert code == 0
+        generic = json.loads(out)
+        assert generic["path"] == "generic"
+        assert generic["entries"] == graphic["entries"]
+
+    def test_graphic_answers_beyond_the_engine(self, capsys, tmp_path):
+        # the 30-leaf star with every edge doubled: rank 30 and dual
+        # dimension 30 are both past the limit of 26
+        l = 40
+        rows = ["1" + "0" * i + "1" + "0" * (l - 2 - i) for i in range(30) for _ in range(2)]
+        path = write_matrix(tmp_path, "star2.txt", 60, l, rows)
         argv = ("marginal", path, "--theta", "rad:0.7", "--mask", "11" + "0" * (l - 2))
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0

@@ -155,6 +155,59 @@ class TestAlpha:
             assert abs(alpha(m, Angle.radians(rng.random() * 6))) <= 1 + 1e-9
 
 
+class TestHistogram:
+    def test_coset_across_blocks_and_lanes(self):
+        # 16 generators span more than one block of 2^_BLOCK_LOG words,
+        # and 70 bits take two popcount lanes
+        rng = Random(25)
+        n = 70
+        gens = list(gf2._eliminate((rng.getrandbits(n) for _ in range(16)), {}).values())
+        assert len(gens) == 16 > codes._BLOCK_LOG
+        offset = rng.getrandbits(n)
+        want = [0] * (n + 1)
+        for bits in range(1 << len(gens)):
+            want[(offset ^ gf2._combine(gens, bits)).bit_count()] += 1
+        assert codes._histogram(gens, n, offset).tolist() == want
+
+    def test_empty_span(self):
+        assert codes._histogram([], 5, 0b10110).tolist() == [0, 0, 0, 1, 0, 0]
+
+
+class TestAlphaDualSide:
+    def test_matches_direct_expectation(self):
+        # n - r < r: alpha is the sum over C-perp
+        rng = Random(26)
+        cases = 0
+        while cases < 60:
+            l = rng.randint(2, 12)
+            m = random_matrix(rng, rng.randint(l, l + 6), l)
+            r = gf2.rank(m)
+            if m.n - r >= r:
+                continue
+            cases += 1
+            theta = rng.choice(
+                [Angle.exact(1, 16), Angle.exact(2, 5), Angle.radians(0.9),
+                 Angle.radians(math.pi / 2 - 1e-3), Angle.radians(1e-3)]
+            )
+            words = {gf2.mat_vec(m, BitVector(l, v)).bits for v in range(1 << l)}
+            th = theta.value
+            direct = sum(
+                cmath.exp(1j * th * (m.n - 2 * bin(w).count("1"))) for w in words
+            ) / len(words)
+            assert cmath.isclose(alpha(m, theta), direct, abs_tol=1e-13)
+
+    def test_rank_beyond_the_limit(self):
+        # rank 30, dual dimension 0: alpha = cos(theta)^30
+        got = alpha(BinaryMatrix.identity(30), Angle.radians(0.7))
+        assert got == pytest.approx(math.cos(0.7) ** 30, rel=1e-14)
+        assert got.imag == 0.0
+
+    def test_both_sides_past_the_limit(self):
+        m = BinaryMatrix(60, 30, BinaryMatrix.identity(30).bits * 2)
+        with pytest.raises(RankTooLarge):
+            alpha(m, Angle.radians(0.7))
+
+
 class TestAlphaExactFourthRoot:
     def test_pex_at_pi(self, pex):
         got = codes.alpha_exact_fourth_root(pex, Angle.exact(1, 1))

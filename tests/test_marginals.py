@@ -463,14 +463,28 @@ class TestMarginalGraphic:
         d = marginal_graphic(XProgram(m, Angle.exact(1, 5)), proj)
         assert abs(sum(p for _, p in d.outcomes()) - 1.0) < 1e-9
 
-    def test_star_beyond_the_engine(self):
+    def test_star_within_the_dual_engine(self):
         # a hub with 34 partners at l = 40: no push-forward (l > 16), no
-        # quarter-turn image at a raw angle, and every beta coefficient
-        # against the hub enumerates a code of rank 34 > 26; only the
-        # closed form answers
+        # quarter-turn image at a raw angle, and the beta coefficient
+        # against the hub is alpha of a rank-34 code past the limit of 26.
+        # Its 34 rows are independent, so the dual code has dimension 0
+        # and the generic engine answers, equal to the closed form
         l = 40
         rows = tuple(1 << (l - 1) | 1 << (l - 2 - i) for i in range(34))
         prog = XProgram(BinaryMatrix(34, l, rows), Angle.radians(0.7))
+        proj = diagonal_projector(BitVector(l, 0b11 << (l - 2)))
+        closed = marginal_graphic(prog, proj).as_array()
+        generic = marginal_distribution(prog, proj).as_array()
+        assert np.abs(generic - closed).max() == 0.0
+        assert abs(generic.sum() - 1.0) < 1e-9
+
+    def test_star_beyond_the_engine(self):
+        # every edge of a 30-leaf star doubled: the 60 rows have rank 30
+        # and a dual code of dimension 30, both past the limit of 26, so
+        # only the closed form answers
+        l = 40
+        rows = tuple(1 << (l - 1) | 1 << (l - 2 - i) for i in range(30) for _ in range(2))
+        prog = XProgram(BinaryMatrix(60, l, rows), Angle.radians(0.7))
         proj = diagonal_projector(BitVector(l, 0b11 << (l - 2)))
         d = marginal_graphic(prog, proj)
         assert abs(sum(p for _, p in d.outcomes()) - 1.0) < 1e-9

@@ -7,13 +7,14 @@ from random import Random
 import numpy as np
 import pytest
 
-from iqpsim import oracle
+from iqpsim import gf2, oracle
 from iqpsim.clifford import clifford_support
 from iqpsim.codes import Angle
 from iqpsim.errors import (
     DimensionMismatch,
     DomainTooLarge,
     NumericalInconsistency,
+    RankTooLarge,
     UnsupportedAngle,
 )
 from iqpsim.gf2 import BinaryMatrix, BitVector
@@ -136,6 +137,110 @@ class TestAmplitude:
         prog = random_program(rng)
         x = random_bits(rng, prog.l)
         assert probability(prog, x) == pytest.approx(abs(amplitude(prog, x)) ** 2)
+
+
+def dependent_rows(rng: Random, n: int, l: int, kind: str) -> BinaryMatrix:
+    """n rows of width l: dense, drawn from a few repeated rows, or of low rank."""
+    if kind == "dense":
+        rows = [rng.getrandbits(l) for _ in range(n)]
+    else:
+        base = [rng.getrandbits(l) for _ in range(rng.randint(1, max(1, l - 1)))]
+        if kind == "repeated":
+            rows = [rng.choice(base) for _ in range(n)]
+        else:
+            rows = [gf2._combine(base, rng.getrandbits(len(base))) for _ in range(n)]
+    return BinaryMatrix(n, l, tuple(rows))
+
+
+# raw angles, exact ones off pi/4, and angles near 0 and pi/2, where
+# sin or cos is small
+SWEEP_ANGLES = [
+    Angle.radians(0.7), Angle.radians(2.9), Angle.radians(5.3), Angle.exact(1, 16),
+    Angle.exact(3, 16), Angle.exact(7, 16), Angle.radians(math.pi / 2 - 1e-3),
+    Angle.radians(1e-3),
+]
+
+
+class TestSmallerSide:
+    """Amplitudes and correlations enumerate the smaller of C and C-perp."""
+
+    def test_dual_side_matches_oracle(self):
+        # n - r < r: the sum runs over a coset of the circuit space
+        rng = Random(61)
+        cases = 0
+        while cases < 80:
+            l = rng.randint(2, 8)
+            m = random_matrix(rng, rng.randint(l, l + 4), l)
+            r = gf2.rank(m)
+            if m.n - r >= r:
+                continue
+            cases += 1
+            prog = XProgram(m, SWEEP_ANGLES[cases % len(SWEEP_ANGLES)])
+            state = oracle.statevector(prog)
+            for ix in range(1 << l):
+                x = BitVector(l, ix)
+                assert abs(amplitude(prog, x) - state.amplitude(x)) < 1e-12
+                assert abs(beta(prog, x) - oracle.oracle_beta(prog, x)) < 1e-12
+
+    def test_both_sides_match_oracle(self):
+        # dense, repeated and low-rank rows put either side in front
+        rng = Random(62)
+        for k in range(120):
+            l = rng.randint(1, 8)
+            m = dependent_rows(rng, rng.randint(1, 16), l, ("dense", "repeated", "low")[k % 3])
+            prog = XProgram(m, SWEEP_ANGLES[k % len(SWEEP_ANGLES)])
+            state = oracle.statevector(prog)
+            for ix in range(1 << l):
+                x = BitVector(l, ix)
+                assert abs(amplitude(prog, x) - state.amplitude(x)) < 1e-12
+
+    def test_outside_the_row_space_is_zero(self):
+        rng = Random(63)
+        seen = 0
+        for k in range(60):
+            l = rng.randint(2, 8)
+            m = dependent_rows(rng, rng.randint(1, 16), l, ("repeated", "low")[k % 2])
+            prog = XProgram(m, SWEEP_ANGLES[k % len(SWEEP_ANGLES)])
+            r = gf2.rank(m)
+            for ix in range(1 << l):
+                x = BitVector(l, ix)
+                if gf2.rank(BinaryMatrix(m.n + 1, l, m.bits + (ix,))) > r:
+                    seen += 1
+                    got = amplitude(prog, x)
+                    assert got == 0j and isinstance(got, complex)
+        assert seen > 100
+
+    def test_full_rank_square(self):
+        # the rows are independent, so C-perp = {0}: alpha = cos^n, and x
+        # is the sum of one row set S, giving cos^(n-|S|) (i sin)^|S|
+        rng = Random(64)
+        theta = Angle.radians(0.7)
+        c, s = math.cos(0.7), math.sin(0.7)
+        n = 30
+        while True:
+            m = random_matrix(rng, n, n)
+            if gf2.rank(m) == n:
+                break
+        prog = XProgram(m, theta)
+        assert abs(amplitude(prog, BitVector(n)) - c**n) < 1e-15
+        for _ in range(5):
+            rows = rng.getrandbits(n)
+            x = BitVector(n, gf2._combine(m.bits, rows))
+            k = rows.bit_count()
+            assert abs(amplitude(prog, x) - c ** (n - k) * (1j * s) ** k) < 1e-15
+
+    def test_budget_bounds_the_smaller_side(self):
+        theta = Angle.radians(0.7)
+        x = BitVector.from_string("100000")
+        # rank 6 past the limit 4, dual dimension 0
+        prog = XProgram(BinaryMatrix.identity(6), theta)
+        assert abs(amplitude(prog, x, rank_limit=4) - 1j * math.sin(0.7) * math.cos(0.7) ** 5) < 1e-15
+        assert beta(prog, x, rank_limit=0) == pytest.approx(math.cos(1.4))
+        # rank 6 and dual dimension 6, both past the limit
+        doubled = BinaryMatrix(12, 6, BinaryMatrix.identity(6).bits * 2)
+        with pytest.raises(RankTooLarge):
+            amplitude(XProgram(doubled, theta), x, rank_limit=4)
+        assert amplitude(XProgram(doubled, theta), x, rank_limit=6) != 0
 
 
 class TestBeta:

@@ -7,7 +7,9 @@
 Every line of output is the sha256 of one call's exit code, stdout and
 stderr, then the call's command line. Two checkouts give the same lines
 exactly when every call gives byte-identical results, so the diff is an
-output check for changes that should not change any result.
+output check for changes that should not change any result. With
+--records each line holds the call's [exit code, stdout, stderr] as JSON
+in place of its digest, to read what a differing line printed.
 
 The corpus depends on --seed only. It covers every subcommand on random
 programs (n <= 14, l <= 12, dense, weight-<=2, column-sparse and low-rank
@@ -223,7 +225,7 @@ def build_corpus(rng: Random, workdir: str) -> list[list[str]]:
     return calls
 
 
-def run(main, argv: list[str]) -> str:
+def run(main, argv: list[str], records: bool = False) -> str:
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
@@ -233,13 +235,18 @@ def run(main, argv: list[str]) -> str:
         except Exception as exc:  # a fault escaping main: hash it, run the next call
             code = f"{type(exc).__name__}: {exc}"
     record = json.dumps([code, out.getvalue(), err.getvalue()])
-    return hashlib.sha256(record.encode()).hexdigest()
+    return record if records else hashlib.sha256(record.encode()).hexdigest()
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", required=True, help="directory holding the iqpsim package")
     parser.add_argument("--seed", type=int, default=1, help="corpus seed")
+    parser.add_argument(
+        "--records",
+        action="store_true",
+        help="print each call's [exit code, stdout, stderr] as JSON in place of its digest",
+    )
     args = parser.parse_args()
     sys.path.insert(0, os.path.abspath(args.src))
     os.environ["COLUMNS"] = "80"  # argparse wraps --help text to the terminal
@@ -251,7 +258,7 @@ def main() -> int:
         os.chdir(workdir)
         try:
             for argv in calls:
-                print(run(cli_main, argv), " ".join(argv))
+                print(run(cli_main, argv, args.records), " ".join(argv))
         finally:
             os.chdir(home)
     print(f"{len(calls)} command lines", file=sys.stderr)
