@@ -4,10 +4,12 @@ The weight enumerator of a binary code at z in {1, i, -1, -i} is a sum of
 2^r fourth roots, hence a Gaussian integer. Evaluating it by enumeration
 costs 2^r; this module instead reduces the Z4-valued quadratic form
 Q(c) = |c| mod 4 over the whole code, whose polar form is twice the
-plain GF(2) inner product b(c, c') = |c & c'| mod 2. Odd vectors
-split off one factor 1 + i or 1 - i each, and the sum over the even
-rest is read off its hyperbolic planes and its value on the radical.
-Total cost is polynomial in the matrix size.
+plain GF(2) inner product b(c, c') = |c & c'| mod 2. A sign (-1)^L(c)
+with L linear adds 2L to Q and keeps its polar form, so the signed sums
+that give amplitudes <x|U|0> cost the same. Odd vectors split off one
+factor 1 + i or 1 - i each, and the sum over the even rest is read off
+its hyperbolic planes and its value on the radical. Total cost is
+polynomial in the matrix size.
 
 The same machinery solves the quarter-turn case exactly: the output
 distribution is uniform over an affine subspace computed from the kernel
@@ -61,9 +63,20 @@ class GaussianInteger:
         return f"{self.re}{self.im:+d}i"
 
 
-def _reduced_generators(M: BinaryMatrix) -> list[int]:
-    """Independent generators of the column-span code, as packed ints."""
-    return list(gf2._eliminate(gf2.transpose(M).bits, {}).values())
+def _reduced_generators(M: BinaryMatrix, x: int = 0) -> tuple[list[int], int] | None:
+    """Independent generators g_i = M y_i of the column-span code and the
+    parities x . y_i, bit i for g_i, from one elimination of the columns
+    tagged with their coordinates. A dependent column leaves a tag y with
+    M y = 0; None when x . y = 1, as x is then outside the row space.
+    """
+    l = M.l
+    residues: list[int] = []
+    tagged = [(c << l) | t for c, t in zip(gf2.transpose(M).bits, gf2._row_tags(l))]
+    pivots = gf2._eliminate(tagged, {}, l, residues)
+    if any((x & w).bit_count() & 1 for w in residues if not w >> l):
+        return None
+    linear = sum(((x & w).bit_count() & 1) << i for i, w in enumerate(pivots.values()))
+    return [w >> l for w in pivots.values()], linear
 
 
 def _gram(vectors: list[int]) -> list[int]:
@@ -85,15 +98,16 @@ def _indices(mask: int):
         mask ^= low
 
 
-def _gauss_sum(vectors: list[int]) -> GaussianInteger:
-    """Sum of i^|c| over the span of the given independent vectors.
+def _gauss_sum(vectors: list[int], linear: int = 0) -> GaussianInteger:
+    """Sum of i^|c| (-1)^L(c) over the span of the given independent
+    vectors, where bit i of linear is the linear form L at vectors[i].
 
-    Q(c) = |c| mod 4 is a Z4-valued quadratic form, Q(a + b) = Q(a) +
-    Q(b) + 2 b(a, b), and the Gram matrix of b holds Q mod 2 on its
-    diagonal. An odd v splits off as the factor 1 + i^Q(v) once the other
-    vectors are made orthogonal to it. On the even rest Q / 2 is a Z2 form
-    with polar form b: each hyperbolic plane contributes +-2, and on the
-    radical, where Q is linear, the sum is 0 or a power of two.
+    Q(c) = |c| + 2 L(c) mod 4 is a Z4-valued quadratic form, Q(a + b) =
+    Q(a) + Q(b) + 2 b(a, b), and the Gram matrix of b holds Q mod 2 on
+    its diagonal. An odd v splits off as the factor 1 + i^Q(v) once the
+    other vectors are made orthogonal to it. On the even rest Q / 2 is a
+    Z2 form with polar form b: each hyperbolic plane contributes +-2, and
+    on the radical, where Q is linear, the sum is 0 or a power of two.
     """
     gram = _gram(vectors)
     odd = high = 0  # the two bits of each Q(v_i), as masks over i
@@ -101,6 +115,7 @@ def _gauss_sum(vectors: list[int]) -> GaussianInteger:
         w = v.bit_count()
         odd |= (w & 1) << i
         high |= (w >> 1 & 1) << i
+    high ^= linear
     active = (1 << len(vectors)) - 1
     halves = turns = power = 0  # the sum is (1 + i)^halves i^turns 2^power
     while active & odd:
@@ -144,8 +159,9 @@ def _gauss_sum(vectors: list[int]) -> GaussianInteger:
     return value.times_i_power(turns + halves // 2)
 
 
-def wenum_from_generators(generators: list[int], k: int) -> GaussianInteger:
-    """Weight enumerator of the span at z = i^k, from packed generators.
+def wenum_from_generators(generators: list[int], k: int, linear: int = 0) -> GaussianInteger:
+    """Signed weight enumerator sum_c i^(k |c|) (-1)^L(c) of the span of
+    packed generators; bit i of linear is L(generators[i]).
 
     The generators must be linearly independent, as those from
     _reduced_generators are: the span is taken to hold 2^len(generators)
@@ -153,19 +169,17 @@ def wenum_from_generators(generators: list[int], k: int) -> GaussianInteger:
     """
     r = len(generators)
     k %= 4
-    if k == 0:
-        return GaussianInteger(1 << r, 0)
-    if k == 2:
-        # parity of the weight is linear, so the sum collapses
-        odd = any(g.bit_count() & 1 for g in generators)
-        return GaussianInteger(0 if odd else 1 << r, 0)
-    value = _gauss_sum(generators)
+    if not k & 1:
+        # i^(k|c|) = (-1)^(k/2 |c|) and |c| mod 2 is linear too: a character sum
+        linear ^= sum((k >> 1 & g.bit_count()) << i for i, g in enumerate(generators))
+        return GaussianInteger(0 if linear else 1 << r, 0)
+    value = _gauss_sum(generators, linear)
     return value if k == 1 else value.conjugate()
 
 
 def wenum_at_fourth_root(P: BinaryMatrix, k: int) -> GaussianInteger:
     """Exact weight-enumerator value sum_c i^(k |c|) over the code of P."""
-    return wenum_from_generators(_reduced_generators(P), k)
+    return wenum_from_generators(_reduced_generators(P)[0], k)
 
 
 @dataclass(frozen=True)

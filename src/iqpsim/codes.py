@@ -6,11 +6,12 @@ and rank r. Its weight histogram determines the scalar
     alpha(P, theta) = 2^(-r) * sum_c exp(i theta (n - 2 |c|)),
 
 the mean phase over codewords, which is the central quantity of the
-whole engine. Angles that are exact multiples of pi/4 dispatch to the
-polynomial-time Gauss-sum evaluator. Everything else enumerates, under a
-budget, the 2^r codewords or, by the MacWilliams identity, the 2^(n-r)
-words of the dual code C-perp, the circuit space of the matroid on P's
-rows, whichever is fewer.
+whole engine. With the sign (-1)^(x.y) on each c = Py the same sum is
+the amplitude <x|U|0>, and one evaluator computes both. At exact
+multiples of pi/4 it is one signed Gauss sum, in polynomial time.
+Everything else enumerates, under a budget, the 2^r codewords or, by the
+MacWilliams identity, the 2^(n-r) words of the dual code C-perp, the
+circuit space of the matroid on P's rows, whichever is fewer.
 """
 
 from __future__ import annotations
@@ -180,7 +181,7 @@ def weight_enumerator(
     Raises:
         RankTooLarge: if r exceeds rank_limit.
     """
-    gens = clifford._reduced_generators(P)
+    gens = clifford._reduced_generators(P)[0]
     r = len(gens)
     if r > rank_limit:
         raise RankTooLarge(f"rank {r} exceeds the enumeration limit {rank_limit}")
@@ -266,36 +267,42 @@ def _enumerated_amplitude(P: BinaryMatrix, x: int, th: float, rank_limit: int) -
     return value
 
 
-def alpha(
-    P: BinaryMatrix, theta: Angle, *, rank_limit: int = DEFAULT_RANK_LIMIT
-) -> complex:
-    """Mean codeword phase 2^(-r) sum_c exp(i theta (n - 2 |c|)).
+def _amplitude(P: BinaryMatrix, x: int, theta: Angle, rank_limit: int) -> tuple:
+    """<x|U|0> = 2^-r sum_{c = Py} (-1)^(x.y) exp(i theta (n - 2|c|)).
 
-    Fourth-root angles are evaluated exactly in polynomial time. Other
-    angles enumerate whichever of the code C and its dual C-perp has the
-    smaller dimension, so the budget bounds min(r, n - r).
+    Returns the value and, at theta = t pi / 4 with x in the row space,
+    its exact form (w, r, odd): value = e^(i pi odd / 4) w / 2^r, else
+    None. There x.y = L(c) is linear on C, the sum one signed Gauss sum
+    of i^(-t|c|) (-1)^L(c) times e^(i pi t n / 4), of which w absorbs the
+    power of i. Other angles enumerate the smaller of C and C-perp.
     """
     if not theta.is_fourth_root:
-        return _enumerated_amplitude(P, 0, theta.value, rank_limit)
-    w, r, odd = _fourth_root_alpha(P, theta.fourth_root_index)
+        return _enumerated_amplitude(P, x, theta.value, rank_limit), None
+    found = clifford._reduced_generators(P, x)
+    if found is None:  # x is outside the row space
+        return 0j, None
+    gens, linear = found
+    t, r = theta.fourth_root_index, len(gens)
+    w = clifford.wenum_from_generators(gens, -t, linear).times_i_power(t * P.n // 2)
+    odd = bool(t * P.n % 2)
     # int / int stays finite where 2^r overflows a float
     value = complex(w.re / (1 << r), w.im / (1 << r))
     if odd:  # times e^(i pi / 4) = (1 + i) / sqrt(2), exactly 0 where re = +-im
         value = complex(value.real - value.imag, value.real + value.imag) * math.sqrt(0.5)
     _check_alpha(value)
-    return value
+    return value, (w, r, odd)
 
 
-def _fourth_root_alpha(P: BinaryMatrix, t: int) -> tuple[clifford.GaussianInteger, int, bool]:
-    """alpha(P, t pi / 4) as (w, r, odd) with alpha = e^(i pi odd / 4) w / 2^r.
+def alpha(
+    P: BinaryMatrix, theta: Angle, *, rank_limit: int = DEFAULT_RANK_LIMIT
+) -> complex:
+    """Mean codeword phase 2^(-r) sum_c exp(i theta (n - 2 |c|)), <0|U|0>.
 
-    The global phase e^(i pi t n / 4) splits into the power of i that w
-    absorbs exactly and one eighth root of unity, left when t n is odd.
+    Fourth-root angles are evaluated exactly in polynomial time. Other
+    angles enumerate whichever of the code C and its dual C-perp has the
+    smaller dimension, so the budget bounds min(r, n - r).
     """
-    gens = clifford._reduced_generators(P)
-    w = clifford.wenum_from_generators(gens, (-t) % 4)
-    tn = t * P.n
-    return w.times_i_power(tn // 2), len(gens), bool(tn % 2)
+    return _amplitude(P, 0, theta, rank_limit)[0]
 
 
 def alpha_exact_fourth_root(
@@ -308,9 +315,7 @@ def alpha_exact_fourth_root(
     """
     if not theta.is_fourth_root or (theta.fourth_root_index * P.n) % 2:
         return None
-    w, r, _ = _fourth_root_alpha(P, theta.fourth_root_index)
-    # int / int stays exact where 2^r overflows a float
-    _check_alpha(complex(w.re / (1 << r), w.im / (1 << r)))
+    w, r, _ = _amplitude(P, 0, theta, DEFAULT_RANK_LIMIT)[1]
     return w, r
 
 

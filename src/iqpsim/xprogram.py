@@ -137,20 +137,16 @@ def walsh_hadamard(values: np.ndarray) -> np.ndarray:
 def amplitude(prog: XProgram, x: BitVector, *, rank_limit: int | None = None) -> complex:
     """Transition amplitude from the all-zeros state to x.
 
-    At multiples of pi/4 it is alpha(project(P, x)) - alpha(P), two exact
-    Gauss sums. Other angles make one enumeration of the smaller of the
-    code C and its dual, so the budget bounds min(r, n - r); x outside
-    the row space gives exactly 0.
+    It is 2^-r sum_{c = Py} (-1)^(x.y) exp(i theta (n - 2|c|)), exactly
+    0 for x outside the row space. At multiples of pi/4 the sign enters
+    one exact Gauss sum as a linear term; other angles make one
+    enumeration of the smaller of the code C and its dual, so the budget
+    bounds min(r, n - r).
     """
     if x.n != prog.l:
         raise DimensionMismatch(f"x has {x.n} bits, program has {prog.l}")
-    if not prog.theta.is_fourth_root:
-        limit = codes.DEFAULT_RANK_LIMIT if rank_limit is None else rank_limit
-        return codes._enumerated_amplitude(prog.P, x.bits, prog.theta.value, limit)
-    base = codes.alpha(prog.P, prog.theta)
-    if x.is_zero():
-        return base
-    return codes.alpha(codes.project(prog.P, x), prog.theta) - base
+    limit = codes.DEFAULT_RANK_LIMIT if rank_limit is None else rank_limit
+    return codes._amplitude(prog.P, x.bits, prog.theta, limit)[0]
 
 
 def probability(prog: XProgram, x: BitVector, *, rank_limit: int | None = None) -> float:
@@ -169,8 +165,8 @@ def beta(prog: XProgram, s: BitVector, *, rank_limit: int | None = None) -> floa
         raise DimensionMismatch(f"s has {s.n} bits, program has {prog.l}")
     if s.is_zero():
         return 1.0
-    kwargs = {} if rank_limit is None else {"rank_limit": rank_limit}
-    value = codes.alpha(codes.affinify(prog.P, s), prog.theta.doubled(), **kwargs)
+    limit = codes.DEFAULT_RANK_LIMIT if rank_limit is None else rank_limit
+    value = codes.alpha(codes.affinify(prog.P, s), prog.theta.doubled(), rank_limit=limit)
     if abs(value.imag) > IMAG_TOLERANCE:
         raise NumericalInconsistency(f"correlation has imaginary part {value.imag}")
     return float(value.real)

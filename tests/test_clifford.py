@@ -51,6 +51,25 @@ def exact_wenum_by_histogram(m: BinaryMatrix, k: int) -> GaussianInteger:
     return GaussianInteger(parts[0] - parts[2], parts[1] - parts[3])
 
 
+def signed_wenums_by_enumeration(gens: list[int], linear: int) -> list[GaussianInteger]:
+    """sum_c i^(k|c|) (-1)^L(c) for k = 0..3, word by word over the span.
+
+    Bit i of linear is L(gens[i]). The words run in Gray-code order, so
+    each step flips one generator, the lowest set bit of the step.
+    """
+    parts = [[0] * 4 for _ in range(4)]
+    word = sign = 0
+    for step in range(1 << len(gens)):
+        if step:
+            i = (step & -step).bit_length() - 1
+            word ^= gens[i]
+            sign ^= linear >> i & 1
+        w = word.bit_count()
+        for k in range(4):
+            parts[k][(k * w + 2 * sign) % 4] += 1
+    return [GaussianInteger(p[0] - p[2], p[1] - p[3]) for p in parts]
+
+
 def structured_code(rng: Random, kind: str, max_n: int, max_l: int) -> BinaryMatrix:
     """A random matrix whose column code is of the given kind.
 
@@ -135,6 +154,12 @@ class TestWenumAtFourthRoot:
         for m in inputs:
             for k in range(4):
                 assert wenum_at_fourth_root(m, k) == exact_wenum_by_histogram(m, k)
+            # the same codes with a sign (-1)^L(c), L linear, as amplitudes take
+            gens = clifford._reduced_generators(m)[0]
+            linear = rng.getrandbits(len(gens))
+            want = signed_wenums_by_enumeration(gens, linear)
+            for k in range(4):
+                assert clifford.wenum_from_generators(gens, k, linear) == want[k]
 
     def test_block_diagonal_sums_multiply(self):
         # a block-diagonal P spans the direct sum of its blocks' codes, so
@@ -165,9 +190,9 @@ class TestWenumAtFourthRoot:
         calls = []
         gauss_sum = clifford._gauss_sum
 
-        def counted(vectors):
+        def counted(vectors, linear=0):
             calls.append(len(vectors))
-            return gauss_sum(vectors)
+            return gauss_sum(vectors, linear)
 
         monkeypatch.setattr(clifford, "_gauss_sum", counted)
         for kind in ("dense", "odd", "even", "sparse", "low"):

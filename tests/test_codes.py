@@ -226,7 +226,7 @@ class TestAlphaExactFourthRoot:
     def test_self_check(self, pex, monkeypatch):
         # the exact path keeps alpha's |alpha| <= 1 check
         too_big = clifford.GaussianInteger(1 << 10, 0)
-        monkeypatch.setattr(clifford, "wenum_from_generators", lambda gens, k: too_big)
+        monkeypatch.setattr(clifford, "wenum_from_generators", lambda gens, k, linear=0: too_big)
         with pytest.raises(NumericalInconsistency):
             codes.alpha_exact_fourth_root(pex, Angle.exact(1, 1))
 

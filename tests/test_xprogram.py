@@ -7,9 +7,9 @@ from random import Random
 import numpy as np
 import pytest
 
-from iqpsim import gf2, oracle
+from iqpsim import clifford, gf2, oracle
 from iqpsim.clifford import clifford_support
-from iqpsim.codes import Angle
+from iqpsim.codes import Angle, alpha, project
 from iqpsim.errors import (
     DimensionMismatch,
     DomainTooLarge,
@@ -138,6 +138,52 @@ class TestAmplitude:
         x = random_bits(rng, prog.l)
         assert probability(prog, x) == pytest.approx(abs(amplitude(prog, x)) ** 2)
 
+    def test_projection_identity_at_fourth_roots(self):
+        # <x|U|0> = alpha(project(P, x)) - alpha(P) for x != 0: the engine
+        # takes one signed Gauss sum instead, with the same floats
+        rng = Random(54)
+        for k in range(90):
+            l = rng.randint(2, (8, 40, 16)[k % 3])
+            n = rng.randint(1, (12, 400, 60)[k % 3])
+            m = dependent_rows(rng, n, l, ("dense", "dense", "low")[k % 3])
+            for t in range(8):
+                prog = XProgram(m, Angle.exact(t, 4))
+                base = alpha(m, prog.theta)
+                assert repr(amplitude(prog, BitVector(l))) == repr(base)
+                for _ in range(3):
+                    # half in the row space, where the amplitude can be nonzero
+                    ix = rng.getrandbits(l) if rng.getrandbits(1) else gf2._combine(
+                        m.bits, rng.getrandbits(n))
+                    x = BitVector(l, ix)
+                    if ix:
+                        want = alpha(project(m, x), prog.theta) - base
+                        assert repr(amplitude(prog, x)) == repr(want)
+
+    def test_one_gauss_sum_per_fourth_root_amplitude(self, monkeypatch):
+        calls = []
+        gauss_sum = clifford._gauss_sum
+
+        def counted(vectors, linear=0):
+            calls.append(len(vectors))
+            return gauss_sum(vectors, linear)
+
+        monkeypatch.setattr(clifford, "_gauss_sum", counted)
+        rng = Random(55)
+        for k in range(40):
+            l = rng.randint(2, 8)
+            m = dependent_rows(rng, rng.randint(1, 16), l, ("dense", "low")[k % 2])
+            r = gf2.rank(m)
+            for t in range(8):
+                prog = XProgram(m, Angle.exact(t, 4))
+                for ix in range(1, 1 << l):
+                    calls.clear()
+                    got = amplitude(prog, BitVector(l, ix))
+                    if gf2.rank(BinaryMatrix(m.n + 1, l, m.bits + (ix,))) > r:
+                        assert got == 0j and not calls
+                    else:
+                        # even t leave a character sum, odd t one Gauss sum
+                        assert len(calls) == t % 2
+
 
 def dependent_rows(rng: Random, n: int, l: int, kind: str) -> BinaryMatrix:
     """n rows of width l: dense, drawn from a few repeated rows, or of low rank."""
@@ -159,6 +205,8 @@ SWEEP_ANGLES = [
     Angle.exact(3, 16), Angle.exact(7, 16), Angle.radians(math.pi / 2 - 1e-3),
     Angle.radians(1e-3),
 ]
+# the multiples of pi/4 too, which take a signed Gauss sum
+OUTSIDE_ANGLES = SWEEP_ANGLES + [Angle.exact(t, 4) for t in range(8)]
 
 
 class TestSmallerSide:
@@ -197,10 +245,10 @@ class TestSmallerSide:
     def test_outside_the_row_space_is_zero(self):
         rng = Random(63)
         seen = 0
-        for k in range(60):
+        for k in range(96):
             l = rng.randint(2, 8)
             m = dependent_rows(rng, rng.randint(1, 16), l, ("repeated", "low")[k % 2])
-            prog = XProgram(m, SWEEP_ANGLES[k % len(SWEEP_ANGLES)])
+            prog = XProgram(m, OUTSIDE_ANGLES[k % len(OUTSIDE_ANGLES)])
             r = gf2.rank(m)
             for ix in range(1 << l):
                 x = BitVector(l, ix)

@@ -137,7 +137,7 @@ def tall_program_calls(rng: Random, name: str, l: int, low_rank: bool):
     if low_rank:
         calls += [["wenum", name], ["tutte", name, "--at", "2", "3"],
                   ["tutte", name, "--at", "-1", "-1"]]
-    for theta in ("1/4", "1/8", "3/4", "1/2", "5/4"):
+    for theta in ("1/4", "1/8", "3/4", "1/2", "5/4", "1", "7/4"):
         t = ["--theta", theta]
         calls += [
             ["alpha", name, *t],
