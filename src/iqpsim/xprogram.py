@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb, gcd
 
 import numpy as np
 
-from . import codes
+from . import codes, gf2
 from .codes import Angle
 from .errors import (
     BudgetExceeded,
@@ -258,6 +257,13 @@ class ReducedProgram:
         return XProgram(BinaryMatrix(len(bits), self.l, bits), self.theta)
 
 
+def _alternating_sum(m: int, k: int) -> int:
+    """sum_{j <= k} (-1)^j C(m, j) in closed form: (-1)^k C(m - 1, k) for m >= 1."""
+    if m == 0:
+        return 1
+    return -comb(m - 1, k) if k & 1 else comb(m - 1, k)
+
+
 def reduce_rows(prog: XProgram, *, term_limit: int = 2_000_000) -> ReducedProgram:
     """Rewrite a dyadic-angle program so every row has weight <= d.
 
@@ -266,6 +272,15 @@ def reduce_rows(prog: XProgram, *, term_limit: int = 2_000_000) -> ReducedProgra
     of a full turn and vanish, and the rest accumulate with integer
     multiplicities mod the period. The empty term becomes global phase.
     The output program's distribution equals the input's exactly.
+
+    A weight-w row puts sum_{j <= d - s} (-1)^j C(w - s, j) on each of
+    its size-s sub-supports. For w <= d that is 1 on the row itself and
+    0 elsewhere, so such rows pass through. The heavier rows are walked
+    by sub-support S, |S| <= d: the rows containing S are the AND of
+    P's columns in S, and S's multiplicity is the sum of their
+    coefficients, read by popcounts against the coefficients' bit
+    planes. term_limit bounds the terms of the row-by-row expansion,
+    counted before the walk from the row weights.
     """
     parts = prog.theta.dyadic_parts()
     if parts is None:
@@ -274,34 +289,88 @@ def reduce_rows(prog: XProgram, *, term_limit: int = 2_000_000) -> ReducedProgra
         )
     c, d = parts
     modulus = (2 << d) // gcd(c, 2 << d) if c else 1
-    counts: dict[int, int] = {}
-    # per row weight w: (sz, coefficient on a size-sz sub-support, number
-    # of such sub-supports), for the nonzero coefficients only
-    expansions: dict[int, list[tuple[int, int, int]]] = {}
-    budget = 0
-    for row in prog.P.bits:
+    P = prog.P
+    light: dict[int, int] = {}
+    # the rows of weight above d as packed sets with row i at bit n - 1 - i,
+    # all of them and by weight
+    heavy, classes = 0, {}
+    for i, row in enumerate(P.bits):
         w = row.bit_count()
-        terms = expansions.get(w)
-        if terms is None:
-            terms = expansions[w] = []
-            for sz in range(0, min(d, w) + 1):
-                f = sum((-1) ** j * comb(w - sz, j) for j in range(d - sz + 1)) % modulus
-                if f:
-                    terms.append((sz, f, comb(w, sz)))
-        support = [1 << b for b in range(prog.l) if row >> b & 1]
-        for sz, f, size in terms:
-            budget += size
+        if w <= d:
+            light[row] = light.get(row, 0) + 1
+        else:
+            bit = 1 << (P.n - 1 - i)
+            heavy |= bit
+            classes[w] = classes.get(w, 0) | bit
+    budget = P.n - heavy.bit_count() if modulus > 1 else 0
+    # a program with no terms passes any limit, as when counted term by term
+    if budget > max(term_limit, 0):
+        raise BudgetExceeded(f"row expansion exceeds {term_limit} terms")
+    # planes[s][2^k]: the heavy rows whose coefficient on a size-s
+    # sub-support has bit k set
+    planes: list[dict[int, int]] = [{} for _ in range(d + 1)]
+    for w, rows in classes.items():
+        for s in range(d + 1):
+            f = _alternating_sum(w - s, d - s) % modulus
+            if not f:
+                continue
+            budget += rows.bit_count() * comb(w, s)
             if budget > term_limit:
                 raise BudgetExceeded(f"row expansion exceeds {term_limit} terms")
-            # the bits of a sub-support are disjoint, so their sum is their union
-            for subset in combinations(support, sz):
-                key = sum(subset)
-                counts[key] = (counts.get(key, 0) + f) % modulus
-    phase_exponent = counts.pop(0, 0)
+            plane = planes[s]
+            while f:
+                low = f & -f
+                plane[low] = plane.get(low, 0) | rows
+                f ^= low
+    # the walk reaches each sub-support once, so it sets each key once
+    counts: dict[int, int] = {}
+    if heavy:
+        weighted = [tuple(plane.items()) for plane in planes]
+        by_bit = P.bits[::-1]  # the row at bit i of a packed set
+        # (b, the rows containing b) for each single-bit b, lowest first
+        cells = [(1 << b, col) for b, col in enumerate(gf2.transpose(P).bits[::-1])]
+        stack = [(0, heavy, 0)]
+        while stack:
+            key, rows, s = stack.pop()
+            value = 0
+            for k, plane in weighted[s]:
+                value += k * (rows & plane).bit_count()
+            counts[key] = value
+            if s == d:  # the root at d = 0; deeper leaves are counted below
+                continue
+            # children add one bit below the lowest of key, so each S is reached once
+            below = (key & -key).bit_length() - 1 if key else P.l
+            if rows.bit_count() < below:
+                union, v = 0, rows
+                while v:
+                    low = v & -v
+                    union |= by_bit[low.bit_length() - 1]
+                    v ^= low
+                union &= (1 << below) - 1
+                picks = []
+                while union:
+                    low = union & -union
+                    picks.append(cells[low.bit_length() - 1])
+                    union ^= low
+            else:
+                picks = cells[:below]
+            s += 1
+            if s < d:
+                stack += [(key | low, child, s) for low, col in picks if (child := rows & col)]
+                continue
+            # every heavy row has coefficient 1 on its size-d sub-supports
+            for low, col in picks:
+                if value := (rows & col).bit_count():
+                    counts[key | low] = value
+    for row, mult in light.items():
+        counts[row] = counts.get(row, 0) + mult
+    phase_exponent = counts.pop(0, 0) % modulus
     return ReducedProgram(
         l=prog.l,
         theta=prog.theta,
-        monomials=tuple((bits, mult) for bits, mult in sorted(counts.items()) if mult),
+        monomials=tuple(
+            (bits, m) for bits, mult in sorted(counts.items()) if (m := mult % modulus)
+        ),
         phase_exponent=phase_exponent,
         degree=d,
         period=modulus,

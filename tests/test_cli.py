@@ -577,6 +577,14 @@ class TestReduceCommand:
         assert code == 2
         assert json.loads(err)["error"] == "UnsupportedAngle"
 
+    def test_over_budget(self, capsys, tmp_path):
+        # the first all-ones row alone has C(40, 6) > 2M terms at pi/64
+        path = write_matrix(tmp_path, "ones.txt", 40, 40, ["1" * 40] * 40)
+        code, out, err = run_cli(capsys, "reduce", path, "--theta", "1/64")
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"] == "BudgetExceeded"
+
 
 class TestVerifyCommand:
     def test_pex_all_checks(self, capsys, pex_file):

@@ -2,15 +2,18 @@
 
 import cmath
 import math
+from itertools import combinations
+from math import comb, gcd
 from random import Random
 
 import numpy as np
 import pytest
 
-from iqpsim import clifford, gf2, oracle
+from iqpsim import clifford, gf2, oracle, xprogram
 from iqpsim.clifford import clifford_support
 from iqpsim.codes import Angle, alpha, project
 from iqpsim.errors import (
+    BudgetExceeded,
     DimensionMismatch,
     DomainTooLarge,
     NumericalInconsistency,
@@ -20,6 +23,7 @@ from iqpsim.errors import (
 from iqpsim.gf2 import BinaryMatrix, BitVector
 from iqpsim.xprogram import (
     Distribution,
+    ReducedProgram,
     XProgram,
     amplitude,
     beta,
@@ -396,6 +400,54 @@ class TestFullDistribution:
             full_distribution(prog)
 
 
+def expanded_reduction(prog: XProgram, term_limit: int = 2_000_000) -> ReducedProgram:
+    """Reference for reduce_rows: expand every row into all its sub-supports,
+    one term at a time, with each coefficient as its d-term alternating sum."""
+    c, d = prog.theta.dyadic_parts()
+    modulus = (2 << d) // gcd(c, 2 << d) if c else 1
+    counts: dict[int, int] = {}
+    budget = 0
+    for row in prog.P.bits:
+        w = row.bit_count()
+        support = [1 << b for b in range(prog.l) if row >> b & 1]
+        for sz in range(0, min(d, w) + 1):
+            f = sum((-1) ** j * comb(w - sz, j) for j in range(d - sz + 1)) % modulus
+            if not f:
+                continue
+            budget += comb(w, sz)
+            if budget > term_limit:
+                raise BudgetExceeded(f"row expansion exceeds {term_limit} terms")
+            for subset in combinations(support, sz):
+                key = sum(subset)
+                counts[key] = (counts.get(key, 0) + f) % modulus
+    phase_exponent = counts.pop(0, 0)
+    return ReducedProgram(
+        l=prog.l,
+        theta=prog.theta,
+        monomials=tuple((bits, mult) for bits, mult in sorted(counts.items()) if mult),
+        phase_exponent=phase_exponent,
+        degree=d,
+        period=modulus,
+    )
+
+
+def expansion_terms(prog: XProgram) -> int:
+    """The number of terms the row-by-row expansion adds up."""
+    c, d = prog.theta.dyadic_parts()
+    modulus = (2 << d) // gcd(c, 2 << d) if c else 1
+    return sum(
+        comb(w, sz)
+        for w in (row.bit_count() for row in prog.P.bits)
+        for sz in range(min(d, w) + 1)
+        if sum((-1) ** j * comb(w - sz, j) for j in range(d - sz + 1)) % modulus
+    )
+
+
+def dyadic_angles():
+    """Every a pi / 2^k with k <= 6 and 0 <= a < 2^(k+1), even a included."""
+    return [Angle.exact(a, 1 << k) for k in range(7) for a in range(2 << k)]
+
+
 class TestReduceRows:
     def test_triple_row_quarter_turn_fixture(self):
         # X1 X2 X3 at pi/4 becomes singletons times 7 and pairs times 1,
@@ -468,3 +520,82 @@ class TestReduceRows:
         got = reduce_rows(prog)
         assert got.monomial_count == 6
         assert got.expanded_row_count == 24
+
+    def test_matches_row_expansion(self):
+        rng = Random(64)
+        angles = dyadic_angles()
+        for theta in angles:
+            for _ in range(3):
+                n, l = rng.randint(0, 12), rng.randint(0, 12)
+                rows = [rng.getrandbits(l) for _ in range(n)]
+                if rows:
+                    rows += [0] + [rng.choice(rows) for _ in range(rng.randint(1, 4))]
+                    rng.shuffle(rows)
+                prog = XProgram(BinaryMatrix(len(rows), l, tuple(rows)), theta)
+                assert reduce_rows(prog) == expanded_reduction(prog)
+        for n, l in ((0, 0), (0, 5), (4, 0)):
+            for theta in angles[::7]:
+                prog = XProgram(BinaryMatrix.zeros(n, l), theta)
+                assert reduce_rows(prog) == expanded_reduction(prog)
+
+    def test_matches_row_expansion_on_wide_rows(self):
+        rng = Random(65)
+        for l in (64, 65, 200, 2000):
+            for theta in (Angle.exact(1, 4), Angle.exact(1, 8), Angle.exact(3, 16), Angle.exact(1, 1)):
+                n = rng.randint(1, 40)
+                rows = [sum(1 << b for b in rng.sample(range(l), rng.randint(0, 7)))
+                        for _ in range(n)]
+                rows.append(rows[0])
+                prog = XProgram(BinaryMatrix(len(rows), l, tuple(rows)), theta)
+                assert reduce_rows(prog) == expanded_reduction(prog)
+
+    def test_closed_form_coefficients(self):
+        for m in range(41):
+            for k in range(41):
+                want = sum((-1) ** j * comb(m, j) for j in range(k + 1))
+                assert xprogram._alternating_sum(m, k) == want
+
+    def test_deep_angle_makes_one_comb_per_weight_and_size(self, monkeypatch):
+        # weights 1..100 at pi / 2^4000: a d-term sum per coefficient would
+        # take 100 * 100 * 4000 comb calls
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return comb(a, b)
+
+        monkeypatch.setattr(xprogram, "comb", counted)
+        rows = tuple((1 << w) - 1 for w in range(1, 101))
+        theta = Angle.exact(1, 1 << 4000)
+        got = reduce_rows(XProgram(BinaryMatrix(100, 100, rows), theta))
+        assert got.degree == 4000
+        assert got.monomials == tuple((row, 1) for row in rows)
+        assert got.phase_exponent == 0
+        pairs = sum(w + 1 for w in range(1, 101))
+        assert len(calls) <= 2 * pairs
+
+    def test_term_budget(self):
+        rng = Random(66)
+        for theta in (Angle.exact(1, 4), Angle.exact(1, 8), Angle.exact(3, 16), Angle.exact(5, 32)):
+            for _ in range(6):
+                n, l = rng.randint(1, 12), rng.randint(1, 12)
+                prog = XProgram(random_matrix(rng, n, l), theta)
+                terms = expansion_terms(prog)
+                assert reduce_rows(prog, term_limit=terms) == expanded_reduction(prog)
+                for f in (reduce_rows, expanded_reduction):
+                    with pytest.raises(BudgetExceeded) as info:
+                        f(prog, term_limit=terms - 1)
+                    assert str(info.value) == f"row expansion exceeds {terms - 1} terms"
+        # no terms, no check: even a negative limit passes
+        empty = XProgram(BinaryMatrix.zeros(0, 3), Angle.exact(1, 8))
+        assert reduce_rows(empty, term_limit=-1) == expanded_reduction(empty, term_limit=-1)
+
+    def test_budget_checked_before_the_walk(self, monkeypatch):
+        # 40 all-ones rows at pi/64: the first row alone has C(40, 6) terms
+        def refused(m):
+            raise AssertionError("walk started")
+
+        monkeypatch.setattr(gf2, "transpose", refused)
+        prog = XProgram(BinaryMatrix(40, 40, ((1 << 40) - 1,) * 40), Angle.exact(1, 64))
+        with pytest.raises(BudgetExceeded, match="row expansion exceeds 2000000 terms"):
+            reduce_rows(prog)

@@ -147,6 +147,7 @@ def tall_program_calls(rng: Random, name: str, l: int, low_rank: bool):
             ["marginal", name, *t, "--mask", "1" * 3 + "0" * (l - 3)],
             ["sample", name, *t, "--mask", "0" * (l - 4) + "1" * 4, "--samples", "20"],
         ]
+    calls += [["reduce", name, "--theta", theta] for theta in ("1/4", "1/8", "1/16")]
     for call in calls:
         call += ["--output", rng.choice(["json", "tsv"])]
     return calls
@@ -179,6 +180,7 @@ def error_calls(names: dict[str, str]):
         ["marginal", pex, "--theta", "1/8", "--projector", names["not_idempotent"]],
         ["marginal", pex, "--theta", "1/8", "--projector", names["not_square"]],
         ["reduce", pex, "--theta", "rad:0.5"],
+        ["reduce", names["ones40"], "--theta", "1/64"],
         ["marginal", names["star"], "--theta", "rad:0.7", "--mask", "11" + "0" * 38],
         ["marginal", names["star"], "--theta", "rad:0.7", "--mask", "11" + "0" * 38,
          "--path", "generic"],
@@ -203,6 +205,7 @@ def build_corpus(rng: Random, workdir: str) -> list[list[str]]:
         "not_idempotent": put("swap.txt", 4, 4, [0b0100, 0b1000, 0b0010, 0b0001]),
         "not_square": put("rect.txt", 3, 4, [0b1000, 0b0100, 0b0010]),
         "star": put("star.txt", 34, 40, [1 << 39 | 1 << (38 - i) for i in range(34)]),
+        "ones40": put("ones40.txt", 40, 40, [(1 << 40) - 1] * 40),
     }
     with open(os.path.join(workdir, "bad.txt"), "w", encoding="utf-8") as handle:
         handle.write("1 4\n10x1\n")
