@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
+from typing import Sequence
 
 from . import gf2
 from .errors import DimensionMismatch
@@ -217,10 +218,14 @@ class AffineSupport:
 
     def sample(self, rng: Random) -> BitVector:
         # bit j of the draw picks directions[j], so the basis goes in reversed
-        picked = gf2._combine(
-            [d.bits for d in reversed(self.directions)], rng.getrandbits(self.dim)
-        )
-        return BitVector(self.offset.n, self.offset.bits ^ picked)
+        directions = [d.bits for d in reversed(self.directions)]
+        return BitVector(self.offset.n, _affine_draw(self.offset.bits, directions, rng))
+
+
+def _affine_draw(offset: int, directions: Sequence[int], rng: Random) -> int:
+    """A uniform point of offset + span(directions), packed; the directions
+    must be independent, and the top bit of the draw picks directions[0]."""
+    return offset ^ gf2._combine(directions, rng.getrandbits(len(directions)))
 
 
 def clifford_support(P: BinaryMatrix) -> AffineSupport:

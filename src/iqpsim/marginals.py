@@ -17,12 +17,14 @@ Rows of weight at most two have a closed form for the coefficients; the
 pi/8 and column-sparse entry points check their preconditions and run
 the engine. A sampler draws from the marginal by randomizing over the
 dual kernel Kstar, one fresh shift per sample, and keeps the CDFs of the
-shifts it has seen within a fixed budget of floats.
+shifts it has seen within a fixed budget of floats. At multiples of
+pi/4 it draws from the quarter-turn law instead, computed once.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -196,25 +198,32 @@ def _push_forward(prog: XProgram, proj: Projector) -> Distribution:
     return Distribution(q, np.bincount(coords, weights=probs, minlength=1 << q))
 
 
-def _quarter_turn_image(prog: XProgram, proj: Projector) -> Distribution:
-    """Uniform law on the image under m of the quarter-turn support.
+def _quarter_turn_law(prog: XProgram) -> tuple[int, list[int]]:
+    """The quarter-turn output law as a packed (offset, directions): it
+    is uniform on offset + span(directions), and the directions are
+    independent, in the order clifford._affine_draw takes them.
 
     At theta = t pi / 4 with t odd the output is uniform on the affine
     Clifford support, which an odd multiple of pi/2 added to theta only
     shifts by the xor of all rows, a direction of the support. At even t
     the program is a power of the product of its iX_S gates: a point
-    mass at 0, or at that xor when t = 2 mod 4. A linear image of a
-    uniform affine law is uniform on the image, here 2^k points.
+    mass at 0, or at that xor when t = 2 mod 4.
     """
     t = prog.theta.fourth_root_index
-    offset, directions = 0, []
     if t % 2:
         support = clifford.clifford_support(prog.P)
-        offset = support.offset.bits
-        directions = [d.bits for d in support.directions]
-    elif t % 4 == 2:
+        return support.offset.bits, [d.bits for d in reversed(support.directions)]
+    offset = 0
+    if t % 4 == 2:
         for row in prog.P.bits:
             offset ^= row
+    return offset, []
+
+
+def _quarter_turn_image(prog: XProgram, proj: Projector) -> Distribution:
+    """Uniform law on the image under m of the quarter-turn law: a linear
+    image of a uniform affine law is uniform on the image, here 2^k points."""
+    offset, directions = _quarter_turn_law(prog)
     pivots = gf2._eliminate((proj._coord_bits(d) for d in directions), {})
     k = len(pivots)
     points = codes._enumeration_table(list(pivots.values()), k)
@@ -378,17 +387,23 @@ def marginal_graphic(
 
 
 class MarginalSampler:
-    """Draws masked outputs one at a time, a fresh dual shift per draw.
+    """Draws masked outputs one at a time.
 
-    For a shift k in Kstar the conditional probability of outcome x is
-    the squared magnitude of an average of unit phases over the dual
-    range. Their exponents come from the histogram of the rows' R
-    coordinates, each row signed by its parity against k, so a
-    conditional costs two transforms of length 2^q. The average over
-    shifts reproduces the marginal exactly, so sampling a uniform shift
-    then the conditional outcome samples the marginal. The CDFs of the
-    first shifts drawn are kept, _CACHE_FLOATS >> q of them, so the
-    memory stays fixed however many draws are made.
+    At multiples of pi/4 a draw is one uniform point of the quarter-turn
+    law (the Clifford support at odd t, a point mass at even t) mapped
+    through m. The law is computed on the first draw and kept; no
+    conditional is built.
+
+    At other angles each draw takes a fresh dual shift. For a shift k in
+    Kstar the conditional probability of outcome x is the squared
+    magnitude of an average of unit phases over the dual range. Their
+    exponents come from the histogram of the rows' R coordinates, each
+    row signed by its parity against k, so a conditional costs two
+    transforms of length 2^q. The average over shifts reproduces the
+    marginal exactly, so sampling a uniform shift then the conditional
+    outcome samples the marginal. The CDFs of the first shifts drawn are
+    kept, _CACHE_FLOATS >> q of them, so the memory stays fixed however
+    many draws are made. conditional(shift) answers at every angle.
     """
 
     def __init__(
@@ -403,6 +418,7 @@ class MarginalSampler:
         self.prog = prog
         self.proj = proj
         self.rng = rng if rng is not None else Random()
+        self._quarter_turn = prog.theta.is_fourth_root
         self._cdfs: dict[int, np.ndarray] = {}
         self._keys = [proj._coord_bits(r) for r in prog.P.bits]
         # bit j of a draw picks Kstar_basis[j]
@@ -418,8 +434,18 @@ class MarginalSampler:
         xprogram._check_total(float(probs.sum()), "conditional sums to")
         return probs
 
+    @functools.cached_property
+    def _image_law(self) -> tuple[int, list[int]]:
+        """The quarter-turn law mapped through m: the image of a draw
+        offset + sum d_j is m(offset) + sum m(d_j), bit for bit."""
+        offset, directions = _quarter_turn_law(self.prog)
+        rows = self.proj.matrix.bits
+        return gf2._parities(offset, rows), [gf2._parities(d, rows) for d in directions]
+
     def sample(self) -> BitVector:
         """One masked output, as a full-width vector in the range of m."""
+        if self._quarter_turn:
+            return BitVector(self.proj.l, clifford._affine_draw(*self._image_law, self.rng))
         shift = gf2._combine(self._shifts, self.rng.getrandbits(len(self._shifts)))
         cdf = self._cdfs.get(shift)
         if cdf is None:

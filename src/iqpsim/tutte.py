@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 from . import gf2
 from .errors import BudgetExceeded, NumericalInconsistency, TooManyRows
@@ -30,6 +31,10 @@ __all__ = [
 
 DEFAULT_ROW_LIMIT = 20
 DEFAULT_MEMO_LIMIT = 500_000
+# recursion depth the frame chain does not show: the calls a level makes
+# (canonical key, elimination, series) and the C calls of the callers,
+# which the interpreter counts too
+_FRAME_MARGIN = 32
 
 
 class TuttePolynomial:
@@ -132,6 +137,15 @@ def _canonical_key(rows: list[int]) -> tuple:
     return (len(masks), tuple(sorted(gf2._parities(v, masks) for v in rows)))
 
 
+def _recursion_headroom() -> int:
+    """Recursion levels the interpreter's limit leaves below the caller."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return sys.getrecursionlimit() - depth - _FRAME_MARGIN
+
+
 def tutte_eval(
     P: BinaryMatrix, x, y, *, memo_limit: int = DEFAULT_MEMO_LIMIT
 ):
@@ -146,8 +160,14 @@ def tutte_eval(
     minors are evaluated once. Only +, * and ** touch x and y, so the
     same recursion runs on ints, floats and complex values alike.
 
+    The first chain of deletions drops one class that is no coloop per
+    level and keeps the rank, so it always reaches a depth of the
+    distinct nonzero rows less the rank; that is checked against the
+    interpreter's recursion limit before the recursion starts.
+
     Raises:
-        BudgetExceeded: when the memo table outgrows memo_limit.
+        BudgetExceeded: when the first deletion chain is deeper than the
+            recursion limit allows, or the memo table outgrows memo_limit.
         NumericalInconsistency: when a float or complex value is not finite.
     """
     memo: dict[tuple, complex] = {}
@@ -210,6 +230,14 @@ def tutte_eval(
             memo[key] = evaluate(deleted) + weight * evaluate(contracted)
         return factor * memo[key]
 
+    distinct = set(P.bits) - {0}
+    chain = len(distinct) - len(gf2._eliminate(distinct, {}))
+    headroom = _recursion_headroom()
+    if chain > headroom:
+        raise BudgetExceeded(
+            f"deletion chain of {chain} levels exceeds the recursion headroom "
+            f"of {headroom} levels"
+        )
     value = evaluate(list(P.bits))
     if isinstance(value, (float, complex)) and not cmath.isfinite(value):
         raise NumericalInconsistency(f"Tutte value {value} is not finite")

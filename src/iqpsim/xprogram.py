@@ -45,6 +45,8 @@ __all__ = [
 DEFAULT_DOMAIN_LIMIT = 16
 IMAG_TOLERANCE = 1e-9
 PROBABILITY_TOLERANCE = 1e-9
+# rows ReducedProgram.to_xprogram may write out, each monomial mult times
+EXPANDED_ROW_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -253,6 +255,17 @@ class ReducedProgram:
         return cmath.exp(1j * self.theta.value * self.phase_exponent)
 
     def to_xprogram(self) -> XProgram:
+        """The program with each monomial written as mult equal rows.
+
+        Raises:
+            BudgetExceeded: when expanded_row_count exceeds
+                EXPANDED_ROW_LIMIT, before any row is built.
+        """
+        count = self.expanded_row_count
+        if count > EXPANDED_ROW_LIMIT:
+            raise BudgetExceeded(
+                f"expanded program has {count} rows, beyond the limit {EXPANDED_ROW_LIMIT}"
+            )
         bits = tuple(row for row, mult in self.monomials for _ in range(mult))
         return XProgram(BinaryMatrix(len(bits), self.l, bits), self.theta)
 

@@ -165,6 +165,16 @@ class TestTutteCommand:
         assert payload["basis_count"] == 6
         assert payload["exact"] is True
 
+    def test_deletion_chain_past_the_recursion_limit(self, capsys, tmp_path):
+        rng = Random(73)
+        rows = {format(rng.getrandbits(64) | 1 << 63, "064b") for _ in range(2000)}
+        path = write_matrix(tmp_path, "tall.txt", 2000, 64, sorted(rows))
+        code, out, err = run_cli(capsys, "tutte", path, "--at", "2", "3")
+        assert (code, out) == (3, "")
+        payload = json.loads(err)
+        assert payload["error"] == "BudgetExceeded"
+        assert "deletion chain of 1936 levels" in payload["message"]
+
     def test_pex_at_point(self, capsys, pex_file):
         code, out, _ = run_cli(capsys, "tutte", pex_file, "--at", "1", "1")
         assert code == 0
@@ -584,6 +594,20 @@ class TestReduceCommand:
         assert code == 3
         assert out == ""
         assert json.loads(err)["error"] == "BudgetExceeded"
+
+    def test_dump_over_budget(self, capsys, tmp_path, monkeypatch):
+        # one all-ones row of weight 11 expands to 2095104 rows at pi/1024;
+        # the report without --dump is unchanged, the dump fails before a row
+        path = write_matrix(tmp_path, "ones.txt", 1, 11, ["1" * 11])
+        code, out, _ = run_cli(capsys, "reduce", path, "--theta", "1/1024")
+        assert code == 0
+        assert json.loads(out)["expanded_row_count"] == 2095104
+        built = []
+        monkeypatch.setattr(xprogram, "BinaryMatrix", lambda *args: built.append(args))
+        code, out, err = run_cli(capsys, "reduce", path, "--theta", "1/1024", "--dump")
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"] == "BudgetExceeded"
+        assert built == []
 
 
 class TestVerifyCommand:

@@ -1,4 +1,4 @@
-"""Projectors, the four marginal paths, and the per-draw sampler."""
+"""Projectors, the four marginal paths, and the sampler."""
 
 import tracemalloc
 from random import Random
@@ -6,7 +6,7 @@ from random import Random
 import numpy as np
 import pytest
 
-from iqpsim import gf2, marginals, oracle, xprogram
+from iqpsim import clifford, gf2, marginals, oracle, xprogram
 from iqpsim.codes import Angle
 from iqpsim.errors import (
     ColumnBoundViolated,
@@ -29,7 +29,7 @@ from iqpsim.marginals import (
     marginal_sparse,
     sample_marginal,
 )
-from iqpsim.xprogram import XProgram, full_distribution
+from iqpsim.xprogram import XProgram, full_distribution, walsh_hadamard
 
 from conftest import random_matrix
 
@@ -58,6 +58,21 @@ def small_mask(rng: Random, l: int, max_bits: int) -> BitVector:
     for p in positions:
         bits |= 1 << (l - 1 - p)
     return BitVector(l, bits)
+
+
+def quarter_turn_programs(seed: int):
+    """(t, program at t pi / 4, projector) for each t < 8, once under a mask
+    and once under a conjugated projector."""
+    rng = Random(seed)
+    for t in range(8):
+        for conjugated in (False, True):
+            l = rng.randint(1, 7)
+            prog = XProgram(random_matrix(rng, rng.randint(0, 9), l), Angle.exact(t, 4))
+            if conjugated:
+                proj = random_projector(rng, l, max_range=4)
+            else:
+                proj = diagonal_projector(small_mask(rng, l, 4))
+            yield t, prog, proj
 
 
 class TestMakeProjector:
@@ -603,13 +618,18 @@ class TestMarginalSampler:
 
     def test_seeded_stream_reproducible(self):
         rng = Random(104)
-        prog = XProgram(random_matrix(rng, 5, 5), Angle.exact(1, 4))
         proj = diagonal_projector(BitVector.from_string("10100"))
-        first = MarginalSampler(prog, proj, Random(7))
-        second = MarginalSampler(prog, proj, Random(7))
-        stream_a = [first.sample().to_string() for _ in range(40)]
-        stream_b = [second.sample().to_string() for _ in range(40)]
-        assert stream_a == stream_b
+        cases = [
+            (XProgram(random_matrix(rng, 5, 5), theta), proj)
+            for theta in (Angle.exact(1, 4), Angle.radians(0.9))
+        ]
+        cases += [(prog, proj) for _, prog, proj in quarter_turn_programs(123)]
+        for prog, proj in cases:
+            first = MarginalSampler(prog, proj, Random(7))
+            second = MarginalSampler(prog, proj, Random(7))
+            stream_a = [first.sample().to_string() for _ in range(40)]
+            stream_b = [second.sample().to_string() for _ in range(40)]
+            assert stream_a == stream_b
 
     def test_sample_marginal_helper(self):
         rng = Random(105)
@@ -618,12 +638,15 @@ class TestMarginalSampler:
         x = sample_marginal(prog, proj, Random(9))
         assert proj.apply(x) == x
 
-    def test_range_limit(self):
+    def test_range_limit(self, monkeypatch):
+        # checked in the constructor, before any quarter-turn support
+        monkeypatch.setattr(clifford, "clifford_support", None)
         rng = Random(106)
-        prog = XProgram(random_matrix(rng, 3, 6), Angle.exact(1, 8))
         proj = make_projector(BinaryMatrix.identity(6))
-        with pytest.raises(RangeTooLarge):
-            MarginalSampler(prog, proj, Random(0), range_limit=4)
+        for theta in (Angle.exact(1, 8), Angle.exact(1, 4)):
+            prog = XProgram(random_matrix(rng, 3, 6), theta)
+            with pytest.raises(RangeTooLarge):
+                MarginalSampler(prog, proj, Random(0), range_limit=4)
 
     def test_shared_input_checks(self):
         # the width check comes before the range check, in both entry points
@@ -673,3 +696,63 @@ class TestMarginalSampler:
             tracemalloc.stop()
         assert current < 16 << 20
         assert len(sampler._cdfs) == 64
+
+
+class TestQuarterTurnSampler:
+    """At theta = t pi / 4 draws come from the quarter-turn law."""
+
+    def test_draws_follow_the_exact_law(self):
+        for t, prog, proj in quarter_turn_programs(120):
+            want = oracle.oracle_marginal(prog, proj).as_array()
+            sampler = MarginalSampler(prog, proj, Random(t))
+            counts = np.zeros(1 << proj.range_dim)
+            draws = 20000
+            for _ in range(draws):
+                x = sampler.sample()
+                assert proj.apply(x) == x
+                counts[proj.vector_to_coords(x).bits] += 1
+            assert want[counts > 0].min() > 1e-9
+            if t % 2 == 0:  # a point mass: every draw is its one point
+                assert counts.max() == draws
+            tv = float(np.abs(counts / draws - want).sum()) / 2
+            assert tv < 0.03
+
+    def test_no_conditional_and_one_support_per_sampler(self, monkeypatch):
+        calls = {"sweep": 0, "wht": 0, "support": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            xprogram, "_sweep_probabilities", counted("sweep", xprogram._sweep_probabilities)
+        )
+        for module in (xprogram, marginals):
+            monkeypatch.setattr(module, "walsh_hadamard", counted("wht", walsh_hadamard))
+        monkeypatch.setattr(
+            clifford, "clifford_support", counted("support", clifford.clifford_support)
+        )
+        rng = Random(122)
+        for t in range(8):
+            prog = XProgram(random_matrix(rng, 30, 12), Angle.exact(t, 4))
+            proj = diagonal_projector(small_mask(rng, 12, 6))
+            sampler = MarginalSampler(prog, proj, Random(t))
+            for _ in range(300):
+                sampler.sample()
+            assert sampler._cdfs == {}
+            assert calls["support"] == (t + 1) // 2
+        assert calls["sweep"] == calls["wht"] == 0
+
+    def test_clifford_sample_shares_the_draw(self):
+        # under the identity projector the sampler's stream is clifford_sample's
+        rng = Random(124)
+        for t in (1, 3, 5, 7):
+            P = random_matrix(rng, rng.randint(0, 12), 8)
+            proj = make_projector(BinaryMatrix.identity(8))
+            sampler = MarginalSampler(XProgram(P, Angle.exact(t, 4)), proj, Random(t))
+            draws = Random(t)
+            for _ in range(30):
+                assert sampler.sample() == clifford.clifford_sample(P, draws)

@@ -1,12 +1,14 @@
 """Corank-nullity polynomial: subset sum, recursion, Greene evaluation."""
 
 import cmath
+import inspect
+import sys
 from itertools import combinations
 from random import Random
 
 import pytest
 
-from iqpsim import codes, gf2, oracle
+from iqpsim import codes, gf2, oracle, tutte
 from iqpsim.codes import Angle
 from iqpsim.errors import BudgetExceeded, NumericalInconsistency, TooManyRows
 from iqpsim.gf2 import BinaryMatrix
@@ -185,6 +187,56 @@ class TestTutteEval:
         m = random_matrix(rng, 18, 14)
         with pytest.raises(BudgetExceeded):
             tutte_eval(m, 0.3 + 0.7j, 1.9, memo_limit=4)
+
+    def test_deletion_chain_past_the_recursion_limit(self, monkeypatch):
+        # 2000 distinct rows of rank 64: the first deletion chain alone is
+        # 1936 levels deep, so the call fails before the first minor
+        keys = []
+        monkeypatch.setattr(tutte, "_canonical_key", keys.append)
+        rng = Random(46)
+        m = BinaryMatrix(2000, 64, tuple({rng.getrandbits(64) | 1 << 63 for _ in range(2000)}))
+        assert gf2.rank(m) == 64
+        with pytest.raises(BudgetExceeded, match="deletion chain of 1936 levels") as info:
+            tutte_eval(m, 2, 3)
+        assert f"headroom of {tutte._recursion_headroom() - 1} levels" in str(info.value)
+        assert keys == []
+
+    def test_headroom_admits_only_chains_that_fit(self, monkeypatch):
+        # the chain against a headroom of exactly its length passes, one
+        # less fails
+        rng = Random(47)
+        m = random_matrix(rng, 12, 4)
+        chain = len(set(m.bits) - {0}) - gf2.rank(m)
+        want = tutte_subset_sum(m).evaluate(2, 3)
+        monkeypatch.setattr(tutte, "_recursion_headroom", lambda: chain)
+        assert tutte_eval(m, 2, 3) == want
+        monkeypatch.setattr(tutte, "_recursion_headroom", lambda: chain - 1)
+        with pytest.raises(BudgetExceeded, match=f"of {chain} levels .* of {chain - 1}"):
+            tutte_eval(m, 2, 3)
+
+    def test_headroom_check_never_lets_a_recursion_overflow(self):
+        # under ever higher interpreter limits each call either fails the
+        # check or answers, never with RecursionError
+        base = len(inspect.stack(0))
+        limit = sys.getrecursionlimit()
+        for seed in range(6):
+            rng = Random(seed)
+            r = rng.choice([4, 5])
+            rows = rng.sample(range(1, 1 << r), rng.randint(r + 3, (1 << r) - 1))
+            m = BinaryMatrix(len(rows), r, tuple(rows))
+            want = tutte_eval(m, 2, 3)
+            answered = False
+            try:
+                for extra in range(16, 96):
+                    sys.setrecursionlimit(base + extra)
+                    try:
+                        answered = tutte_eval(m, 2, 3) == want
+                    except BudgetExceeded:
+                        continue
+                    break
+            finally:
+                sys.setrecursionlimit(limit)
+            assert answered
 
     def test_star_closed_form(self):
         for arms in [(1,), (3,), (1, 2), (2, 2, 4), (5, 1, 3)]:

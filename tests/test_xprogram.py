@@ -1,6 +1,7 @@
 """Program-level semantics against the statevector oracle."""
 
 import cmath
+import dataclasses
 import math
 from itertools import combinations
 from math import comb, gcd
@@ -520,6 +521,26 @@ class TestReduceRows:
         got = reduce_rows(prog)
         assert got.monomial_count == 6
         assert got.expanded_row_count == 24
+
+    def test_expansion_budget_before_any_row(self, monkeypatch):
+        # the 24 expanded rows pass a limit of 24; at 23 the count alone is
+        # read, in one pass over the monomials, and no row is built
+        class CountedMonomials(tuple):
+            passes = 0
+
+            def __iter__(self):
+                CountedMonomials.passes += 1
+                return super().__iter__()
+
+        got = reduce_rows(XProgram(BinaryMatrix.from_strings(["111"]), Angle.exact(1, 4)))
+        counted = dataclasses.replace(got, monomials=CountedMonomials(got.monomials))
+        monkeypatch.setattr(xprogram, "EXPANDED_ROW_LIMIT", 24)
+        assert counted.to_xprogram().n == 24
+        CountedMonomials.passes = 0
+        monkeypatch.setattr(xprogram, "EXPANDED_ROW_LIMIT", 23)
+        with pytest.raises(BudgetExceeded, match="24 rows, beyond the limit 23"):
+            counted.to_xprogram()
+        assert CountedMonomials.passes == 1
 
     def test_matches_row_expansion(self):
         rng = Random(64)

@@ -181,6 +181,10 @@ def error_calls(names: dict[str, str]):
         ["marginal", pex, "--theta", "1/8", "--projector", names["not_square"]],
         ["reduce", pex, "--theta", "rad:0.5"],
         ["reduce", names["ones40"], "--theta", "1/64"],
+        # 2095104 expanded rows, past the dump's row budget
+        ["reduce", names["ones11"], "--theta", "1/1024", "--dump"],
+        # a first deletion chain of 1036 levels, past the recursion limit
+        ["tutte", names["deep"], "--at", "2", "3"],
         ["marginal", names["star"], "--theta", "rad:0.7", "--mask", "11" + "0" * 38],
         ["marginal", names["star"], "--theta", "rad:0.7", "--mask", "11" + "0" * 38,
          "--path", "generic"],
@@ -206,6 +210,8 @@ def build_corpus(rng: Random, workdir: str) -> list[list[str]]:
         "not_square": put("rect.txt", 3, 4, [0b1000, 0b0100, 0b0010]),
         "star": put("star.txt", 34, 40, [1 << 39 | 1 << (38 - i) for i in range(34)]),
         "ones40": put("ones40.txt", 40, 40, [(1 << 40) - 1] * 40),
+        "ones11": put("ones11.txt", 1, 11, [(1 << 11) - 1]),
+        "deep": put("deep.txt", 1100, 64, matrix_rows(Random(64), 1100, 64, "dense")),
     }
     with open(os.path.join(workdir, "bad.txt"), "w", encoding="utf-8") as handle:
         handle.write("1 4\n10x1\n")
