@@ -280,10 +280,13 @@ def _cmd_tutte(args, prog: XProgram):
             except ValueError as exc:
                 raise BudgetExceeded(f"exact Tutte value: {exc}") from None
             return {"x": x, "y": y, "value": {"re": value, "im": 0}}, None
-        try:
-            x, y = float(x), float(y)
-        except OverflowError:  # an int past the float range
-            x = y = math.inf
+        coords = []
+        for value in (x, y):
+            try:
+                coords.append(float(value))
+            except OverflowError:  # an int past the float range
+                coords.append(math.inf if value > 0 else -math.inf)
+        x, y = coords
         if not (math.isfinite(x) and math.isfinite(y)):
             raise InputError(f"--at needs finite values, got {x} {y}")
         value = tutte.tutte_eval(prog.P, complex(x), complex(y))
@@ -407,6 +410,10 @@ def _cmd_marginal(args, prog: XProgram):
 
 def _cmd_sample(args, prog: XProgram):
     proj = _load_projector(args, prog.l)
+    if args.samples > marginals._DRAW_LIMIT:
+        raise BudgetExceeded(
+            f"--samples {args.samples} exceeds the draw limit {marginals._DRAW_LIMIT}"
+        )
     sampler = marginals.MarginalSampler(prog, proj, Random(args.seed))
     draws = [sampler.sample().to_string() for _ in range(args.samples)]
     return {"seed": args.seed, "samples": draws}, [(draw,) for draw in draws]
@@ -525,8 +532,9 @@ def build_parser() -> argparse.ArgumentParser:
         if s:
             sp.add_argument("--s", required=True, help="parity direction bitstring")
         if mask:
-            sp.add_argument("--mask", help="kept-bits mask, e.g. 1100")
-            sp.add_argument("--projector", help="path to an idempotent matrix file")
+            kept = sp.add_mutually_exclusive_group()
+            kept.add_argument("--mask", help="kept-bits mask, e.g. 1100")
+            kept.add_argument("--projector", help="path to an idempotent matrix file")
         if samples:
             sp.add_argument("--samples", type=int, default=1, help="number of draws")
             sp.add_argument("--seed", type=int, default=0, help="RNG seed")

@@ -13,7 +13,8 @@ polynomial in the matrix size.
 
 The same machinery solves the quarter-turn case exactly: the output
 distribution is uniform over an affine subspace computed from the kernel
-of P^T P, with probabilities that are exact powers of two.
+of P^T P, with probabilities that are exact powers of two. Its one
+owner at every multiple of pi/4, for marginals too, is _quarter_turn_law.
 """
 
 from __future__ import annotations
@@ -217,15 +218,34 @@ class AffineSupport:
         return x.dot(self.odd_witness) == 1
 
     def sample(self, rng: Random) -> BitVector:
-        # bit j of the draw picks directions[j], so the basis goes in reversed
-        directions = [d.bits for d in reversed(self.directions)]
-        return BitVector(self.offset.n, _affine_draw(self.offset.bits, directions, rng))
+        return BitVector(self.offset.n, _affine_draw(*self._packed(), rng))
+
+    def _packed(self) -> tuple[int, list[int]]:
+        """(offset, directions) as ints; bit j of an _affine_draw picks directions[j]."""
+        return self.offset.bits, [d.bits for d in reversed(self.directions)]
 
 
 def _affine_draw(offset: int, directions: Sequence[int], rng: Random) -> int:
-    """A uniform point of offset + span(directions), packed; the directions
-    must be independent, and the top bit of the draw picks directions[0]."""
+    """A uniform point of offset + span(directions), packed; the top bit of
+    the draw picks directions[0]. The directions may be dependent: a linear
+    image of a uniform vector is uniform on the image, the span."""
     return offset ^ gf2._combine(directions, rng.getrandbits(len(directions)))
+
+
+def _quarter_turn_law(P: BinaryMatrix, t: int) -> tuple[int, list[int]]:
+    """The output law at theta = t pi / 4 as a packed (offset, directions),
+    uniform on offset + span(directions), in the order _affine_draw takes.
+
+    At odd t the output is uniform on the affine Clifford support, which
+    an odd multiple of pi/2 added to theta only shifts by the xor of all
+    rows, a direction of the support. At even t the program is a power of
+    the product of its iX_S gates: a point mass at 0, or at that xor when
+    t = 2 mod 4.
+    """
+    if t % 2:
+        return clifford_support(P)._packed()
+    offset = gf2._combine(P.bits, (1 << P.n) - 1) if t % 4 == 2 else 0
+    return offset, []
 
 
 def clifford_support(P: BinaryMatrix) -> AffineSupport:
@@ -237,36 +257,26 @@ def clifford_support(P: BinaryMatrix) -> AffineSupport:
     vector into the last bad one, which is then dropped.
     """
     l = P.l
+    columns = gf2.transpose(P).bits
     # the rows of P^T P up to their order, which the kernel ignores; _gram
     # numbers bits from the low end and BitVector coordinates from the
     # high end, hence the reversed columns
-    cols = gf2.transpose(P).bits[::-1]
-    V = gf2.kernel(BinaryMatrix(l, l, tuple(_gram(cols))))
-    bad = []
-    good = []
-    for s in V:
-        hits = gf2.mat_vec(P, s).weight()
-        (bad if hits % 4 else good).append(s)
-    if bad:
-        witness = bad[-1]
-        u_vectors = good + [s ^ witness for s in bad[:-1]]
-        U = gf2.span_rref(u_vectors, l)
-        case = "two"
-    else:
-        witness = None
-        U = list(V)
-        case = "one"
+    V = gf2.kernel(BinaryMatrix(l, l, tuple(_gram(columns[::-1]))))
+    # n_s = |P s|, and P s is the xor of the columns that s picks
+    halves = [gf2._combine(columns, s.bits).bit_count() >> 1 & 1 for s in V]
+    bad = [s for s, h in zip(V, halves) if h]
+    good = [s for s, h in zip(V, halves) if not h]
+    witness = bad[-1] if bad else None
+    U = gf2.span_rref(good + [s ^ witness for s in bad[:-1]], l) if bad else V
+    system = BinaryMatrix.from_rows(l, V)
     # with V empty this is the kernel of a 0 x l matrix: every unit vector
-    directions = gf2.kernel(BinaryMatrix.from_rows(l, V))
-    dim = l - len(V)
-    if case == "one":
-        offset = BitVector(l)
-    else:
-        system = BinaryMatrix.from_rows(l, U + [witness])
-        rhs = BitVector(len(U) + 1, 1)
-        offset = gf2.solve(system, rhs)
+    directions = gf2.kernel(system)
+    # n_s / 2 is linear on V, so the support is {x : s . x = n_s / 2 on V};
+    # free coordinates at zero make the offset canonical
+    offset = gf2.solve(system, BitVector.from_ints(halves))
     return AffineSupport(
-        case, tuple(V), tuple(U), dim, offset, tuple(directions), witness
+        "two" if bad else "one", tuple(V), tuple(U), l - len(V), offset,
+        tuple(directions), witness,
     )
 
 

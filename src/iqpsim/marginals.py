@@ -8,7 +8,8 @@ evaluators of the same law, chosen by a count of their work:
 * the push-forward: the full distribution's phase sweep, summed over
   the fibres of m (only up to the full-distribution domain limit);
 * the quarter-turn image: at multiples of pi/4 the output is uniform on
-  an affine space, so the marginal is uniform on its image under m;
+  an affine space (clifford's quarter-turn law), so the marginal is
+  uniform on its image under m;
 * the beta loop: the marginal is an average of correlation coefficients
   over the dual range Rstar, one coefficient per vector, assembled by a
   Walsh-Hadamard transform over coordinates.
@@ -18,13 +19,12 @@ pi/8 and column-sparse entry points check their preconditions and run
 the engine. A sampler draws from the marginal by randomizing over the
 dual kernel Kstar, one fresh shift per sample, and keeps the CDFs of the
 shifts it has seen within a fixed budget of floats. At multiples of
-pi/4 it draws from the quarter-turn law instead, computed once.
+pi/4 it draws from clifford's quarter-turn law, read in R coordinates.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -64,6 +64,7 @@ __all__ = [
 DEFAULT_RANGE_LIMIT = 20
 PI8_RANGE_LIMIT = 24
 _CACHE_FLOATS = 1 << 20  # CDF entries a sampler keeps over all its shifts
+_DRAW_LIMIT = 1 << 20  # draws one sample command may ask for
 
 # The fixed work of one beta call (affinify, transpose, elimination) in
 # steps of the phase sweep: about 100 us against about 0.015 us per
@@ -198,36 +199,21 @@ def _push_forward(prog: XProgram, proj: Projector) -> Distribution:
     return Distribution(q, np.bincount(coords, weights=probs, minlength=1 << q))
 
 
-def _quarter_turn_law(prog: XProgram) -> tuple[int, list[int]]:
-    """The quarter-turn output law as a packed (offset, directions): it
-    is uniform on offset + span(directions), and the directions are
-    independent, in the order clifford._affine_draw takes them.
-
-    At theta = t pi / 4 with t odd the output is uniform on the affine
-    Clifford support, which an odd multiple of pi/2 added to theta only
-    shifts by the xor of all rows, a direction of the support. At even t
-    the program is a power of the product of its iX_S gates: a point
-    mass at 0, or at that xor when t = 2 mod 4.
-    """
-    t = prog.theta.fourth_root_index
-    if t % 2:
-        support = clifford.clifford_support(prog.P)
-        return support.offset.bits, [d.bits for d in reversed(support.directions)]
-    offset = 0
-    if t % 4 == 2:
-        for row in prog.P.bits:
-            offset ^= row
-    return offset, []
+def _quarter_turn_coords(prog: XProgram, proj: Projector) -> tuple[int, list[int]]:
+    """clifford._quarter_turn_law in R coordinates: m(X) is uniform on the
+    image of the law, and the coordinates are linear."""
+    offset, directions = clifford._quarter_turn_law(prog.P, prog.theta.fourth_root_index)
+    return proj._coord_bits(offset), [proj._coord_bits(d) for d in directions]
 
 
 def _quarter_turn_image(prog: XProgram, proj: Projector) -> Distribution:
     """Uniform law on the image under m of the quarter-turn law: a linear
     image of a uniform affine law is uniform on the image, here 2^k points."""
-    offset, directions = _quarter_turn_law(prog)
-    pivots = gf2._eliminate((proj._coord_bits(d) for d in directions), {})
+    offset, directions = _quarter_turn_coords(prog, proj)
+    pivots = gf2._eliminate(directions, {})
     k = len(pivots)
     points = codes._enumeration_table(list(pivots.values()), k)
-    points ^= np.uint64(proj._coord_bits(offset))
+    points ^= np.uint64(offset)
     values = np.zeros(1 << proj.range_dim)
     values[points.astype(np.intp)] = math.ldexp(1.0, -k)
     return Distribution(proj.range_dim, values)
@@ -389,10 +375,9 @@ def marginal_graphic(
 class MarginalSampler:
     """Draws masked outputs one at a time.
 
-    At multiples of pi/4 a draw is one uniform point of the quarter-turn
-    law (the Clifford support at odd t, a point mass at even t) mapped
-    through m. The law is computed on the first draw and kept; no
-    conditional is built.
+    At multiples of pi/4 a draw is one uniform point of clifford's
+    quarter-turn law in R coordinates, read on the first draw and kept;
+    no conditional is built. Either way a draw is an R-coordinate index.
 
     At other angles each draw takes a fresh dual shift. For a shift k in
     Kstar the conditional probability of outcome x is the squared
@@ -420,13 +405,18 @@ class MarginalSampler:
         self.rng = rng if rng is not None else Random()
         self._quarter_turn = prog.theta.is_fourth_root
         self._cdfs: dict[int, np.ndarray] = {}
-        self._keys = [proj._coord_bits(r) for r in prog.P.bits]
-        # bit j of a draw picks Kstar_basis[j]
-        self._shifts = [k.bits for k in reversed(proj.Kstar_basis)]
+        # each built on first use by the path that reads it, as a plain
+        # attribute: a cached_property writes through __dict__, and that
+        # made every later draw slower (2.3 -> 2.6 us from a cached CDF, Python 3.11)
+        self._keys: list[int] | None = None
+        self._shifts: list[int] | None = None
+        self._law: tuple[int, list[int]] | None = None
 
     def conditional(self, shift) -> np.ndarray:
         """Conditional probability vector for one dual-kernel shift."""
         bits = shift.bits if isinstance(shift, BitVector) else int(shift)
+        if self._keys is None:
+            self._keys = [self.proj._coord_bits(r) for r in self.prog.P.bits]
         signs = [1 - 2 * ((r & bits).bit_count() & 1) for r in self.prog.P.bits]
         probs = xprogram._sweep_probabilities(
             self._keys, signs, self.proj.range_dim, self.prog.theta
@@ -434,25 +424,22 @@ class MarginalSampler:
         xprogram._check_total(float(probs.sum()), "conditional sums to")
         return probs
 
-    @functools.cached_property
-    def _image_law(self) -> tuple[int, list[int]]:
-        """The quarter-turn law mapped through m: the image of a draw
-        offset + sum d_j is m(offset) + sum m(d_j), bit for bit."""
-        offset, directions = _quarter_turn_law(self.prog)
-        rows = self.proj.matrix.bits
-        return gf2._parities(offset, rows), [gf2._parities(d, rows) for d in directions]
-
     def sample(self) -> BitVector:
         """One masked output, as a full-width vector in the range of m."""
         if self._quarter_turn:
-            return BitVector(self.proj.l, clifford._affine_draw(*self._image_law, self.rng))
-        shift = gf2._combine(self._shifts, self.rng.getrandbits(len(self._shifts)))
-        cdf = self._cdfs.get(shift)
-        if cdf is None:
-            cdf = np.cumsum(self.conditional(shift))
-            if len(self._cdfs) < _CACHE_FLOATS >> self.proj.range_dim:
-                self._cdfs[shift] = cdf
-        ix = min(bisect_left(cdf, self.rng.random()), len(cdf) - 1)
+            if self._law is None:
+                self._law = _quarter_turn_coords(self.prog, self.proj)
+            ix = clifford._affine_draw(*self._law, self.rng)
+        else:
+            if self._shifts is None:  # bit j of a draw picks Kstar_basis[j]
+                self._shifts = [k.bits for k in reversed(self.proj.Kstar_basis)]
+            shift = gf2._combine(self._shifts, self.rng.getrandbits(len(self._shifts)))
+            cdf = self._cdfs.get(shift)
+            if cdf is None:
+                cdf = np.cumsum(self.conditional(shift))
+                if len(self._cdfs) < _CACHE_FLOATS >> self.proj.range_dim:
+                    self._cdfs[shift] = cdf
+            ix = min(bisect_left(cdf, self.rng.random()), len(cdf) - 1)
         return self.proj.coords_to_vector(ix)
 
 

@@ -358,6 +358,43 @@ class TestReportWriter:
             "message": _non_finite_message(float("nan")),
         }
 
+    def test_bit_labels(self):
+        assert cli._bit_labels(0) == [""]
+        for b in range(1, 17):
+            assert cli._bit_labels(b) == [format(ix, f"0{b}b") for ix in range(1 << b)]
+
+    def test_dist_labels_past_eight_bits(self, capsys, tmp_path):
+        rng = Random(123)
+        for l in range(9, 13):
+            rows = [format(rng.getrandbits(l), f"0{l}b") for _ in range(3)]
+            path = write_matrix(tmp_path, "m.txt", 3, l, rows)
+            code, out, _ = run_cli(capsys, "dist", path, "--theta", "1/8")
+            assert code == 0
+            outcomes = [e["outcome"] for e in json.loads(out)["entries"]]
+            assert outcomes == [format(ix, f"0{l}b") for ix in range(1 << l)]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("alpha", "--theta", "1/8"),
+            ("alpha", "--theta", "1/4"),
+            ("amplitude", "--theta", "1/8", "--x", "0110"),
+            ("clifford",),
+            ("tutte", "--at", "2", "3"),
+            ("tutte", "--at", "0.5", "1.5"),
+        ],
+    )
+    def test_default_tsv_rows(self, capsys, pex_file, argv):
+        # one "key<TAB>JSON value" row per report field, in key order
+        command, *rest = argv
+        code, out, _ = run_cli(capsys, command, pex_file, *rest)
+        assert code == 0
+        code, tsv, _ = run_cli(capsys, command, pex_file, *rest, "--output", "tsv")
+        assert code == 0
+        payload = json.loads(out)
+        want = [[k, json.dumps(payload[k], sort_keys=True)] for k in sorted(payload)]
+        assert [line.split("\t") for line in tsv.splitlines()] == want
+
     def test_reports_match_dict_form(self, capsys, tmp_path):
         rng = Random(122)
         thetas = ["1/4", "1/8", "1/16", "3/16", "rad:0.7", "0", "1/2"]
@@ -514,6 +551,20 @@ class TestMarginalCommand:
         assert code == 2
         assert json.loads(err)["error"] == "ParseError"
 
+    @pytest.mark.parametrize("command", ["marginal", "sample"])
+    def test_mask_and_projector_conflict(self, capsys, pex_file, tmp_path, command):
+        proj_path = write_matrix(
+            tmp_path, "proj.txt", 4, 4, ["1000", "0100", "0000", "0000"]
+        )
+        code, out, err = run_cli(
+            capsys, command, pex_file, "--theta", "1/8", "--mask", "0011",
+            "--projector", proj_path,
+        )
+        assert (code, out) == (2, "")
+        payload = json.loads(err)
+        assert payload["error"] == "ParseError"
+        assert "not allowed with argument --mask" in payload["message"]
+
 
 class TestSampleCommand:
     def test_tsv_stream(self, capsys, pex_file):
@@ -557,6 +608,29 @@ class TestSampleCommand:
         payload = json.loads(out)
         assert payload["seed"] == 0
         assert len(payload["samples"]) == 8
+
+
+    def test_draws_over_budget(self, capsys, pex_file, monkeypatch):
+        # the draw count is checked before a sampler is built
+        built = []
+        monkeypatch.setattr(marginals, "MarginalSampler", lambda *args: built.append(args))
+        argv = ("sample", pex_file, "--theta", "1/8", "--mask", "1100", "--samples")
+        code, out, err = run_cli(capsys, *argv, "99999999999999999999999")
+        assert (code, out) == (3, "")
+        payload = json.loads(err)
+        assert payload["error"] == "BudgetExceeded"
+        assert payload["message"] == (
+            f"--samples 99999999999999999999999 exceeds the draw limit {1 << 20}"
+        )
+        assert built == []
+        monkeypatch.undo()
+        monkeypatch.setattr(marginals, "_DRAW_LIMIT", 5)
+        code, out, _ = run_cli(capsys, *argv, "5")
+        assert code == 0
+        assert len(json.loads(out)["samples"]) == 5
+        code, out, err = run_cli(capsys, *argv, "6")
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"] == "BudgetExceeded"
 
 
 class TestReduceCommand:
@@ -730,6 +804,17 @@ class TestErrorPaths:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == "InputError"
+
+    def test_overflowing_point_names_each_value(self, capsys, tmp_path):
+        # an int past the float range becomes an infinity of its own sign
+        path = write_matrix(tmp_path, "m.txt", 3, 2, ["10", "01", "11"])
+        huge = str(10**400)
+        for at, shown in [((huge, "0.5"), "inf 0.5"), (("0.5", "-" + huge), "0.5 -inf")]:
+            code, out, err = run_cli(capsys, "tutte", path, "--at", *at)
+            assert (code, out) == (2, "")
+            payload = json.loads(err)
+            assert payload["error"] == "InputError"
+            assert payload["message"] == f"--at needs finite values, got {shown}"
 
     def test_negative_sample_count_exit_two(self, capsys, tmp_path):
         path = write_matrix(tmp_path, "m.txt", 3, 2, ["10", "01", "11"])

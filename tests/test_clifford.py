@@ -277,6 +277,31 @@ class TestCliffordSupport:
             assert support.contains(support.offset)
 
 
+    def test_offset_is_one_canonical_solve(self, monkeypatch):
+        # one solve of s . x = |Ps| / 2 over V, free coordinates zero: in
+        # case one the point 0, in case two the solution of u . x = 0 on U
+        # and witness . x = 1, as that system has V's row space
+        rng = Random(41)
+        solve, mat_vec = gf2.solve, gf2.mat_vec
+        calls = []
+        monkeypatch.setattr(gf2, "solve", lambda *args: calls.append("solve") or solve(*args))
+        monkeypatch.setattr(
+            gf2, "mat_vec", lambda *args: calls.append("mat_vec") or mat_vec(*args)
+        )
+        cases = {"one": 0, "two": 0}
+        for _ in range(80):
+            m = random_matrix(rng, rng.randint(0, 10), rng.randint(1, 7))
+            calls.clear()
+            support = clifford_support(m)
+            assert calls == ["solve"]
+            cases[support.case] += 1
+            want = BitVector(m.l)
+            if support.case == "two":
+                system = BinaryMatrix.from_rows(m.l, [*support.U_basis, support.odd_witness])
+                want = solve(system, BitVector(len(support.U_basis) + 1, 1))
+            assert support.offset == want
+        assert min(cases.values()) > 10
+
 class TestCliffordProbability:
     def test_pex_zero_vanishes(self, pex):
         assert clifford_probability(pex, BitVector(4)) == Fraction(0)

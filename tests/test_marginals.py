@@ -743,6 +743,8 @@ class TestQuarterTurnSampler:
             for _ in range(300):
                 sampler.sample()
             assert sampler._cdfs == {}
+            # the conditionals' row keys and shifts are never built
+            assert sampler._keys is None and sampler._shifts is None
             assert calls["support"] == (t + 1) // 2
         assert calls["sweep"] == calls["wht"] == 0
 

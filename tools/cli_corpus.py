@@ -131,8 +131,9 @@ def small_program_calls(rng: Random, name: str, n: int, l: int, proj: str | None
     return calls
 
 
-def tall_program_calls(rng: Random, name: str, l: int, low_rank: bool):
-    """Calls that answer in polynomial time on tall programs."""
+def tall_program_calls(rng: Random, name: str, l: int, low_rank: bool, proj: str):
+    """Calls that answer in polynomial time on tall programs; proj is a
+    conjugated projector file of width l."""
     calls = [["clifford", name], ["dist", name, "--theta", "1/4"], ["verify", name]]
     if low_rank:
         calls += [["wenum", name], ["tutte", name, "--at", "2", "3"],
@@ -146,6 +147,11 @@ def tall_program_calls(rng: Random, name: str, l: int, low_rank: bool):
             ["beta", name, *t, "--s", bits(rng, l)],
             ["marginal", name, *t, "--mask", "1" * 3 + "0" * (l - 3)],
             ["sample", name, *t, "--mask", "0" * (l - 4) + "1" * 4, "--samples", "20"],
+        ]
+    for theta in ("1/4", "3/4", "1/2"):
+        calls += [
+            ["marginal", name, "--theta", theta, "--projector", proj],
+            ["sample", name, "--theta", theta, "--projector", proj, "--samples", "20"],
         ]
     calls += [["reduce", name, "--theta", theta] for theta in ("1/4", "1/8", "1/16")]
     for call in calls:
@@ -179,6 +185,13 @@ def error_calls(names: dict[str, str]):
         ["marginal", pex, "--theta", "1/5", "--mask", "0101", "--path", "pi8"],
         ["marginal", pex, "--theta", "1/8", "--projector", names["not_idempotent"]],
         ["marginal", pex, "--theta", "1/8", "--projector", names["not_square"]],
+        ["marginal", pex, "--theta", "1/8", "--mask", "0011", "--projector", names["proj4"]],
+        ["sample", pex, "--theta", "1/8", "--mask", "0011", "--projector", names["proj4"],
+         "--samples", "5"],
+        # one draw past the draw limit of 2^20
+        ["sample", m, "--theta", "1/8", "--mask", "11", "--samples", str((1 << 20) + 1)],
+        # an int past the float range, beside a finite value
+        ["tutte", m, "--at", "1" + "0" * 400, "0.5"],
         ["reduce", pex, "--theta", "rad:0.5"],
         ["reduce", names["ones40"], "--theta", "1/64"],
         # 2095104 expanded rows, past the dump's row budget
@@ -208,6 +221,7 @@ def build_corpus(rng: Random, workdir: str) -> list[list[str]]:
         "zeros4": put("zeros4.txt", 5, 2, [0, 0, 0, 0, 0b10]),
         "not_idempotent": put("swap.txt", 4, 4, [0b0100, 0b1000, 0b0010, 0b0001]),
         "not_square": put("rect.txt", 3, 4, [0b1000, 0b0100, 0b0010]),
+        "proj4": put("proj4.txt", 4, 4, [0b1000, 0b0100, 0, 0]),
         "star": put("star.txt", 34, 40, [1 << 39 | 1 << (38 - i) for i in range(34)]),
         "ones40": put("ones40.txt", 40, 40, [(1 << 40) - 1] * 40),
         "ones11": put("ones11.txt", 1, 11, [(1 << 11) - 1]),
@@ -230,7 +244,8 @@ def build_corpus(rng: Random, workdir: str) -> list[list[str]]:
          (2000, 4, "lowrank"), (1000, 32, "pairs")]
     ):
         name = put(f"tall{i}.txt", n, l, matrix_rows(rng, n, l, kind))
-        calls += tall_program_calls(rng, name, l, kind == "lowrank")
+        proj = put(f"tallq{i}.txt", l, l, projector_rows(rng, l))
+        calls += tall_program_calls(rng, name, l, kind == "lowrank", proj)
     return calls
 
 
