@@ -13,8 +13,8 @@ polynomial in the matrix size.
 
 The same machinery solves the quarter-turn case exactly: the output
 distribution is uniform over an affine subspace computed from the kernel
-of P^T P, with probabilities that are exact powers of two. Its one
-owner at every multiple of pi/4, for marginals too, is _quarter_turn_law.
+of P^T P, with probabilities that are exact powers of two.
+_quarter_turn_law gives the law at every multiple of pi/4, to marginals too.
 """
 
 from __future__ import annotations
