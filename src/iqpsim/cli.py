@@ -48,6 +48,51 @@ _BITS = frozenset("01")
 
 
 def parse_matrix_text(text: str, origin: str = "<input>") -> BinaryMatrix:
+    """The matrix of a matrix file's text. A canonical file is read in one
+    vectorized pass; every other text, and every error, goes through the
+    line loop."""
+    matrix = _read_canonical(text)
+    return matrix if matrix is not None else _parse_lines(text, origin)
+
+
+def _read_canonical(text: str) -> BinaryMatrix | None:
+    """The matrix of a canonical text, else None.
+
+    Canonical means the header "n l" in ASCII digits with n, l >= 1, then
+    exactly n rows of l characters over 0/1, each ended by "\n" except
+    perhaps the last. Such a text has no comment, blank line, whitespace
+    or other line break, so the line loop would read the same matrix.
+    """
+    head, _, body = text.partition("\n")
+    dims = head.split(" ")
+    if len(dims) != 2 or not head.isascii() or not all(d.isdigit() for d in dims):
+        return None
+    n, l = int(dims[0]), int(dims[1])
+    if n == 0 or l == 0 or not body.isascii():
+        return None
+    raw = body.encode("ascii")
+    if len(raw) == n * (l + 1) - 1:
+        raw += b"\n"
+    if len(raw) != n * (l + 1):
+        return None
+    grid = np.frombuffer(raw, np.uint8).reshape(n, l + 1)
+    bits = grid[:, :l] - ord("0")  # wraps every byte but "0" and "1" past 1
+    if (grid[:, l] != ord("\n")).any() or (bits > 1).any():
+        return None
+    # right-aligned in whole big-endian 64-bit words, the top word first
+    width = -(-l // 64) * 64
+    padded = np.zeros((n, width), np.uint8)
+    padded[:, width - l:] = bits
+    words = np.packbits(padded, axis=1).view(">u8")
+    rows = words[:, 0].tolist()
+    for j in range(1, words.shape[1]):
+        rows = [row << 64 | word for row, word in zip(rows, words[:, j].tolist())]
+    return BinaryMatrix(n, l, tuple(rows))
+
+
+def _parse_lines(text: str, origin: str) -> BinaryMatrix:
+    """The reader of every text: comments, blank lines, whitespace, any
+    line break, and the report of every error."""
     header: tuple[int, int] | None = None
     rows: list[int] = []
     last_line = 0
@@ -105,7 +150,7 @@ def parse_matrix_file(path: str) -> BinaryMatrix:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return parse_matrix_text(text, origin=path)
 

@@ -36,6 +36,7 @@ import numpy as np
 from . import clifford, codes, gf2, xprogram
 from .codes import Angle
 from .errors import (
+    BudgetExceeded,
     ColumnBoundViolated,
     DimensionMismatch,
     NotIdempotent,
@@ -70,6 +71,11 @@ _DRAW_LIMIT = 1 << 20  # draws one sample command may ask for
 # steps of the phase sweep: about 100 us against about 0.015 us per
 # outcome per transform level on one core.
 _BETA_CALL_WORK = 1 << 13
+# The most work one marginal may take, in the same steps. It admits 2^12
+# beta calls on a 60x40 program (about 1 s at pi/8) and refuses 2^13; the
+# largest marginal of the tests, the command-line corpus and the benchmark
+# (2000x64 with q = 8 at pi/8, about 0.7 s) counts 2625536.
+_MARGINAL_WORK_LIMIT = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -232,7 +238,8 @@ def _choose_evaluator(prog: XProgram, proj: Projector) -> str:
     The push-forward sweeps l levels over 2^l outcomes, the image builds
     the support from the Gram matrix of the l columns over the n rows,
     and the beta loop makes 2^q calls that each scan the rows and
-    columns once.
+    columns once. Raises BudgetExceeded when even the least work passes
+    _MARGINAL_WORK_LIMIT, before any evaluator starts.
     """
     n, l, q = prog.n, prog.l, proj.range_dim
     work = {"beta": (1 << q) * (_BETA_CALL_WORK + n + l)}
@@ -240,7 +247,12 @@ def _choose_evaluator(prog: XProgram, proj: Projector) -> str:
         work["push"] = l << l
     if prog.theta.is_fourth_root:
         work["image"] = l * l + n * l
-    return min(work, key=work.get)
+    choice = min(work, key=work.get)
+    if work[choice] > _MARGINAL_WORK_LIMIT:
+        raise BudgetExceeded(
+            f"marginal work {work[choice]} exceeds the limit {_MARGINAL_WORK_LIMIT}"
+        )
+    return choice
 
 
 def _check(prog: XProgram, proj: Projector, range_limit: int) -> None:

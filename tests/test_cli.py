@@ -5,6 +5,8 @@ from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iqpsim import cli, gf2, marginals, oracle, tutte, xprogram
 from iqpsim.cli import dump_matrix, main, parse_angle, parse_matrix_text
@@ -105,6 +107,158 @@ class TestParseMatrixText:
 
     def test_round_trip(self, pex):
         assert parse_matrix_text(dump_matrix(pex)).to_strings() == pex.to_strings()
+
+
+def _read(parse, text):
+    """The matrix, or the error as (type, message, line)."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.line
+
+
+def _loop(text):
+    return cli._parse_lines(text, "<input>")
+
+
+def _matrix_text(n: int, l: int, rows) -> str:
+    return f"{n} {l}\n" + "".join(format(r, f"0{l}b") + "\n" for r in rows)
+
+
+@st.composite
+def canonical_texts(draw):
+    l = draw(st.one_of(st.sampled_from([63, 64, 65]), st.integers(1, 130)))
+    n = draw(st.integers(1, 12))
+    return _matrix_text(n, l, [draw(st.integers(0, (1 << l) - 1)) for _ in range(n)])
+
+
+def _at_line_start(draw, text: str, insert: str) -> str:
+    starts = [0] + [i + 1 for i, ch in enumerate(text) if ch == "\n"]
+    at = draw(st.sampled_from(starts))
+    return text[:at] + insert + text[at:]
+
+
+def _at_line_end(draw, text: str, insert: str) -> str:
+    at = draw(st.sampled_from([i for i, ch in enumerate(text) if ch == "\n"]))
+    return text[:at] + insert + text[at:]
+
+
+def _header(text: str, n: str | None = None, l: str | None = None) -> str:
+    head, _, body = text.partition("\n")
+    old_n, old_l = head.split(" ")
+    return f"{n or old_n} {l or old_l}\n{body}"
+
+
+def _extra_row(draw, text: str) -> str:
+    l = int(text.partition("\n")[0].split(" ")[1])
+    return text + format(draw(st.integers(0, (1 << l) - 1)), f"0{l}b") + "\n"
+
+
+def _short_row(draw, text: str) -> str:
+    ends = [i for i, ch in enumerate(text) if ch == "\n"][1:]
+    at = draw(st.sampled_from(ends))
+    return text[: at - 1] + text[at:]
+
+
+def _reshaped_header(draw, text: str) -> str:
+    """A header n' l' with n'(l' + 1) = n(l + 1): the body's length fits
+    and its line ends fall out of place."""
+    head, _, body = text.partition("\n")
+    n, l = map(int, head.split(" "))
+    size = n * (l + 1)
+    shapes = [(d, size // d - 1) for d in range(1, size // 2 + 1) if size % d == 0 and d != n]
+    n2, l2 = draw(st.sampled_from(shapes)) if shapes else (n + 1, l)
+    return f"{n2} {l2}\n{body}"
+
+
+def _stray_character(draw, text: str) -> str:
+    # superscript two passes str.isdigit but not int()
+    ch = draw(st.sampled_from(["2", "_", "+", "\u0661", "\u00b2"]))
+    head_end = text.index("\n")
+    at = draw(st.one_of(st.integers(0, head_end - 1), st.integers(0, len(text) - 1)))
+    return text[:at] + ch + text[at + 1:]
+
+
+def _header_break(draw, text: str) -> str:
+    ch = draw(st.sampled_from(["\x0b", "\x1c"]))
+    at = draw(st.integers(0, text.index("\n")))
+    return text[:at] + ch + text[at:]
+
+
+PERTURBATIONS = {
+    "comment": lambda draw, t: _at_line_start(draw, t, "# note\n"),
+    "blank": lambda draw, t: _at_line_start(draw, t, "\n"),
+    "crlf": lambda draw, t: t.replace("\n", "\r\n"),
+    "trailing space": lambda draw, t: _at_line_end(draw, t, " "),
+    "no final newline": lambda draw, t: t[:-1],
+    "extra row": _extra_row,
+    "short row": _short_row,
+    "reshaped header": _reshaped_header,
+    "zero rows": lambda draw, t: _header(t, n="0"),
+    "zero columns": lambda draw, t: _header(t, l="0"),
+    "stray character": _stray_character,
+    "header break": _header_break,
+}
+
+
+@st.composite
+def perturbed_texts(draw):
+    text = draw(canonical_texts())
+    return draw(st.sampled_from(sorted(PERTURBATIONS))), text
+
+
+class TestCanonicalReader:
+    """parse_matrix_text against the line loop, its reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(canonical_texts())
+    def test_canonical_texts_take_the_bulk_reader(self, text):
+        want = _loop(text)
+        assert cli._read_canonical(text) == want
+        assert cli._read_canonical(text[:-1]) == want
+        assert parse_matrix_text(text) == want
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_one_edit_from_canonical(self, data):
+        name, text = data.draw(perturbed_texts())
+        text = PERTURBATIONS[name](data.draw, text)
+        assert _read(parse_matrix_text, text) == _read(_loop, text)
+
+    @pytest.mark.parametrize(
+        "text", ["0 3\n", "0 3", "3 0\n\n\n\n", "2 0\n\n", "1\x1c 2\n10\n", "\u00b2 1\n1\n"]
+    )
+    def test_degenerate_texts_take_the_loop(self, text):
+        assert cli._read_canonical(text) is None
+        assert _read(parse_matrix_text, text) == _read(_loop, text)
+
+    @pytest.mark.parametrize("l", [1, 63, 64, 65, 130])
+    def test_edge_widths(self, l):
+        rows = [0, 1, (1 << l) - 1, 1 << (l - 1)]
+        got = cli._read_canonical(_matrix_text(4, l, rows))
+        assert got == BinaryMatrix(4, l, tuple(rows))
+
+    def test_bench_shaped_file_skips_the_loop(self, tmp_path, monkeypatch):
+        # written as the benchmark writes its inputs
+        rng = Random(18)
+        rows = [rng.getrandbits(64) for _ in range(2000)]
+        path = tmp_path / "tall.txt"
+        path.write_text(_matrix_text(2000, 64, rows))
+
+        def refused(text, origin):
+            raise AssertionError("line loop entered")
+
+        monkeypatch.setattr(cli, "_parse_lines", refused)
+        assert cli.parse_matrix_file(str(path)) == BinaryMatrix(2000, 64, tuple(rows))
+
+    def test_commented_file_takes_the_loop(self, monkeypatch, pex):
+        calls = []
+        loop = cli._parse_lines
+        monkeypatch.setattr(
+            cli, "_parse_lines", lambda text, origin: calls.append(origin) or loop(text, origin)
+        )
+        assert parse_matrix_text(PEX_FILE_TEXT) == pex
+        assert calls == ["<input>"]
 
 
 class TestParseAngle:
@@ -546,6 +700,24 @@ class TestMarginalCommand:
         b = {e["outcome"]: e["p"] for e in json.loads(out2)["entries"]}
         assert a == b
 
+    def test_work_over_budget(self, capsys, tmp_path, monkeypatch):
+        # 2^16 Gauss-sum coefficients on 60x40 at pi/8, refused before the first
+        def refused(*args):
+            raise AssertionError("coefficient computed")
+
+        monkeypatch.setattr(xprogram, "beta", refused)
+        rng = Random(60)
+        path = write_matrix(
+            tmp_path, "m.txt", 60, 40, [format(rng.getrandbits(40), "040b") for _ in range(60)]
+        )
+        code, out, err = run_cli(
+            capsys, "marginal", path, "--theta", "1/8", "--mask", "1" * 16 + "0" * 24
+        )
+        assert (code, out) == (3, "")
+        payload = json.loads(err)
+        assert payload["error"] == "BudgetExceeded"
+        assert payload["message"] == "marginal work 543424512 exceeds the limit 67108864"
+
     def test_mask_required(self, capsys, pex_file):
         code, _, err = run_cli(capsys, "marginal", pex_file, "--theta", "1/8")
         assert code == 2
@@ -754,6 +926,26 @@ class TestErrorPaths:
         payload = json.loads(err)
         assert payload["error"] == "BadCharacter"
         assert payload["line"] == 2
+
+    @pytest.mark.parametrize("flag", ["matrix", "--projector"])
+    def test_undecodable_file_exit_two(self, capsys, pex_file, tmp_path, flag):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff\xfe1 4\n1000\n")
+        argv = ["dist", str(path), "--theta", "1/8"]
+        if flag == "--projector":
+            argv = ["marginal", pex_file, "--theta", "1/8", "--projector", str(path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        payload = json.loads(err)
+        assert payload["error"] == "ParseError"
+        assert payload["message"].startswith(f"cannot read {path}: 'utf-8' codec")
+
+    @pytest.mark.parametrize("end", [b"\r\n", b"\r"])
+    def test_other_line_ends(self, capsys, tmp_path, end):
+        path = tmp_path / "m.txt"
+        # universal newlines make the text canonical
+        path.write_bytes(end.join([b"3 2", b"10", b"01", b"11", b""]))
+        assert cli.parse_matrix_file(str(path)) == BinaryMatrix(3, 2, (0b10, 0b01, 0b11))
 
     def test_bad_angle_exit_two(self, capsys, pex_file):
         code, _, err = run_cli(capsys, "alpha", pex_file, "--theta", "0.25")

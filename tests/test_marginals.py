@@ -9,6 +9,7 @@ import pytest
 from iqpsim import clifford, gf2, marginals, oracle, xprogram
 from iqpsim.codes import Angle
 from iqpsim.errors import (
+    BudgetExceeded,
     ColumnBoundViolated,
     DimensionMismatch,
     NotIdempotent,
@@ -259,6 +260,26 @@ class TestMarginalDistribution:
         proj = make_projector(BinaryMatrix.identity(6))
         with pytest.raises(RangeTooLarge):
             marginal_distribution(prog, proj, range_limit=5)
+
+    def test_work_budget(self, monkeypatch):
+        # 2^q beta calls of 8192 + n + l steps each on 60x40: q = 12 is the
+        # last within 2^26, and 2000x64 with q = 8 (acceptance 09) is far inside
+        def mask_projector(l, q):
+            return diagonal_projector(BitVector(l, ((1 << q) - 1) << (l - q)))
+
+        rng = Random(93)
+        prog = XProgram(random_matrix(rng, 60, 40), Angle.exact(1, 8))
+        assert marginals._choose_evaluator(prog, mask_projector(40, 12)) == "beta"
+        tall = XProgram(random_matrix(rng, 2000, 64), Angle.exact(1, 8))
+        assert marginals._choose_evaluator(tall, mask_projector(64, 8)) == "beta"
+
+        def refused(*args):
+            raise AssertionError("coefficient computed")
+
+        monkeypatch.setattr(xprogram, "beta", refused)
+        for q, work in ((13, 67928064), (16, 543424512)):
+            with pytest.raises(BudgetExceeded, match=f"marginal work {work} exceeds"):
+                marginal_pi8(prog.P, mask_projector(40, q))
 
     def test_dimension_mismatch(self):
         rng = Random(91)

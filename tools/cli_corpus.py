@@ -15,8 +15,14 @@ The corpus depends on --seed only. It covers every subcommand on random
 programs (n <= 14, l <= 12, dense, weight-<=2, column-sparse and low-rank
 rows), a few tall ones up to 2000 x 64, both --output values, masks and
 conjugated --projector files, multiples of pi/8 and raw angles, seeded
-sample draws, and the error cases of the command-line tests. The inputs
-are generated here without importing iqpsim and written to a temporary
+sample draws, and the error cases of the command-line tests. Every
+generated matrix file is canonical ("n l", then n rows of 0/1, each
+ended by a newline), which the reader takes in one vectorized pass. The
+line loop, which reads every other file and reports every parse error,
+is reached by one `wenum` call per file of PARSE_BYTES (one-edit variants
+of a canonical 6 x 4 file, and one that is not UTF-8) and by `clifford`
+on a CRLF copy of the 2000 x 64 program; these are written as raw bytes.
+The inputs are generated here without importing iqpsim and written to a temporary
 directory, which is the working directory of every call and is removed
 at the end, so file names in messages are the same on every run. Calls
 run in-process through iqpsim.cli.main, imported from --src. An exception
@@ -39,6 +45,32 @@ OTHER = ["rad:0.7", "rad:1.1", "rad:0.3", "rad:2.5", "rad:-0.4", "rad:0", "1/5",
          "3/16", "2/3"]
 POINTS = [("2", "3"), ("1", "1"), ("-1", "-1"), ("0.5", "1.5"), ("0", "-1"), ("0.3", "-0.7"),
           ("2", "2"), ("-1", "2")]
+
+
+# one edit each from a canonical 6x4 file, written as raw bytes
+PEX = "6 4\n1101\n0110\n0000\n0101\n1011\n0101\n"
+PARSE_CASES = {
+    "comment.txt": "# note\n" + PEX,
+    "blank.txt": PEX.replace("\n0000\n", "\n\n0000\n"),
+    "crlf.txt": PEX.replace("\n", "\r\n"),
+    "cr.txt": PEX.replace("\n", "\r"),
+    "space.txt": PEX.replace("0110\n", "0110 \n"),
+    "nofinal.txt": PEX[:-1],
+    "extra.txt": PEX + "1111\n",
+    "short.txt": PEX.replace("0110\n", "011\n"),
+    "zero_rows.txt": "0 4\n",
+    "zero_rows_data.txt": "0" + PEX[1:],
+    "zero_cols.txt": "6 0\n" + "\n" * 6,
+    "two.txt": PEX.replace("0110", "0120"),
+    "underscore.txt": PEX.replace("0110", "0_10"),
+    "plus.txt": PEX.replace("0110", "+110"),
+    "arabic_row.txt": PEX.replace("0110", "0\u066110"),
+    "arabic_header.txt": "\u0666" + PEX[1:],
+    "vt_header.txt": PEX.replace("6 4", "6\x0b4"),
+    "fs_header.txt": PEX.replace("6 4", "6 \x1c4"),
+}
+PARSE_BYTES = {name: text.encode() for name, text in PARSE_CASES.items()}
+PARSE_BYTES["non_utf8.txt"] = b"\xff\xfe" + PEX.encode()
 
 
 def bits(rng: Random, l: int) -> str:
@@ -204,12 +236,22 @@ def error_calls(names: dict[str, str]):
     ]
     for rows in ("m", "zeros2", "zeros4"):
         calls.append(["tutte", names[rows], "--at", "1e200", "1e200"])
+    # 2^16 coefficients at pi/8, past the marginal work budget
+    calls.append(
+        ["marginal", names["wide60"], "--theta", "1/8", "--mask", "1" * 16 + "0" * 24]
+    )
+    calls += [["wenum", name] for name in PARSE_BYTES]
     return calls
 
 
 def build_corpus(rng: Random, workdir: str) -> list[list[str]]:
     def put(name: str, n: int, l: int, rows: list[int]) -> str:
         write_matrix(os.path.join(workdir, name), n, l, rows)
+        return name
+
+    def put_bytes(name: str, data: bytes) -> str:
+        with open(os.path.join(workdir, name), "wb") as handle:
+            handle.write(data)
         return name
 
     names = {
@@ -226,10 +268,11 @@ def build_corpus(rng: Random, workdir: str) -> list[list[str]]:
         "ones40": put("ones40.txt", 40, 40, [(1 << 40) - 1] * 40),
         "ones11": put("ones11.txt", 1, 11, [(1 << 11) - 1]),
         "deep": put("deep.txt", 1100, 64, matrix_rows(Random(64), 1100, 64, "dense")),
+        "wide60": put("wide60.txt", 60, 40, matrix_rows(Random(40), 60, 40, "dense")),
     }
-    with open(os.path.join(workdir, "bad.txt"), "w", encoding="utf-8") as handle:
-        handle.write("1 4\n10x1\n")
-    names["bad_char"] = "bad.txt"
+    for name, data in PARSE_BYTES.items():
+        put_bytes(name, data)
+    names["bad_char"] = put_bytes("bad.txt", b"1 4\n10x1\n")
     calls = error_calls(names)
     for i in range(150):
         n, l = rng.randint(0, 14), rng.randint(1, 12)
@@ -246,6 +289,9 @@ def build_corpus(rng: Random, workdir: str) -> list[list[str]]:
         name = put(f"tall{i}.txt", n, l, matrix_rows(rng, n, l, kind))
         proj = put(f"tallq{i}.txt", l, l, projector_rows(rng, l))
         calls += tall_program_calls(rng, name, l, kind == "lowrank", proj)
+    with open(os.path.join(workdir, "tall0.txt"), "rb") as handle:
+        crlf = handle.read().replace(b"\n", b"\r\n")
+    calls.append(["clifford", put_bytes("tall0_crlf.txt", crlf)])
     return calls
 
 
