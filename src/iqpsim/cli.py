@@ -632,6 +632,8 @@ def main(argv=None) -> int:
         # the input checks run in the order the commands have always made them
         if getattr(args, "samples", 0) < 0:
             raise InputError(f"--samples must be nonnegative, got {args.samples}")
+        if getattr(args, "sparse_bound", 0) < 0:
+            raise InputError(f"--sparse-bound must be nonnegative, got {args.sparse_bound}")
         M = parse_matrix_file(args.matrix)
         if args.command == "verify" and (M.l > 10 or M.n > 16):
             raise InputError("verify needs l <= 10 and n <= 16 for the dense oracle")

@@ -5,8 +5,9 @@ masked output m(X) lives in the range R of m and is labeled by its
 coordinates there. marginal_distribution is one engine with three
 evaluators of the same law, chosen by a count of their work:
 
-* the push-forward: the full distribution's phase sweep, summed over
-  the fibres of m (only up to the full-distribution domain limit);
+* the push-forward: one phase sweep over the whole space, the mean of
+  the sampler's conditionals over the dual kernel Kstar (only up to the
+  full-distribution domain limit);
 * the quarter-turn image: at multiples of pi/4 the output is uniform on
   an affine space (clifford's quarter-turn law), so the marginal is
   uniform on its image under m;
@@ -193,16 +194,18 @@ def _beta_loop(prog: XProgram, proj: Projector) -> Distribution:
 
 
 def _push_forward(prog: XProgram, proj: Projector) -> Distribution:
-    """The full distribution's phase sweep, summed over the fibres of m.
+    """The mean of the sampler's conditionals over the dual kernel Kstar.
 
-    The coordinates of every outcome come from a doubling table over the
-    coordinates of the unit vectors, the packed bit 1 << b first.
+    One sweep over the whole space: the dual basis D in the high index
+    bits, whose levels are transformed, and Kstar in the low ones, whose
+    squares are summed. Kstar pairs non-degenerately with the fibre K,
+    so by Parseval over K the mean is the marginal exactly.
     """
-    l, q = prog.l, proj.range_dim
-    probs = xprogram._sweep_probabilities(prog.P.bits, None, l, prog.theta)
-    units = [proj._coord_bits(1 << b) for b in range(l)]
-    coords = codes._enumeration_table(units, l).astype(np.intp)
-    return Distribution(q, np.bincount(coords, weights=probs, minlength=1 << q))
+    # bit b of the high index bits picks D_{q-1-b}, as in the conditionals
+    basis = [k.bits for k in proj.Kstar_basis] + list(reversed(proj._dual_basis))
+    words = xprogram._codewords(prog.P, basis)
+    probs = xprogram._sweep_probabilities(words, 0, prog.n, prog.theta, proj.range_dim)
+    return Distribution(proj.range_dim, probs)
 
 
 def _quarter_turn_coords(prog: XProgram, proj: Projector) -> tuple[int, list[int]]:
@@ -235,9 +238,10 @@ _EVALUATORS = {
 def _choose_evaluator(prog: XProgram, proj: Projector) -> str:
     """The evaluator with the least work, a pure function of the shapes.
 
-    The push-forward sweeps l levels over 2^l outcomes, the image builds
-    the support from the Gram matrix of the l columns over the n rows,
-    and the beta loop makes 2^q calls that each scan the rows and
+    The push-forward is counted as l levels over 2^l outcomes, an upper
+    bound now that it transforms only the q range levels; the image
+    builds the support from the Gram matrix of the l columns over the n
+    rows, and the beta loop makes 2^q calls that each scan the rows and
     columns once. Raises BudgetExceeded when even the least work passes
     _MARGINAL_WORK_LIMIT, before any evaluator starts.
     """
@@ -393,14 +397,15 @@ class MarginalSampler:
 
     At other angles each draw takes a fresh dual shift. For a shift k in
     Kstar the conditional probability of outcome x is the squared
-    magnitude of an average of unit phases over the dual range. Their
-    exponents come from the histogram of the rows' R coordinates, each
-    row signed by its parity against k, so a conditional costs two
-    transforms of length 2^q. The average over shifts reproduces the
-    marginal exactly, so sampling a uniform shift then the conditional
-    outcome samples the marginal. The CDFs of the first shifts drawn are
-    kept, _CACHE_FLOATS >> q of them, so the memory stays fixed however
-    many draws are made. conditional(shift) answers at every angle.
+    magnitude of an average of unit phases over the dual range. The
+    phase at s_v = sum_j v_j D_j has exponent n - 2|P(k + s_v)|, read
+    from the weight of a codeword, so a conditional costs one sweep of
+    2^q words and one transform of length 2^q. The average over shifts
+    reproduces the marginal exactly (the push-forward computes it so),
+    so sampling a uniform shift then the conditional outcome samples the
+    marginal. The CDFs of the first shifts drawn are kept, _CACHE_FLOATS
+    >> q of them, so the memory stays fixed however many draws are made.
+    conditional(shift) answers at every angle.
     """
 
     def __init__(
@@ -420,18 +425,18 @@ class MarginalSampler:
         # each built on first use by the path that reads it, as a plain
         # attribute: a cached_property writes through __dict__, and that
         # made every later draw slower (2.3 -> 2.6 us from a cached CDF, Python 3.11)
-        self._keys: list[int] | None = None
+        self._words: list[int] | None = None
         self._shifts: list[int] | None = None
         self._law: tuple[int, list[int]] | None = None
 
     def conditional(self, shift) -> np.ndarray:
         """Conditional probability vector for one dual-kernel shift."""
         bits = shift.bits if isinstance(shift, BitVector) else int(shift)
-        if self._keys is None:
-            self._keys = [self.proj._coord_bits(r) for r in self.prog.P.bits]
-        signs = [1 - 2 * ((r & bits).bit_count() & 1) for r in self.prog.P.bits]
+        P = self.prog.P
+        if self._words is None:  # bit b of an index picks D_{q-1-b}
+            self._words = xprogram._codewords(P, self.proj._dual_basis[::-1])
         probs = xprogram._sweep_probabilities(
-            self._keys, signs, self.proj.range_dim, self.prog.theta
+            self._words, gf2._parities(bits, P.bits), P.n, self.prog.theta, self.proj.range_dim
         )
         xprogram._check_total(float(probs.sum()), "conditional sums to")
         return probs

@@ -5,9 +5,10 @@ the matrix is the support of a tensor product of Pauli X factors; the
 program's unitary is the product of exp(i theta X_S) over all rows, and
 the output distribution is the squared transition amplitude from the
 all-zeros state. Single amplitudes and correlations reduce to alpha
-evaluations on projected or affinified matrices; the full distribution
-is two Walsh-Hadamard transforms, one from the row histogram to the
-phase exponents and one from the phases to the amplitudes.
+evaluations on projected or affinified matrices. The full distribution
+is one phase sweep: the exponent at v is n - 2|Pv|, read from the
+weight of a codeword, and one Walsh-Hadamard transform takes the
+phases to the amplitudes.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from math import comb, gcd
+from typing import Sequence
 
 import numpy as np
 
@@ -120,17 +122,22 @@ class Distribution:
 
 
 def walsh_hadamard(values: np.ndarray) -> np.ndarray:
-    """In-place unnormalized transform: out[x] = sum_s (-1)^(x.s) in[s]."""
+    """In-place unnormalized transform: out[x] = sum_s (-1)^(x.s) in[s].
+
+    A 2-D array is transformed along axis 0, each column on its own.
+    """
     size = len(values)
     if size & (size - 1):
         raise DimensionMismatch("length must be a power of two")
+    half = np.empty((size // 2,) + values.shape[1:], dtype=values.dtype)
     h = 1
     while h < size:
-        blocks = values.reshape(-1, 2 * h)
-        top = blocks[:, :h].copy()
-        blocks[:, :h] += blocks[:, h:]
-        blocks[:, h:] *= -1
-        blocks[:, h:] += top
+        blocks = values.reshape((-1, 2 * h) + values.shape[1:])
+        top, bottom = blocks[:, :h], blocks[:, h:]
+        diff = half.reshape(top.shape)
+        np.subtract(top, bottom, out=diff)
+        top += bottom
+        bottom[...] = diff
         h *= 2
     return values
 
@@ -175,30 +182,65 @@ def beta(prog: XProgram, s: BitVector, *, rank_limit: int | None = None) -> floa
 
 # i^-k for k mod 4: the unit phases of a fourth-root sweep, exactly
 _QUARTER_TURNS = np.array([1, -1j, -1, 1j], dtype=np.complex128)
+# uint64 entries of one weight-table chunk: lanes are taken as many at a
+# time as fit, one at least, so a tall program never builds 2^bits x lanes
+_CHUNK_ENTRIES = 1 << 16
 
 
-def _sweep_probabilities(keys, signs, bits: int, theta: Angle) -> np.ndarray:
-    """|psi|^2 over 2^bits outcomes, by two Walsh-Hadamard transforms.
+def _codewords(P: BinaryMatrix, vectors: Sequence[int]) -> list[int]:
+    """The codewords P v, packed with row 0 at the top bit."""
+    columns = gf2.transpose(P).bits
+    return [gf2._combine(columns, v) for v in vectors]
 
-    psi[x] = 2^-bits sum_v (-1)^(x.v) exp(i theta E[v]), where the
-    exponent E[v] = sum_r signs[r] (-1)^(keys[r].v) is itself the
-    transform of the signed key histogram. At theta = t pi / 4 every
-    E has the parity of the key count n, so after dropping the global
-    phase exp(i theta n) each phase is i^(-t (n - E) / 2), read from a
-    table: the second transform then runs on Gaussian integers and the
-    result is exact.
+
+def _codeword_weights(words: Sequence[int], offset: int, n: int) -> np.ndarray:
+    """|offset + sum_j b_j words[j]| for every index b, words[0] by the low bit.
+
+    The n-bit words are cut into uint64 lanes; a doubling table of the
+    words, started at the offset, runs over a chunk of lanes at a time
+    and its popcounts add into the weights.
     """
-    size = 1 << bits
-    keys = np.asarray(keys, dtype=np.int64)
-    exponent = np.bincount(keys, weights=signs, minlength=size).astype(np.int64)
-    walsh_hadamard(exponent)
+    lanes = max(1, (n + 63) // 64)
+    data = b"".join(w.to_bytes(8 * lanes, "little") for w in (offset, *words))
+    packed = np.frombuffer(data, dtype="<u8").reshape(len(words) + 1, lanes).T
+    size = 1 << len(words)
+    step = max(1, _CHUNK_ENTRIES >> len(words))
+    weights = np.zeros(size, dtype=np.intp)
+    table = np.empty((min(step, lanes), size), dtype=np.uint64)
+    for lo in range(0, lanes, step):
+        chunk = packed[lo : lo + step]
+        part = table[: len(chunk)]
+        part[:, 0] = chunk[:, 0]
+        for j in range(len(words)):
+            np.bitwise_xor(part[:, : 1 << j], chunk[:, j + 1, None], out=part[:, 1 << j : 2 << j])
+        for counts in np.bitwise_count(part):
+            weights += counts
+    return weights
+
+
+def _sweep_probabilities(
+    words: Sequence[int], offset: int, n: int, theta: Angle, levels: int
+) -> np.ndarray:
+    """Squared amplitudes of one phase sweep over a coset of the code.
+
+    Index b = (v << (m - levels)) | u, m = len(words), carries the
+    codeword c(b) = offset + sum_j b_j words[j] and the phase
+    exp(i theta (n - 2|c(b)|)), read from a table of n + 1 values; at
+    theta = t pi / 4 they are the exact powers i^(-t|c|), after dropping
+    the global phase exp(i theta n). The transform runs over the levels
+    of v only, and the squares are averaged over u:
+    out[x] = 2^-(m + levels) sum_u |sum_v (-1)^(x.v) phase(b)|^2.
+    """
+    k = np.arange(n + 1)
     if theta.is_fourth_root:
-        steps = theta.fourth_root_index * ((len(keys) - exponent) // 2)
-        phases = _QUARTER_TURNS[steps % 4]
+        table = _QUARTER_TURNS[theta.fourth_root_index * k % 4]
     else:
-        phases = np.exp(1j * theta.value * exponent)
+        table = np.exp(1j * theta.value * (n - 2 * k))
+    phases = table[_codeword_weights(words, offset, n)].reshape(1 << levels, -1)
     walsh_hadamard(phases)
-    return np.ldexp(phases.real**2 + phases.imag**2, -2 * bits)
+    power = phases.real**2
+    power += phases.imag**2
+    return np.ldexp(power.sum(axis=1), -len(words) - levels)
 
 
 def full_distribution(
@@ -209,15 +251,17 @@ def full_distribution(
 ) -> Distribution:
     """Exact output distribution over all 2^l strings.
 
-    The row histogram of P transforms into the exponents n - 2|Py| and
-    the unit phases into the amplitudes, so the cost is two transforms
-    of length 2^l for any number of rows. threads is accepted for
+    The phase at v is read from the weight of the codeword Pv, so one
+    sweep of the code spanned by P's columns, then one transform of
+    length 2^l, gives every amplitude. threads is accepted for
     compatibility and ignored.
     """
     l = prog.l
     if l > domain_limit:
         raise DomainTooLarge(f"2^{l} outcomes exceed the limit 2^{domain_limit}")
-    return Distribution(l, _sweep_probabilities(prog.P.bits, None, l, prog.theta))
+    # bit b of v picks column l - 1 - b
+    words = gf2.transpose(prog.P).bits[::-1]
+    return Distribution(l, _sweep_probabilities(words, 0, prog.n, prog.theta, l))
 
 
 @dataclass(frozen=True)

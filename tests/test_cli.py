@@ -1020,6 +1020,29 @@ class TestErrorPaths:
         assert code == 0
         assert json.loads(out)["samples"] == []
 
+    @pytest.mark.parametrize("path", ["auto", "sparse", "generic"])
+    def test_negative_sparse_bound_exit_two(self, capsys, tmp_path, path):
+        # checked before any path runs, so no path reads a negative bound
+        matrix = write_matrix(tmp_path, "m.txt", 3, 2, ["10", "01", "11"])
+        code, out, err = run_cli(
+            capsys, "marginal", matrix, "--theta", "1/5", "--mask", "10",
+            "--path", path, "--sparse-bound", "-1",
+        )
+        assert (code, out) == (2, "")
+        payload = json.loads(err)
+        assert payload["error"] == "InputError"
+        assert payload["message"] == "--sparse-bound must be nonnegative, got -1"
+        # a bound of 0 is accepted; only the sparse path then checks the columns
+        code, _, err = run_cli(
+            capsys, "marginal", matrix, "--theta", "1/5", "--mask", "10",
+            "--path", path, "--sparse-bound", "0",
+        )
+        if path == "sparse":
+            assert code == 2
+            assert json.loads(err)["error"] == "ColumnBoundViolated"
+        else:
+            assert code == 0
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -382,6 +382,88 @@ class TestEvaluators:
         assert got.tolist() == [1 / 16] * 16
 
 
+KERNEL_ANGLES = [Angle.exact(t, 4) for t in range(8)] + [
+    Angle.exact(1, 8), Angle.exact(1, 16), Angle.radians(0.7), Angle.radians(2.3),
+]
+
+
+def two_transform_sweep(keys, signs, bits: int, theta: Angle) -> np.ndarray:
+    """The sweep by two transforms: the exponents are the transform of the
+    signed key histogram, the amplitudes that of the phases."""
+    keys = np.asarray(keys, dtype=np.int64)
+    exponent = np.bincount(keys, weights=signs, minlength=1 << bits).astype(np.int64)
+    walsh_hadamard(exponent)
+    if theta.is_fourth_root:
+        phases = xprogram._QUARTER_TURNS[theta.fourth_root_index * ((len(keys) - exponent) // 2) % 4]
+    else:
+        phases = np.exp(1j * theta.value * exponent)
+    walsh_hadamard(phases)
+    return np.ldexp(phases.real**2 + phases.imag**2, -2 * bits)
+
+
+class TestSweepKernel:
+    """The codeword-weight sweep shared by full_distribution, the
+    sampler's conditionals and the push-forward."""
+
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 128, 129, 300])
+    def test_matches_two_transforms_across_lanes(self, n):
+        # n = 64, 65, 128 and 129 put the codewords on either side of a
+        # uint64 lane boundary; 300 rows take five lanes
+        rng = Random(130 + n)
+        for l in range(13):
+            P = random_matrix(rng, n, l)
+            proj = random_projector(rng, l)
+            keys = [proj._coord_bits(r) for r in P.bits]
+            shifts = [0, rng.getrandbits(l)]
+            if proj.Kstar_basis:
+                shifts.append(gf2._combine([k.bits for k in proj.Kstar_basis], 1))
+            for theta in KERNEL_ANGLES:
+                prog = XProgram(P, theta)
+                want = two_transform_sweep(P.bits, None, l, theta)
+                assert np.array_equal(full_distribution(prog).as_array(), want)
+                sampler = MarginalSampler(prog, proj)
+                for k in shifts:
+                    signs = [1 - 2 * ((r & k).bit_count() & 1) for r in P.bits]
+                    want = two_transform_sweep(keys, signs, proj.range_dim, theta)
+                    assert np.array_equal(sampler.conditional(k), want)
+
+    def test_push_forward_is_the_mean_of_the_conditionals(self):
+        rng = Random(140)
+        for trial in range(72):
+            l = rng.randint(0, 8)
+            theta = KERNEL_ANGLES[trial % len(KERNEL_ANGLES)]
+            prog = XProgram(random_matrix(rng, rng.randint(0, 130), l), theta)
+            if trial % 3 == 0:  # q = 0
+                proj = make_projector(BinaryMatrix.zeros(l, l))
+            elif trial % 3 == 1:  # q = l
+                proj = make_projector(BinaryMatrix.identity(l))
+            else:
+                proj = random_projector(rng, l)
+            sampler = MarginalSampler(prog, proj)
+            shifts = marginals._span([k.bits for k in proj.Kstar_basis])
+            mean = sum(sampler.conditional(k) for k in shifts) / len(shifts)
+            got = marginals._push_forward(prog, proj).as_array()
+            if theta.is_fourth_root:
+                assert np.array_equal(got, mean)
+            else:
+                assert np.abs(got - mean).max() <= 1e-12
+
+    def test_tall_sweeps_stay_small(self):
+        # 2000 rows take 32 uint64 lanes; the weight table is built a chunk
+        # of lanes at a time, never 2^16 x 32 words (16 MiB) at once
+        rng = Random(150)
+        prog = XProgram(random_matrix(rng, 2000, 16), Angle.exact(1, 16))
+        proj = diagonal_projector(BitVector(16, sum(1 << b for b in rng.sample(range(16), 8))))
+        for sweep in (lambda: full_distribution(prog), lambda: marginals._push_forward(prog, proj)):
+            tracemalloc.start()
+            try:
+                sweep()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 << 20
+
+
 class TestMarginalPi8:
     def test_matches_generic(self):
         rng = Random(92)
@@ -765,7 +847,7 @@ class TestQuarterTurnSampler:
                 sampler.sample()
             assert sampler._cdfs == {}
             # the conditionals' row keys and shifts are never built
-            assert sampler._keys is None and sampler._shifts is None
+            assert sampler._words is None and sampler._shifts is None
             assert calls["support"] == (t + 1) // 2
         assert calls["sweep"] == calls["wht"] == 0
 

@@ -108,6 +108,12 @@ class TestWalshHadamard:
             twice = walsh_hadamard(walsh_hadamard(v.copy()))
             assert np.allclose(twice, v * (1 << bits))
 
+    def test_2d_input_transforms_each_column(self):
+        rng = Random(52)
+        values = np.array([[rng.random() for _ in range(3)] for _ in range(8)])
+        want = np.stack([walsh_hadamard(values[:, c].copy()) for c in range(3)], axis=1)
+        assert np.array_equal(walsh_hadamard(values), want)
+
     def test_rejects_non_power_of_two(self):
         with pytest.raises(DimensionMismatch):
             walsh_hadamard(np.zeros(3))

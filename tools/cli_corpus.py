@@ -15,13 +15,18 @@ The corpus depends on --seed only. It covers every subcommand on random
 programs (n <= 14, l <= 12, dense, weight-<=2, column-sparse and low-rank
 rows), a few tall ones up to 2000 x 64, both --output values, masks and
 conjugated --projector files, multiples of pi/8 and raw angles, seeded
-sample draws, and the error cases of the command-line tests. Every
-generated matrix file is canonical ("n l", then n rows of 0/1, each
-ended by a newline), which the reader takes in one vectorized pass. The
-line loop, which reads every other file and reports every parse error,
-is reached by one `wenum` call per file of PARSE_BYTES (one-edit variants
-of a canonical 6 x 4 file, and one that is not UTF-8) and by `clifford`
-on a CRLF copy of the 2000 x 64 program; these are written as raw bytes.
+sample draws, and the error cases of the command-line tests. Three
+dense programs of 64, 65 and 129 rows (l = 10 to 12) fill one uint64
+lane of the phase sweep's codewords, pass it by one bit, and take three
+lanes; each gets `dist`, a 6- to 8-bit `marginal` (the push-forward off
+multiples of pi/4) and `sample` at 1/16, 1/8, 1/4 and rad:0.7. They are
+drawn last, so no earlier line depends on them. Every generated matrix
+file is canonical ("n l", then n rows of 0/1, each ended by a newline),
+which the reader takes in one vectorized pass. The line loop, which
+reads every other file and reports every parse error, is reached by one
+`wenum` call per file of PARSE_BYTES (one-edit variants of a canonical
+6 x 4 file, and one that is not UTF-8) and by `clifford` on a CRLF copy
+of the 2000 x 64 program; these are written as raw bytes.
 The inputs are generated here without importing iqpsim and written to a temporary
 directory, which is the working directory of every call and is removed
 at the end, so file names in messages are the same on every run. Calls
@@ -191,6 +196,24 @@ def tall_program_calls(rng: Random, name: str, l: int, low_rank: bool, proj: str
     return calls
 
 
+def lane_program_calls(rng: Random, name: str, l: int):
+    """dist, a push-forward marginal and sample on a program whose codewords
+    fill one uint64 lane exactly, pass it by one bit, or take three lanes."""
+    calls = []
+    for theta in ("1/16", "1/8", "1/4", "rad:0.7"):
+        t = ["--theta", theta]
+        mask = format(sum(1 << b for b in rng.sample(range(l), rng.randint(6, 8))), f"0{l}b")
+        calls += [
+            ["dist", name, *t],
+            ["marginal", name, *t, "--mask", mask],
+            ["sample", name, *t, "--mask", mask, "--samples", "20",
+             "--seed", str(rng.randint(0, 99))],
+        ]
+    for call in calls:
+        call += ["--output", rng.choice(["json", "tsv"])]
+    return calls
+
+
 def error_calls(names: dict[str, str]):
     """The error cases of the command-line tests, exit codes 0, 2, 3 and 4."""
     m, pex = names["m"], names["pex"]
@@ -233,6 +256,7 @@ def error_calls(names: dict[str, str]):
         ["marginal", names["star"], "--theta", "rad:0.7", "--mask", "11" + "0" * 38],
         ["marginal", names["star"], "--theta", "rad:0.7", "--mask", "11" + "0" * 38,
          "--path", "generic"],
+        ["marginal", pex, "--theta", "1/5", "--mask", "0101", "--sparse-bound", "-1"],
     ]
     for rows in ("m", "zeros2", "zeros4"):
         calls.append(["tutte", names[rows], "--at", "1e200", "1e200"])
@@ -292,6 +316,9 @@ def build_corpus(rng: Random, workdir: str) -> list[list[str]]:
     with open(os.path.join(workdir, "tall0.txt"), "rb") as handle:
         crlf = handle.read().replace(b"\n", b"\r\n")
     calls.append(["clifford", put_bytes("tall0_crlf.txt", crlf)])
+    for i, (n, l) in enumerate([(64, 10), (65, 11), (129, 12)]):
+        name = put(f"lane{i}.txt", n, l, matrix_rows(rng, n, l, "dense"))
+        calls += lane_program_calls(rng, name, l)
     return calls
 
 
