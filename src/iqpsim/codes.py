@@ -20,6 +20,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from math import gcd
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -132,6 +133,7 @@ class CodeProfile:
 
 
 _BLOCK_LOG = 14  # doubling-table size cap for the enumeration
+_GROUP_ENTRIES = 1 << 16  # table entries popcounted in one numpy call
 
 
 def _enumeration_table(generators: list[int], count: int) -> np.ndarray:
@@ -143,30 +145,57 @@ def _enumeration_table(generators: list[int], count: int) -> np.ndarray:
     return table
 
 
-def _histogram(generators: list[int], n: int, offset: int = 0) -> np.ndarray:
-    """Weight histogram of the coset offset + span(generators) in F2^n.
+def _lane_tables(words: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Doubling tables of the rows of words (lanes, k), one per lane:
+    entry b of lane w is start[w] xor the words picked by the bits of b."""
+    lanes, k = words.shape
+    table = np.empty((lanes, 1 << k), dtype=np.uint64)
+    table[:, 0] = start
+    for j in range(k):
+        np.bitwise_xor(table[:, : 1 << j], words[:, j, None], out=table[:, 1 << j : 2 << j])
+    return table
 
-    The generators must be independent. The words are enumerated in
-    blocks: a doubling table of the low generators, xored with one word
-    of the span of the high ones, offset included, per block. Popcounts
-    run 64 bits per lane.
+
+def _coset_weights(generators: Sequence[int], n: int, offset: int = 0) -> Iterator[np.ndarray]:
+    """Weights |offset + sum_j b_j generators[j]| in F2^n for every index b,
+    generators[0] by the low bit, in blocks of consecutive b.
+
+    A block is a doubling table of the low generators, xored with one
+    word of the span of the high ones, offset included. Popcounts run 64
+    bits per lane, a group of lanes per numpy call, so the work is one
+    table entry per word and lane.
     """
     r = len(generators)
     lanes = max(1, (n + 63) // 64)
     low = min(r, _BLOCK_LOG)
-    tables, heads = [], []
-    for w in range(lanes):
-        lane = [(g >> (64 * w)) & ((1 << 64) - 1) for g in generators]
-        tables.append(_enumeration_table(lane, low))
-        shift = np.uint64((offset >> (64 * w)) & ((1 << 64) - 1))
-        heads.append(_enumeration_table(lane[low:], r - low) ^ shift)
+    data = b"".join(g.to_bytes(8 * lanes, "little") for g in (offset, *generators))
+    words = np.frombuffer(data, dtype="<u8").reshape(r + 1, lanes).T
+    tables = _lane_tables(words[:, 1 : low + 1], words[:, 0])
+    counts = np.bitwise_count(tables)
+    # a sum of lanes can pass the uint8 popcount range
+    yield counts[0] if lanes == 1 else counts.sum(axis=0, dtype=np.intp)
+    if r == low:
+        return
+    heads = _lane_tables(words[:, low + 1 :], np.uint64(0))
+    group = max(1, _GROUP_ENTRIES >> low)
+    for step in range(1, 1 << (r - low)):
+        if lanes == 1:  # most codes: one xor by a scalar per block
+            yield np.bitwise_count(tables[0] ^ heads[0, step])
+            continue
+        weights = 0
+        for lo in range(0, lanes, group):
+            counts = np.bitwise_count(tables[lo : lo + group] ^ heads[lo : lo + group, step, None])
+            weights = weights + counts.sum(axis=0, dtype=np.intp)
+        yield weights
+
+
+def _histogram(generators: list[int], n: int, offset: int = 0) -> np.ndarray:
+    """Weight histogram of the coset offset + span(generators) in F2^n.
+
+    The generators must be independent.
+    """
     counts = np.zeros(n + 1, dtype=np.int64)
-    for step in range(1 << (r - low)):
-        weights = np.bitwise_count(tables[0] ^ heads[0][step])
-        if lanes > 1:  # a sum of lanes can pass the uint8 popcount range
-            weights = weights.astype(np.intp)
-            for w in range(1, lanes):
-                weights += np.bitwise_count(tables[w] ^ heads[w][step])
+    for weights in _coset_weights(generators, n, offset):
         counts += np.bincount(weights, minlength=n + 1)
     return counts
 

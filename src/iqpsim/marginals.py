@@ -203,8 +203,8 @@ def _push_forward(prog: XProgram, proj: Projector) -> Distribution:
     """
     # bit b of the high index bits picks D_{q-1-b}, as in the conditionals
     basis = [k.bits for k in proj.Kstar_basis] + list(reversed(proj._dual_basis))
-    words = xprogram._codewords(prog.P, basis)
-    probs = xprogram._sweep_probabilities(words, 0, prog.n, prog.theta, proj.range_dim)
+    sweep = xprogram._CosetSweep(prog.P, basis)
+    probs = xprogram._sweep_probabilities(sweep, 0, prog.theta, proj.range_dim)
     return Distribution(proj.range_dim, probs)
 
 
@@ -238,12 +238,15 @@ _EVALUATORS = {
 def _choose_evaluator(prog: XProgram, proj: Projector) -> str:
     """The evaluator with the least work, a pure function of the shapes.
 
-    The push-forward is counted as l levels over 2^l outcomes, an upper
-    bound now that it transforms only the q range levels; the image
-    builds the support from the Gram matrix of the l columns over the n
-    rows, and the beta loop makes 2^q calls that each scan the rows and
-    columns once. Raises BudgetExceeded when even the least work passes
-    _MARGINAL_WORK_LIMIT, before any evaluator starts.
+    The push-forward is counted as l levels over 2^l outcomes. It
+    transforms the q range levels and weighs the codewords at one level
+    per uint64 lane of the rows, or, once the lanes outnumber the l
+    levels, by one pass over the rows and a transform of their
+    histogram, so its work stays within twice the count plus that pass.
+    The image builds the support from the Gram matrix of the l columns
+    over the n rows, and the beta loop makes 2^q calls that each scan
+    the rows and columns once. Raises BudgetExceeded when even the least
+    work passes _MARGINAL_WORK_LIMIT, before any evaluator starts.
     """
     n, l, q = prog.n, prog.l, proj.range_dim
     work = {"beta": (1 << q) * (_BETA_CALL_WORK + n + l)}
@@ -400,7 +403,8 @@ class MarginalSampler:
     magnitude of an average of unit phases over the dual range. The
     phase at s_v = sum_j v_j D_j has exponent n - 2|P(k + s_v)|, read
     from the weight of a codeword, so a conditional costs one sweep of
-    2^q words and one transform of length 2^q. The average over shifts
+    2^q words (or, past 64 q rows, one pass over the rows) and one
+    transform of length 2^q. The average over shifts
     reproduces the marginal exactly (the push-forward computes it so),
     so sampling a uniform shift then the conditional outcome samples the
     marginal. The CDFs of the first shifts drawn are kept, _CACHE_FLOATS
@@ -425,18 +429,17 @@ class MarginalSampler:
         # each built on first use by the path that reads it, as a plain
         # attribute: a cached_property writes through __dict__, and that
         # made every later draw slower (2.3 -> 2.6 us from a cached CDF, Python 3.11)
-        self._words: list[int] | None = None
+        self._sweep: xprogram._CosetSweep | None = None
         self._shifts: list[int] | None = None
         self._law: tuple[int, list[int]] | None = None
 
     def conditional(self, shift) -> np.ndarray:
         """Conditional probability vector for one dual-kernel shift."""
         bits = shift.bits if isinstance(shift, BitVector) else int(shift)
-        P = self.prog.P
-        if self._words is None:  # bit b of an index picks D_{q-1-b}
-            self._words = xprogram._codewords(P, self.proj._dual_basis[::-1])
+        if self._sweep is None:  # bit b of an index picks D_{q-1-b}
+            self._sweep = xprogram._CosetSweep(self.prog.P, self.proj._dual_basis[::-1])
         probs = xprogram._sweep_probabilities(
-            self._words, gf2._parities(bits, P.bits), P.n, self.prog.theta, self.proj.range_dim
+            self._sweep, bits, self.prog.theta, self.proj.range_dim
         )
         xprogram._check_total(float(probs.sum()), "conditional sums to")
         return probs

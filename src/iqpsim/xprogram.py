@@ -8,7 +8,9 @@ all-zeros state. Single amplitudes and correlations reduce to alpha
 evaluations on projected or affinified matrices. The full distribution
 is one phase sweep: the exponent at v is n - 2|Pv|, read from the
 weight of a codeword, and one Walsh-Hadamard transform takes the
-phases to the amplitudes.
+phases to the amplitudes. The weights come from popcounts of the
+codewords, or for programs with many rows from a transform of the row
+histogram; both are exact integers.
 """
 
 from __future__ import annotations
@@ -182,65 +184,94 @@ def beta(prog: XProgram, s: BitVector, *, rank_limit: int | None = None) -> floa
 
 # i^-k for k mod 4: the unit phases of a fourth-root sweep, exactly
 _QUARTER_TURNS = np.array([1, -1j, -1, 1j], dtype=np.complex128)
-# uint64 entries of one weight-table chunk: lanes are taken as many at a
-# time as fit, one at least, so a tall program never builds 2^bits x lanes
-_CHUNK_ENTRIES = 1 << 16
 
 
-def _codewords(P: BinaryMatrix, vectors: Sequence[int]) -> list[int]:
-    """The codewords P v, packed with row 0 at the top bit."""
-    columns = gf2.transpose(P).bits
-    return [gf2._combine(columns, v) for v in vectors]
+def _row_bytes(P: BinaryMatrix) -> np.ndarray:
+    """The rows as an n x ceil(l / 8) array of bytes, low byte first."""
+    width = (P.l + 7) // 8
+    if P.l <= 64:
+        rows = np.fromiter(P.bits, dtype=np.uint64, count=P.n).astype("<u8", copy=False)
+        return rows.view(np.uint8).reshape(P.n, 8)[:, :width]
+    data = b"".join(row.to_bytes(width, "little") for row in P.bits)
+    return np.frombuffer(data, dtype=np.uint8).reshape(P.n, width)
 
 
-def _codeword_weights(words: Sequence[int], offset: int, n: int) -> np.ndarray:
-    """|offset + sum_j b_j words[j]| for every index b, words[0] by the low bit.
+def _row_keys(row_bytes: np.ndarray, images: Sequence[int]) -> np.ndarray:
+    """The linear map with images[t] the image of row bit t, on every row:
+    one table of 256 values and one lookup per byte of the rows."""
+    keys = np.zeros(len(row_bytes), dtype=np.uint64)
+    for p in range(row_bytes.shape[1]):
+        part = images[8 * p : 8 * p + 8]
+        if any(part):
+            keys ^= codes._enumeration_table(part, len(part))[row_bytes[:, p]]
+    return keys
 
-    The n-bit words are cut into uint64 lanes; a doubling table of the
-    words, started at the offset, runs over a chunk of lanes at a time
-    and its popcounts add into the weights.
+
+class _CosetSweep:
+    """The codewords c(b) = P (shift + sum_j b_j vectors[j]) of one
+    program, vectors[0] by the low bit of b, weighed for any shift.
+
+    Up to 64 len(vectors) rows the codes' coset enumeration weighs them,
+    one table entry per index and uint64 lane. Taller programs go by the
+    rows: row a adds 1 to |c(b)| when a.shift + key(a).b is odd, key(a)
+    having bit j = a.vectors[j], so n - 2|c| is the transform of the key
+    histogram signed by a.shift, 2^len(vectors) points for any number
+    of rows. Both give the same integers.
     """
-    lanes = max(1, (n + 63) // 64)
-    data = b"".join(w.to_bytes(8 * lanes, "little") for w in (offset, *words))
-    packed = np.frombuffer(data, dtype="<u8").reshape(len(words) + 1, lanes).T
-    size = 1 << len(words)
-    step = max(1, _CHUNK_ENTRIES >> len(words))
-    weights = np.zeros(size, dtype=np.intp)
-    table = np.empty((min(step, lanes), size), dtype=np.uint64)
-    for lo in range(0, lanes, step):
-        chunk = packed[lo : lo + step]
-        part = table[: len(chunk)]
-        part[:, 0] = chunk[:, 0]
-        for j in range(len(words)):
-            np.bitwise_xor(part[:, : 1 << j], chunk[:, j + 1, None], out=part[:, 1 << j : 2 << j])
-        for counts in np.bitwise_count(part):
-            weights += counts
-    return weights
+
+    def __init__(self, P: BinaryMatrix, vectors: Sequence[int]):
+        self.n, self.m, self.l = P.n, len(vectors), P.l
+        self.by_rows = (P.n + 63) // 64 > self.m
+        if self.by_rows:
+            self._bytes = _row_bytes(P)
+            images = [sum((v >> t & 1) << j for j, v in enumerate(vectors)) for t in range(P.l)]
+            self._keys = _row_keys(self._bytes, images)
+        else:
+            self._columns = gf2.transpose(P).bits
+            self._words = [gf2._combine(self._columns, v) for v in vectors]
+
+    def weights(self, shift: int) -> np.ndarray:
+        """|c(b)| for every index b."""
+        if not self.by_rows:
+            offset = gf2._combine(self._columns, shift)
+            blocks = list(codes._coset_weights(self._words, self.n, offset))
+            return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        keys = self._keys
+        if shift:  # the sign a.shift as key bit m
+            signs = [(shift >> t & 1) << self.m for t in range(self.l)]
+            keys = keys | _row_keys(self._bytes, signs)
+        size = 1 << self.m
+        counts = np.bincount(keys.view(np.int64), minlength=2 * size)
+        spectrum = counts[:size] - counts[size:]
+        walsh_hadamard(spectrum)
+        return (self.n - spectrum) >> 1
 
 
-def _sweep_probabilities(
-    words: Sequence[int], offset: int, n: int, theta: Angle, levels: int
-) -> np.ndarray:
+def _sweep_probabilities(sweep: _CosetSweep, shift: int, theta: Angle, levels: int) -> np.ndarray:
     """Squared amplitudes of one phase sweep over a coset of the code.
 
-    Index b = (v << (m - levels)) | u, m = len(words), carries the
-    codeword c(b) = offset + sum_j b_j words[j] and the phase
-    exp(i theta (n - 2|c(b)|)), read from a table of n + 1 values; at
+    Index b = (v << (m - levels)) | u, m = sweep.m, carries the codeword
+    c(b) of the sweep and the phase exp(i theta (n - 2|c(b)|)), read
+    from a table of the n + 1 values while that is shorter than 2^m; at
     theta = t pi / 4 they are the exact powers i^(-t|c|), after dropping
     the global phase exp(i theta n). The transform runs over the levels
     of v only, and the squares are averaged over u:
     out[x] = 2^-(m + levels) sum_u |sum_v (-1)^(x.v) phase(b)|^2.
     """
-    k = np.arange(n + 1)
+    n = sweep.n
+    weights = sweep.weights(shift)
+    k = np.arange(n + 1) if n < len(weights) else weights.astype(np.intp)
     if theta.is_fourth_root:
-        table = _QUARTER_TURNS[theta.fourth_root_index * k % 4]
+        phases = _QUARTER_TURNS[theta.fourth_root_index * k % 4]
     else:
-        table = np.exp(1j * theta.value * (n - 2 * k))
-    phases = table[_codeword_weights(words, offset, n)].reshape(1 << levels, -1)
+        phases = np.exp(1j * theta.value * (n - 2 * k))
+    if n < len(weights):
+        phases = phases[weights]
+    phases = phases.reshape(1 << levels, -1)
     walsh_hadamard(phases)
     power = phases.real**2
     power += phases.imag**2
-    return np.ldexp(power.sum(axis=1), -len(words) - levels)
+    return np.ldexp(power.sum(axis=1), -sweep.m - levels)
 
 
 def full_distribution(
@@ -260,8 +291,8 @@ def full_distribution(
     if l > domain_limit:
         raise DomainTooLarge(f"2^{l} outcomes exceed the limit 2^{domain_limit}")
     # bit b of v picks column l - 1 - b
-    words = gf2.transpose(prog.P).bits[::-1]
-    return Distribution(l, _sweep_probabilities(words, 0, prog.n, prog.theta, l))
+    sweep = _CosetSweep(prog.P, [1 << b for b in range(l)])
+    return Distribution(l, _sweep_probabilities(sweep, 0, prog.theta, l))
 
 
 @dataclass(frozen=True)

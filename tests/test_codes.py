@@ -169,6 +169,21 @@ class TestHistogram:
             want[(offset ^ gf2._combine(gens, bits)).bit_count()] += 1
         assert codes._histogram(gens, n, offset).tolist() == want
 
+    @pytest.mark.parametrize("n", [40, 300])
+    def test_coset_across_lane_groups(self, n):
+        # 15 generators make two blocks of 2^_BLOCK_LOG words; 40 bits take
+        # the one-lane path, and 300 bits take five lanes, more than one
+        # popcount group
+        rng = Random(27 + n)
+        gens = list(gf2._eliminate((rng.getrandbits(n) for _ in range(15)), {}).values())
+        assert len(gens) == 15 > codes._BLOCK_LOG
+        assert n < 64 or (n + 63) // 64 > codes._GROUP_ENTRIES >> codes._BLOCK_LOG
+        offset = rng.getrandbits(n)
+        want = [0] * (n + 1)
+        for bits in range(1 << len(gens)):
+            want[(offset ^ gf2._combine(gens, bits)).bit_count()] += 1
+        assert codes._histogram(gens, n, offset).tolist() == want
+
     def test_empty_span(self):
         assert codes._histogram([], 5, 0b10110).tolist() == [0, 0, 0, 1, 0, 0]
 

@@ -405,10 +405,11 @@ class TestSweepKernel:
     """The codeword-weight sweep shared by full_distribution, the
     sampler's conditionals and the push-forward."""
 
-    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 128, 129, 300])
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 128, 129, 300, 1000])
     def test_matches_two_transforms_across_lanes(self, n):
         # n = 64, 65, 128 and 129 put the codewords on either side of a
-        # uint64 lane boundary; 300 rows take five lanes
+        # uint64 lane boundary; 300 and 1000 rows take 5 and 16 lanes, so
+        # sweeps of fewer index bits than lanes go by the row histogram
         rng = Random(130 + n)
         for l in range(13):
             P = random_matrix(rng, n, l)
@@ -448,11 +449,13 @@ class TestSweepKernel:
             else:
                 assert np.abs(got - mean).max() <= 1e-12
 
-    def test_tall_sweeps_stay_small(self):
-        # 2000 rows take 32 uint64 lanes; the weight table is built a chunk
-        # of lanes at a time, never 2^16 x 32 words (16 MiB) at once
-        rng = Random(150)
-        prog = XProgram(random_matrix(rng, 2000, 16), Angle.exact(1, 16))
+    @pytest.mark.parametrize("n", [1000, 2000])
+    def test_tall_sweeps_stay_small(self, n):
+        # 1000 rows take 16 uint64 lanes, one per index bit, and enumerate
+        # 2^14-word tables; 2000 rows take 32 and go by the row histogram.
+        # Neither builds 2^16 words per lane (8 or 16 MiB).
+        rng = Random(150 + n)
+        prog = XProgram(random_matrix(rng, n, 16), Angle.exact(1, 16))
         proj = diagonal_projector(BitVector(16, sum(1 << b for b in rng.sample(range(16), 8))))
         for sweep in (lambda: full_distribution(prog), lambda: marginals._push_forward(prog, proj)):
             tracemalloc.start()
@@ -462,6 +465,45 @@ class TestSweepKernel:
             finally:
                 tracemalloc.stop()
             assert peak <= 4 << 20
+
+    @pytest.mark.parametrize("l", [5, 64, 70])
+    def test_weights_agree_on_both_sides_of_the_row_choice(self, l):
+        # l = 64 and 70 read the rows through uint64 and through bytes
+        rng = Random(160 + l)
+        for m in range(5):
+            for n in (64 * m, 64 * m + 1, 64 * m + 65):
+                P = random_matrix(rng, n, l)
+                vectors = [rng.getrandbits(l) for _ in range(m)]
+                sweep = xprogram._CosetSweep(P, vectors)
+                assert sweep.by_rows == (n > 64 * m if m else n > 0)
+                for shift in (0, rng.getrandbits(l)):
+                    want = []
+                    for b in range(1 << m):
+                        v = gf2._combine(vectors[::-1], b) ^ shift
+                        want.append(sum((row & v).bit_count() & 1 for row in P.bits))
+                    assert sweep.weights(shift).tolist() == want
+
+    def test_tall_programs_never_enumerate_lanes(self, monkeypatch):
+        # 2^14 rows are 256 lanes: the sweeps cost one pass over the rows
+        # and transforms of length 2^l, as the work count of the
+        # push-forward assumes, and never a table per lane
+        def refuse(*args):
+            raise AssertionError("lane enumeration on a tall program")
+
+        rng = Random(170)
+        P = random_matrix(rng, 1 << 14, 10)
+        proj = random_projector(rng, 10)
+        monkeypatch.setattr(marginals.codes, "_coset_weights", refuse)
+        for theta in (Angle.exact(1, 4), Angle.exact(1, 16), Angle.radians(0.7)):
+            prog = XProgram(P, theta)
+            assert np.array_equal(
+                full_distribution(prog).as_array(), two_transform_sweep(P.bits, None, 10, theta)
+            )
+            sampler = MarginalSampler(prog, proj)
+            shifts = marginals._span([k.bits for k in proj.Kstar_basis])
+            mean = sum(sampler.conditional(k) for k in shifts) / len(shifts)
+            got = marginals._push_forward(prog, proj).as_array()
+            assert np.abs(got - mean).max() <= 1e-12
 
 
 class TestMarginalPi8:
@@ -846,8 +888,8 @@ class TestQuarterTurnSampler:
             for _ in range(300):
                 sampler.sample()
             assert sampler._cdfs == {}
-            # the conditionals' row keys and shifts are never built
-            assert sampler._words is None and sampler._shifts is None
+            # the conditionals' codewords and shifts are never built
+            assert sampler._sweep is None and sampler._shifts is None
             assert calls["support"] == (t + 1) // 2
         assert calls["sweep"] == calls["wht"] == 0
 

@@ -15,12 +15,14 @@ The corpus depends on --seed only. It covers every subcommand on random
 programs (n <= 14, l <= 12, dense, weight-<=2, column-sparse and low-rank
 rows), a few tall ones up to 2000 x 64, both --output values, masks and
 conjugated --projector files, multiples of pi/8 and raw angles, seeded
-sample draws, and the error cases of the command-line tests. Three
-dense programs of 64, 65 and 129 rows (l = 10 to 12) fill one uint64
-lane of the phase sweep's codewords, pass it by one bit, and take three
-lanes; each gets `dist`, a 6- to 8-bit `marginal` (the push-forward off
-multiples of pi/4) and `sample` at 1/16, 1/8, 1/4 and rad:0.7. They are
-drawn last, so no earlier line depends on them. Every generated matrix
+sample draws, and the error cases of the command-line tests. Four
+dense programs of 64, 65, 129 and 1000 rows (l = 10 to 12) fill one
+uint64 lane of the phase sweep's codewords, pass it by one bit, take
+three lanes, and take 16 lanes, more than their 10 index bits, so the
+sweep reads the weights from the rows; each gets `dist`, a 6- to 8-bit
+`marginal` (the push-forward off multiples of pi/4) and `sample` at
+1/16, 1/8, 1/4 and rad:0.7. They are drawn last, so no earlier line
+depends on them. Every generated matrix
 file is canonical ("n l", then n rows of 0/1, each ended by a newline),
 which the reader takes in one vectorized pass. The line loop, which
 reads every other file and reports every parse error, is reached by one
@@ -198,7 +200,8 @@ def tall_program_calls(rng: Random, name: str, l: int, low_rank: bool, proj: str
 
 def lane_program_calls(rng: Random, name: str, l: int):
     """dist, a push-forward marginal and sample on a program whose codewords
-    fill one uint64 lane exactly, pass it by one bit, or take three lanes."""
+    fill one uint64 lane exactly, pass it by one bit, take three lanes, or
+    take more lanes than the sweep has index bits."""
     calls = []
     for theta in ("1/16", "1/8", "1/4", "rad:0.7"):
         t = ["--theta", theta]
@@ -316,7 +319,7 @@ def build_corpus(rng: Random, workdir: str) -> list[list[str]]:
     with open(os.path.join(workdir, "tall0.txt"), "rb") as handle:
         crlf = handle.read().replace(b"\n", b"\r\n")
     calls.append(["clifford", put_bytes("tall0_crlf.txt", crlf)])
-    for i, (n, l) in enumerate([(64, 10), (65, 11), (129, 12)]):
+    for i, (n, l) in enumerate([(64, 10), (65, 11), (129, 12), (1000, 10)]):
         name = put(f"lane{i}.txt", n, l, matrix_rows(rng, n, l, "dense"))
         calls += lane_program_calls(rng, name, l)
     return calls
