@@ -422,7 +422,7 @@ def _select_marginal_path(args, theta: Angle, M: BinaryMatrix, proj: Projector) 
         return args.path
     if theta == Angle.exact(1, 8):
         return "pi8"
-    if max(M.row_weights(), default=0) <= 2 and proj.support_bits <= 2:
+    if proj.support_bits <= 2 and all(b.bit_count() <= 2 for b in M.bits):
         return "graphic"
     if max(M.column_weights(), default=0) <= args.sparse_bound:
         return "sparse"

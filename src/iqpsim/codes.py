@@ -200,24 +200,60 @@ def _histogram(generators: list[int], n: int, offset: int = 0) -> np.ndarray:
     return counts
 
 
+def _macwilliams(dual_counts: list[int], n: int, dual_rank: int) -> list[int]:
+    """Weight histogram of C from that of C-perp, of dimension dual_rank.
+
+    A_k = 2^-dual_rank sum_j B_j K_k(j), the Krawtchouk values K_k(j)
+    exact integers from K_0 = 1, K_1 = n - 2j and
+    (k+1) K_(k+1)(j) = (n - 2j) K_k(j) - (n - k + 1) K_(k-1)(j),
+    O(n) per distinct dual weight j.
+
+    Raises:
+        NumericalInconsistency: if a sum is not a multiple of 2^dual_rank.
+    """
+    totals = [0] * (n + 1)
+    for j, count in enumerate(dual_counts):
+        if not count:
+            continue
+        previous, current = 0, 1
+        for k in range(n + 1):
+            totals[k] += count * current
+            previous, current = current, ((n - 2 * j) * current - (n - k + 1) * previous) // (k + 1)
+    if any(t & ((1 << dual_rank) - 1) for t in totals):
+        raise NumericalInconsistency("MacWilliams transform is not integral")
+    return [t >> dual_rank for t in totals]
+
+
 def weight_enumerator(
     P: BinaryMatrix, *, rank_limit: int = DEFAULT_RANK_LIMIT
 ) -> CodeProfile:
     """Exact weight histogram of the column-span code of P.
 
-    Enumerates the 2^r codewords from an independent generator set.
+    Enumerates the 2^r codewords from an independent generator set or,
+    when n - r < r, the 2^(n-r) words of C-perp, the circuit space of P's
+    rows, whose histogram the MacWilliams identity turns into C's.
 
     Raises:
-        RankTooLarge: if r exceeds rank_limit.
+        RankTooLarge: if min(r, n - r) exceeds rank_limit.
     """
+    n = P.n
     gens = clifford._reduced_generators(P)[0]
     r = len(gens)
-    if r > rank_limit:
-        raise RankTooLarge(f"rank {r} exceeds the enumeration limit {rank_limit}")
-    weights_out = tuple(_histogram(gens, P.n).tolist())
-    if sum(weights_out) != 1 << r or weights_out[0] < 1:
+    if min(r, n - r) > rank_limit:
+        raise RankTooLarge(
+            f"rank {r} and dual dimension {n - r} both exceed the enumeration limit {rank_limit}"
+        )
+    if n - r < r:
+        residues: list[int] = []
+        tagged = [(a << n) | t for a, t in zip(P.bits, gf2._row_tags(n))]
+        gf2._eliminate(tagged, {}, n, residues)
+        dual = [w for w in residues if not w >> n]
+        weights_out = tuple(_macwilliams(_histogram(dual, n).tolist(), n, n - r))
+    else:
+        weights_out = tuple(_histogram(gens, n).tolist())
+    if sum(weights_out) != 1 << r or weights_out[0] < 1 or min(weights_out) < 0:
         raise NumericalInconsistency("weight histogram failed its count check")
-    return CodeProfile(P.n, r, weights_out)
+    return CodeProfile(n, r, weights_out)
 
 
 def _check_alpha(value: complex) -> None:

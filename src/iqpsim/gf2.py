@@ -33,6 +33,11 @@ __all__ = [
 ]
 
 
+_LANE = (1 << 64) - 1
+# bit t of byte value v at [v, t]
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+
+
 @dataclass(frozen=True)
 class BitVector:
     """Immutable vector over GF(2).
@@ -161,7 +166,16 @@ class BinaryMatrix:
         return [b.bit_count() for b in self.bits]
 
     def column_weights(self) -> list[int]:
-        return [c.bit_count() for c in transpose(self).bits]
+        # 64 columns at a time, one byte histogram per byte of the rows; a
+        # column's weight sums the histogram over the byte values holding it
+        weights: list[int] = []  # by packed bit, lowest first
+        for low in range(0, self.l, 64):
+            rows = ((b >> low) & _LANE for b in self.bits) if self.l > 64 else self.bits
+            lane = np.fromiter(rows, dtype="<u8", count=self.n).view(np.uint8)
+            octets = lane.reshape(self.n, 8)
+            for c in range((min(64, self.l - low) + 7) // 8):
+                weights += (np.bincount(octets[:, c], minlength=256) @ _BYTE_BITS).tolist()
+        return weights[self.l - 1 :: -1]
 
     def to_strings(self) -> list[str]:
         # a leading 1 pads each row to l + 1 digits and is cut off again

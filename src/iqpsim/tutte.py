@@ -1,11 +1,17 @@
 """Tutte polynomial of the row matroid of a GF(2) matrix.
 
-One deletion and contraction recursion over parallel classes, memoized on
-canonicalized minors, computes every Tutte value: run on numbers it
-evaluates T at a point, and run once on large enough powers of two it
-gives an integer whose digits are the polynomial's coefficients. A
-Greene identity evaluator turns Tutte values into the alpha scalar, and
-a closed-form product covers star multigraphs.
+Two independent evaluators. One deletion and contraction recursion over
+parallel classes, memoized on canonicalized minors, evaluates T at a
+point; the Greene identity turns its values into the alpha scalar. The
+whole polynomial comes from the corank-nullity sum instead: for the
+distinct rows that lie in circuits, 2^nullity(A) counts the words of the
+circuit space C-perp inside A, so one zeta (subset-sum) transform of
+C-perp's indicator gives every nullity (Bjorklund, Husfeldt, Kaski and
+Koivisto, FOCS 2008). Zero rows and coloop classes give closed-form
+factors, parallel classes enter as multiplicities, and the transform runs
+on M or its dual M*, whichever has fewer classes left. Evaluated once at
+large enough powers of two, the sum is an integer whose digits are the
+coefficients. A closed-form product covers star multigraphs.
 """
 
 from __future__ import annotations
@@ -13,8 +19,11 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from typing import Sequence
 
-from . import gf2
+import numpy as np
+
+from . import codes, gf2
 from .errors import BudgetExceeded, NumericalInconsistency, TooManyRows
 from .codes import Angle
 from .gf2 import BinaryMatrix
@@ -112,11 +121,14 @@ def _check_nonnegative(poly: TuttePolynomial) -> TuttePolynomial:
 def tutte_subset_sum(
     P: BinaryMatrix, *, row_limit: int = DEFAULT_ROW_LIMIT
 ) -> TuttePolynomial:
-    """Exact Tutte polynomial, read off one exact integer tutte_eval.
+    """Exact Tutte polynomial, read off one exact integer value.
 
     Every coefficient is at most the basis count, below 2^n, and every
     degree is at most n. So at y = 2^(n+1) and x = y^(n+1) the value
     holds the coefficient of x^i y^j as digit i (n+1) + j in base 2^(n+1).
+    The value comes from the corank-nullity histogram of M or of its dual
+    M*, whichever leaves fewer classes to transform (see _side_value);
+    T(M; x, y) = T(M*; y, x).
 
     Raises:
         TooManyRows: when the row count exceeds row_limit.
@@ -124,10 +136,111 @@ def tutte_subset_sum(
     if P.n > row_limit:
         raise TooManyRows(f"{P.n} rows exceed the subset-sum limit {row_limit}")
     shift = P.n + 1
-    value = tutte_eval(P, 1 << (shift * shift), 1 << shift)
+    y = 1 << shift
+    x = y << (shift * shift - shift)
+    primal = _split(P.bits)
+    # M* is the row matroid of the matrix whose columns span the circuit space
+    circuits = _circuits(P.bits)
+    dual = _split([gf2._parities(1 << e, circuits) for e in range(P.n)])
+    if len(dual[2]) < len(primal[2]):
+        value = _side_value(dual, y, x)
+    else:
+        value = _side_value(primal, x, y)
     mask = (1 << shift) - 1
     digits = {divmod(k, shift): (value >> (k * shift)) & mask for k in range(shift * shift)}
     return _check_nonnegative(TuttePolynomial(digits))
+
+
+def _circuits(rows: Sequence[int]) -> list[int]:
+    """A basis of the circuit space {d : sum_i d_i rows[i] = 0}, bit i of
+    each word for rows[i]: the tags left on the dependent rows."""
+    m = len(rows)
+    residues: list[int] = []
+    gf2._eliminate([(v << m) | (1 << i) for i, v in enumerate(rows)], {}, m, residues)
+    return [w for w in residues if not w >> m]
+
+
+def _split(rows: Sequence[int]) -> tuple[int, list[int], list[int], list[int]]:
+    """The zero-row count, the sizes of the classes of parallel coloops,
+    and the distinct rows that lie in some circuit with their class sizes.
+
+    A coloop is a row in no circuit, and the circuit-space basis of the
+    distinct rows shows them all at once.
+    """
+    sizes: dict[int, int] = {}
+    for v in rows:
+        sizes[v] = sizes.get(v, 0) + 1
+    loops = sizes.pop(0, 0)
+    distinct = list(sizes)
+    in_circuit = 0
+    for w in _circuits(distinct):
+        in_circuit |= w
+    kept = [v for i, v in enumerate(distinct) if in_circuit >> i & 1]
+    coloops = [sizes[v] for i, v in enumerate(distinct) if not in_circuit >> i & 1]
+    return loops, coloops, kept, [sizes[v] for v in kept]
+
+
+def _zeta(values: np.ndarray) -> np.ndarray:
+    """In place, values[S] becomes the sum of values[T] over T inside S."""
+    for i in range(values.size.bit_length() - 1):
+        half = values.reshape(-1, 2, 1 << i)
+        if i < 4:  # numpy is slow on rows this short; a strided column at a time is not
+            for j in range(1 << i):
+                half[:, 1, j] += half[:, 0, j]
+        else:
+            half[:, 1] += half[:, 0]
+    return values
+
+
+def _side_value(parts: tuple, x: int, y: int) -> int:
+    """T(x, y) of one side, split as _split returns it.
+
+    Zero rows give the factor y^k and each class of k parallel coloops
+    x + y + ... + y^(k-1). For the m distinct rows left, each in a
+    circuit, 2^nullity(S) counts the circuit-space words inside the class
+    set S, so one zeta transform of length 2^m of the space's indicator
+    gives every nullity. Summing the rows of k-row classes gives
+    (y^k - 1) = (y - 1)(1 + ... + y^(k-1)) per touched class, so
+    T = sum_S (x-1)^(r - |S| + nu(S)) (y-1)^nu(S) prod_(i in S) [k_i]_y,
+    summed by a histogram over nu(S) and the touched classes of each size.
+    """
+    loops, coloops, rows, sizes = parts
+    value = y**loops
+    for k in coloops:
+        value *= x + sum(y**j for j in range(1, k))
+    m = len(rows)
+    if not m:
+        return value
+    circuits = _circuits(rows)
+    indicator = np.zeros(1 << m, dtype=np.uint32)
+    indicator[codes._enumeration_table(circuits, len(circuits))] = 1
+    # histogram key of S: its nullity, then how many classes of each size it
+    # touches, in mixed radix; the class part is filled in by doubling
+    groups = sorted(set(sizes))
+    counts = [sizes.count(k) for k in groups]
+    place = [m + 1]
+    for count in counts:
+        place.append(place[-1] * (count + 1))
+    key = np.empty(1 << m, dtype=np.intp)
+    key[0] = 0
+    for i, k in enumerate(sizes):
+        np.add(key[: 1 << i], place[groups.index(k)], out=key[1 << i : 2 << i])
+    key += np.bitwise_count(_zeta(indicator) - 1)
+    histogram = np.bincount(key, minlength=place[-1])
+    rank = m - len(circuits)
+    repunits = [sum(y**j for j in range(k)) for k in groups]
+    total = 0
+    for code, count in enumerate(histogram.tolist()):
+        if not count:
+            continue
+        rest, nu = divmod(code, m + 1)
+        term, touched = count * (y - 1) ** nu, 0
+        for repunit, classes in zip(repunits, counts):
+            rest, c = divmod(rest, classes + 1)
+            term *= repunit**c
+            touched += c
+        total += term * (x - 1) ** (rank - touched + nu)
+    return value * total
 
 
 def _canonical_key(rows: list[int]) -> tuple:

@@ -109,8 +109,18 @@ class TestWeightEnumerator:
             assert weight_enumerator(m).weights == tuple(hist)
 
     def test_rank_limit(self):
-        with pytest.raises(RankTooLarge):
-            weight_enumerator(BinaryMatrix.identity(5), rank_limit=4)
+        # the identity stacked twice: rank 5 and dual dimension 5 are both
+        # past the limit; the budget bounds the smaller side
+        eye = BinaryMatrix.identity(5)
+        twice = BinaryMatrix(10, 5, eye.bits * 2)
+        with pytest.raises(RankTooLarge, match="rank 5 and dual dimension 5"):
+            weight_enumerator(twice, rank_limit=4)
+        assert weight_enumerator(twice, rank_limit=5).weights == (1, 0, 5, 0, 10, 0, 10, 0, 5, 0, 1)
+
+    def test_full_rank_past_the_limit_takes_the_dual(self):
+        # rank 5 past the limit of 4, but C-perp is {0}
+        profile = weight_enumerator(BinaryMatrix.identity(5), rank_limit=4)
+        assert profile.weights == (1, 5, 10, 10, 5, 1)
 
     def test_evaluate_at_one(self, pex):
         profile = weight_enumerator(pex)

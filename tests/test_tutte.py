@@ -291,6 +291,119 @@ class TestAgainstOracle:
                 assert tutte_eval(m, x, y) == want.evaluate(x, y)
 
 
+def _graph(edges, vertices: int) -> BinaryMatrix:
+    # one row per edge, its two end vertices set: the cycle matroid
+    return BinaryMatrix(len(edges), vertices, tuple(1 << a | 1 << b for a, b in edges))
+
+
+def _circuit(n: int) -> BinaryMatrix:
+    # n - 1 unit rows and their sum: one circuit through all n rows
+    return BinaryMatrix(n, n - 1, tuple(1 << i for i in range(n - 1)) + ((1 << n - 1) - 1,))
+
+
+def _wheel(spokes: int) -> BinaryMatrix:
+    rim = [(i, i % spokes + 1) for i in range(1, spokes + 1)]
+    return _graph([(0, i) for i in range(1, spokes + 1)] + rim, spokes + 1)
+
+
+def _dual(m: BinaryMatrix) -> BinaryMatrix:
+    # the circuit-space basis as columns: its row matroid is M*
+    basis = gf2.kernel(gf2.transpose(m))
+    rows = tuple(gf2._parities(1 << (m.n - 1 - i), [v.bits for v in basis]) for i in range(m.n))
+    return BinaryMatrix(m.n, len(basis), rows)
+
+
+def _transform_lengths(monkeypatch) -> list[int]:
+    lengths: list[int] = []
+    zeta = tutte._zeta
+
+    def recording(values):
+        lengths.append(values.size)
+        return zeta(values)
+
+    monkeypatch.setattr(tutte, "_zeta", recording)
+    return lengths
+
+
+class TestSubsetTransform:
+    """The corank-nullity transform against the oracle and the recursion."""
+
+    def assert_matches_recursion(self, m: BinaryMatrix, poly: TuttePolynomial) -> None:
+        # the last point is the one whose base-2^(n+1) digits are the
+        # coefficients: there the recursion's value holds the whole polynomial
+        shift = m.n + 1
+        points = [(2, 3), (-1, 2), (0, 0), (1, -3), (1 << shift * shift, 1 << shift)]
+        for x, y in points:
+            assert poly.evaluate(x, y) == tutte_eval(m, x, y)
+
+    def test_generated_classes_against_the_oracle(self):
+        rng = Random(48)
+        cases = [BinaryMatrix.zeros(0, 3), BinaryMatrix.zeros(1, 2), BinaryMatrix(1, 2, (2,))]
+        for _ in range(10):
+            # loops; classes of parallel coloops; parallel classes in circuits
+            l = rng.randint(1, 5)
+            cases.append(BinaryMatrix.zeros(rng.randint(1, 12), l))
+            coloops = [1 << i for i in range(l)]
+            cases.append(BinaryMatrix(12, l, tuple(rng.choice(coloops) for _ in range(12))))
+            basis = [rng.getrandbits(3) for _ in range(4)]
+            rows = tuple(rng.choice(basis) for _ in range(rng.randint(2, 13)))
+            cases.append(BinaryMatrix(len(rows), 3, rows))
+            m = random_matrix(rng, rng.randint(1, 12), rng.randint(1, 8))
+            cases += [m, _dual(m)]
+        cases += [_circuit(12), _wheel(6), _graph(list(combinations(range(5), 2)), 5)]
+        for m in cases:
+            got = tutte_subset_sum(m)
+            assert got == oracle.oracle_tutte(m)
+            self.assert_matches_recursion(m, got)
+
+    def test_dual_swaps_the_variables(self):
+        rng = Random(49)
+        for _ in range(20):
+            m = random_matrix(rng, rng.randint(1, 12), rng.randint(1, 8))
+            swapped = {(j, i): c for (i, j), c in tutte_subset_sum(m).items()}
+            assert tutte_subset_sum(_dual(m)) == TuttePolynomial(swapped)
+
+    def test_twenty_rows(self):
+        rng = Random(50)
+        circuit = tutte_subset_sum(_circuit(20))
+        assert circuit == TuttePolynomial({(i, 0): 1 for i in range(1, 20)} | {(0, 1): 1})
+        assert tutte_subset_sum(BinaryMatrix.zeros(20, 3)) == TuttePolynomial({(0, 20): 1})
+        low_rank = BinaryMatrix(20, 4, tuple(rng.getrandbits(4) for _ in range(20)))
+        dense = random_matrix(rng, 20, 12)
+        for m in [_circuit(20), _wheel(10), low_rank, dense]:
+            self.assert_matches_recursion(m, tutte_subset_sum(m))
+        # T(2, 2) counts the subsets and T(1, 1) the bases, 2^(n-1) for a wheel
+        wheel = tutte_subset_sum(_wheel(10))
+        assert wheel.evaluate(2, 2) == 1 << 20
+        assert wheel.basis_count() == 15125
+
+    def test_twenty_one_rows(self):
+        with pytest.raises(TooManyRows):
+            tutte_subset_sum(BinaryMatrix.zeros(21, 2))
+        with pytest.raises(TooManyRows):
+            tutte_subset_sum(_circuit(21))
+
+    def test_transform_length_follows_the_smaller_side(self, monkeypatch):
+        lengths = _transform_lengths(monkeypatch)
+        # 20 distinct rows in one circuit, 2^20 subsets; the dual is one
+        # class of 20 parallel coloops, a closed-form factor
+        tutte_subset_sum(_circuit(20))
+        assert max(lengths, default=0) <= 2
+        lengths.clear()
+        # full rank: every row a coloop, no transform
+        tutte_subset_sum(BinaryMatrix.identity(12))
+        tutte_subset_sum(BinaryMatrix.from_strings(["110", "011", "001"]))
+        assert lengths == []
+        rng = Random(51)
+        for _ in range(5):
+            tutte_subset_sum(random_matrix(rng, 14, 8))
+        assert lengths and max(lengths) <= 1 << 14
+        lengths.clear()
+        # 20 rows in 4 columns: at most 15 distinct ones, as classes
+        tutte_subset_sum(BinaryMatrix(20, 4, tuple(rng.getrandbits(4) for _ in range(20))))
+        assert max(lengths) <= 1 << 15
+
+
 class TestStarTutte:
     def test_single_edge(self):
         assert star_tutte([1]) == TuttePolynomial({(1, 0): 1})
