@@ -244,11 +244,8 @@ def weight_enumerator(
             f"rank {r} and dual dimension {n - r} both exceed the enumeration limit {rank_limit}"
         )
     if n - r < r:
-        residues: list[int] = []
-        tagged = [(a << n) | t for a, t in zip(P.bits, gf2._row_tags(n))]
-        gf2._eliminate(tagged, {}, n, residues)
-        dual = [w for w in residues if not w >> n]
-        weights_out = tuple(_macwilliams(_histogram(dual, n).tolist(), n, n - r))
+        dual = _histogram(gf2._circuits(P.bits), n).tolist()
+        weights_out = tuple(_macwilliams(dual, n, n - r))
     else:
         weights_out = tuple(_histogram(gens, n).tolist())
     if sum(weights_out) != 1 << r or weights_out[0] < 1 or min(weights_out) < 0:

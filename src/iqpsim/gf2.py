@@ -238,6 +238,15 @@ def _rref(vectors: Iterable[int]) -> list[int]:
     return [v for _, v in _back_substitute(_eliminate(vectors, {}))]
 
 
+def _circuits(rows: Sequence[int]) -> list[int]:
+    """A basis of the circuit space {d : sum_i d_i rows[i] = 0}, bit i of
+    each word for rows[i]: the tags left on the dependent rows."""
+    m = len(rows)
+    residues: list[int] = []
+    _eliminate([(v << m) | (1 << i) for i, v in enumerate(rows)], {}, m, residues)
+    return [w for w in residues if not w >> m]
+
+
 def _row_tags(n: int) -> list[int]:
     # tag of input row i, one bit per row in display order
     return [1 << (n - 1 - i) for i in range(n)]

@@ -140,7 +140,7 @@ def tutte_subset_sum(
     x = y << (shift * shift - shift)
     primal = _split(P.bits)
     # M* is the row matroid of the matrix whose columns span the circuit space
-    circuits = _circuits(P.bits)
+    circuits = gf2._circuits(P.bits)
     dual = _split([gf2._parities(1 << e, circuits) for e in range(P.n)])
     if len(dual[2]) < len(primal[2]):
         value = _side_value(dual, y, x)
@@ -149,15 +149,6 @@ def tutte_subset_sum(
     mask = (1 << shift) - 1
     digits = {divmod(k, shift): (value >> (k * shift)) & mask for k in range(shift * shift)}
     return _check_nonnegative(TuttePolynomial(digits))
-
-
-def _circuits(rows: Sequence[int]) -> list[int]:
-    """A basis of the circuit space {d : sum_i d_i rows[i] = 0}, bit i of
-    each word for rows[i]: the tags left on the dependent rows."""
-    m = len(rows)
-    residues: list[int] = []
-    gf2._eliminate([(v << m) | (1 << i) for i, v in enumerate(rows)], {}, m, residues)
-    return [w for w in residues if not w >> m]
 
 
 def _split(rows: Sequence[int]) -> tuple[int, list[int], list[int], list[int]]:
@@ -173,7 +164,7 @@ def _split(rows: Sequence[int]) -> tuple[int, list[int], list[int], list[int]]:
     loops = sizes.pop(0, 0)
     distinct = list(sizes)
     in_circuit = 0
-    for w in _circuits(distinct):
+    for w in gf2._circuits(distinct):
         in_circuit |= w
     kept = [v for i, v in enumerate(distinct) if in_circuit >> i & 1]
     coloops = [sizes[v] for i, v in enumerate(distinct) if not in_circuit >> i & 1]
@@ -211,7 +202,7 @@ def _side_value(parts: tuple, x: int, y: int) -> int:
     m = len(rows)
     if not m:
         return value
-    circuits = _circuits(rows)
+    circuits = gf2._circuits(rows)
     indicator = np.zeros(1 << m, dtype=np.uint32)
     indicator[codes._enumeration_table(circuits, len(circuits))] = 1
     # histogram key of S: its nullity, then how many classes of each size it

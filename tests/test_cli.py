@@ -1,6 +1,8 @@
 """Command-line surface: parsing, payloads, exit codes, determinism."""
 
+import argparse
 import json
+import math
 from random import Random
 
 import numpy as np
@@ -294,6 +296,20 @@ class TestWenumCommand:
         assert payload["weights"] == [1, 0, 4, 0, 3, 0, 0]
         assert payload["exact"] is True
         assert payload["n"] == 6 and payload["l"] == 4
+
+    def test_full_rank_beyond_the_rank_limit(self, capsys, tmp_path):
+        # rank 30 is past the limit of 26; the histogram comes from C-perp = {0}
+        rng = Random(71)
+        while True:
+            m = BinaryMatrix(30, 30, tuple(rng.getrandbits(30) for _ in range(30)))
+            if gf2.rank(m) == 30:
+                break
+        path = write_matrix(tmp_path, "full.txt", 30, 30, m.to_strings())
+        code, out, _ = run_cli(capsys, "wenum", path)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["rank"] == 30
+        assert payload["weights"] == [math.comb(30, k) for k in range(31)]
 
     def test_tsv(self, capsys, pex_file):
         code, out, _ = run_cli(capsys, "wenum", pex_file, "--output", "tsv")
@@ -600,6 +616,46 @@ class TestCliffordCommand:
         assert payload["exact"] is True
 
 
+def _path_by_transpose(args, theta, M, proj) -> str:
+    # the path rule as it was written before column weights were read
+    # without a transpose and the graphic test stopped at its first heavy row
+    if args.path != "auto":
+        return args.path
+    if theta == Angle.exact(1, 8):
+        return "pi8"
+    if max(M.row_weights(), default=0) <= 2 and proj.support_bits <= 2:
+        return "graphic"
+    if max((c.bit_count() for c in gf2.transpose(M).bits), default=0) <= args.sparse_bound:
+        return "sparse"
+    return "generic"
+
+
+def _corpus_rows(rng: Random, n: int, l: int, kind: str) -> list[int]:
+    # the row kinds of tools/cli_corpus.py
+    if kind == "dense":
+        return [rng.getrandbits(l) for _ in range(n)]
+    if kind == "pairs":
+        return [sum(1 << b for b in rng.sample(range(l), rng.randint(1, min(2, l))))
+                for _ in range(n)]
+    if kind == "colsparse":
+        rows = [0] * n
+        for j in range(l):
+            for i in rng.sample(range(n), rng.randint(0, min(3, n))):
+                rows[i] |= 1 << j
+        return rows
+    gens = [rng.getrandbits(l) for _ in range(rng.randint(1, 3))]
+    rows = []
+    for _ in range(n):
+        if rows and rng.random() < 0.25:
+            rows.append(rng.choice(rows))
+        else:
+            v = 0
+            for g in gens:
+                v ^= g * rng.getrandbits(1)
+            rows.append(v)
+    return rows
+
+
 class TestMarginalCommand:
     def test_auto_picks_pi8(self, capsys, pex_file):
         code, out, _ = run_cli(
@@ -666,6 +722,23 @@ class TestMarginalCommand:
         assert code == 3
         assert out == ""
         assert json.loads(err)["error"] == "RankTooLarge"
+
+    def test_path_choice_unchanged_on_corpus_shapes(self):
+        rng = Random(72)
+        shapes = [(rng.randint(0, 14), rng.randint(1, 12)) for _ in range(300)]
+        shapes += [(2000, 64), (500, 14), (300, 8), (2000, 4), (1000, 32)]
+        thetas = [Angle.exact(1, 8), Angle.exact(1, 5), Angle.radians(0.7)]
+        paths = set()
+        for n, l in shapes:
+            for kind in ("dense", "pairs", "colsparse", "lowrank"):
+                M = BinaryMatrix(n, l, tuple(_corpus_rows(rng, n, l, kind)))
+                proj = marginals.diagonal_projector(BitVector(l, rng.getrandbits(l)))
+                args = argparse.Namespace(path="auto", sparse_bound=rng.randint(0, 4))
+                theta = rng.choice(thetas)
+                want = _path_by_transpose(args, theta, M, proj)
+                assert cli._select_marginal_path(args, theta, M, proj) == want
+                paths.add(want)
+        assert paths == {"pi8", "graphic", "sparse", "generic"}
 
     def test_auto_picks_sparse(self, capsys, tmp_path):
         path = write_matrix(tmp_path, "s.txt", 3, 3, ["111", "100", "010"])

@@ -5,6 +5,8 @@ import math
 from random import Random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from iqpsim import clifford, codes, gf2
 from iqpsim.codes import Angle, affinify, alpha, is_even_code, project, weight_enumerator
@@ -125,6 +127,29 @@ class TestWeightEnumerator:
     def test_evaluate_at_one(self, pex):
         profile = weight_enumerator(pex)
         assert profile.evaluate(1.0) == pytest.approx(8.0)
+
+    def test_full_rank_thirty(self):
+        # rank 30 is past the limit of 26; C-perp is {0}, so C is all of F2^30
+        rng = Random(71)
+        while True:
+            m = BinaryMatrix(30, 30, tuple(rng.getrandbits(30) for _ in range(30)))
+            if gf2.rank(m) == 30:
+                break
+        profile = weight_enumerator(m)
+        assert profile.rank == 30
+        assert profile.weights == tuple(math.comb(30, k) for k in range(31))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_macwilliams_matches_the_primal_histogram(self, data):
+        l = data.draw(st.integers(1, 14))
+        n = data.draw(st.integers(1, 2 * l))
+        rows = data.draw(st.lists(st.integers(0, (1 << l) - 1), min_size=n, max_size=n))
+        m = BinaryMatrix(n, l, tuple(rows))
+        gens = clifford._reduced_generators(m)[0]
+        r = len(gens)
+        assume(n - r < r <= 14)
+        assert weight_enumerator(m).weights == tuple(codes._histogram(gens, n).tolist())
 
 
 class TestAlpha:

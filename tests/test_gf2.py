@@ -344,6 +344,15 @@ class TestProducts:
             want = [sum(row.get(j) for row in m.rows) for j in range(l)]
             assert m.column_weights() == want
 
+    def test_column_weights_match_the_transpose(self):
+        # one and two lanes of 64 columns, and their edges
+        rng = Random(21)
+        for n in (0, 1, 5, 300):
+            for l in (0, 1, 8, 9, 63, 64, 65, 128, 129):
+                m = random_matrix(rng, n, l)
+                want = [c.bit_count() for c in gf2.transpose(m).bits]
+                assert m.column_weights() == want
+
     def test_transpose_wide_numpy_path(self):
         # n >= 256 with l <= 64 takes the vectorized branch
         rng = Random(17)

@@ -22,7 +22,10 @@ three lanes, and take 16 lanes, more than their 10 index bits, so the
 sweep reads the weights from the rows; each gets `dist`, a 6- to 8-bit
 `marginal` (the push-forward off multiples of pi/4) and `sample` at
 1/16, 1/8, 1/4 and rad:0.7. They are drawn last, so no earlier line
-depends on them. Every generated matrix
+depends on them, and after them the full `tutte` polynomial at the
+20-row limit (the 20-element circuit, the wheel W10, 20 x 4 low rank,
+20 x 12 dense, 20 zero rows), one 21-row `tutte` (exit 3) and `wenum` on
+a full-rank 30 x 30 matrix. Every generated matrix
 file is canonical ("n l", then n rows of 0/1, each ended by a newline),
 which the reader takes in one vectorized pass. The line loop, which
 reads every other file and reports every parse error, is reached by one
@@ -322,7 +325,27 @@ def build_corpus(rng: Random, workdir: str) -> list[list[str]]:
     for i, (n, l) in enumerate([(64, 10), (65, 11), (129, 12), (1000, 10)]):
         name = put(f"lane{i}.txt", n, l, matrix_rows(rng, n, l, "dense"))
         calls += lane_program_calls(rng, name, l)
+    calls += row_limit_calls(rng, put)
     return calls
+
+
+def row_limit_calls(rng: Random, put):
+    """The whole Tutte polynomial at the 20-row limit and one row past it,
+    and the weight histogram of a full-rank 30 x 30 matrix, past the rank
+    limit of 26 but with a dual of dimension 0."""
+    wheel = [(0, i) for i in range(1, 11)] + [(i, i % 10 + 1) for i in range(1, 11)]
+    # a leading bit per row keeps the 30 rows independent
+    full = [1 << (29 - i) | rng.getrandbits(29 - i) for i in range(30)]
+    rng.shuffle(full)
+    names = [
+        put("circuit20.txt", 20, 19, [1 << i for i in range(19)] + [(1 << 19) - 1]),
+        put("wheel10.txt", 20, 11, [1 << (10 - a) | 1 << (10 - b) for a, b in wheel]),
+        put("lowrank20.txt", 20, 4, matrix_rows(rng, 20, 4, "dense")),
+        put("dense20.txt", 20, 12, matrix_rows(rng, 20, 12, "dense")),
+        put("zeros20.txt", 20, 3, [0] * 20),
+        put("dense21.txt", 21, 6, matrix_rows(rng, 21, 6, "dense")),
+    ]
+    return [["tutte", name] for name in names] + [["wenum", put("full30.txt", 30, 30, full)]]
 
 
 def run(main, argv: list[str], records: bool = False) -> str:
