@@ -25,7 +25,7 @@ from random import Random
 
 import numpy as np
 
-from . import clifford, codes, gf2, marginals, oracle, tutte, xprogram
+from . import clifford, codes, marginals, oracle, tutte, xprogram
 from .codes import Angle
 from .errors import (
     BadAngle,
@@ -496,9 +496,9 @@ def _cmd_verify(args, prog: XProgram) -> None:
         if not ok:
             failures.append(name)
 
-    errors = (abs(xprogram.amplitude(prog, x) - sv.amplitude(x)) for x in outcomes)
+    errors = np.abs(np.array(xprogram.amplitudes(prog, outcomes)) - sv.amplitudes)
     check("amplitudes vs oracle", errors, 1e-9)
-    errors = (abs(xprogram.beta(prog, s) - sv.beta(s)) for s in outcomes)
+    errors = (abs(xprogram.beta(prog, s) - b) for s, b in zip(outcomes, sv.betas().tolist()))
     check("correlations vs oracle", errors, 1e-9)
 
     dist = xprogram.full_distribution(prog)
@@ -509,11 +509,12 @@ def _cmd_verify(args, prog: XProgram) -> None:
     check("alpha via tutte identity", [abs(a_code - a_tutte) / max(1.0, abs(a_code))], 1e-8)
 
     profile = codes.weight_enumerator(M)
-    direct = [0] * (M.n + 1)
-    for x in outcomes:
-        direct[gf2.mat_vec(M, x).weight()] += 1
+    # |Mv| for every v: the rows odd against v, one popcount of each row and v
+    v = np.arange(1 << M.l, dtype=np.uint64)[:, None]
+    odd = np.bitwise_count(v & np.array(M.bits, dtype=np.uint64)) & 1
+    direct = np.bincount(odd.sum(axis=1, dtype=np.intp), minlength=M.n + 1)
     scale = (1 << M.l) >> profile.rank
-    same = [c * scale for c in profile.weights] == direct
+    same = [c * scale for c in profile.weights] == direct.tolist()
     check("weight enumerator vs direct count", [0.0 if same else 1.0], 0.0)
 
     sv4 = oracle.statevector(XProgram(M, Angle.exact(1, 4)))

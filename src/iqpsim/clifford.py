@@ -6,7 +6,8 @@ costs 2^r; this module instead reduces the Z4-valued quadratic form
 Q(c) = |c| mod 4 over the whole code, whose polar form is twice the
 plain GF(2) inner product b(c, c') = |c & c'| mod 2. A sign (-1)^L(c)
 with L linear adds 2L to Q and keeps its polar form, so the signed sums
-that give amplitudes <x|U|0> cost the same. Odd vectors split off one
+that give amplitudes <x|U|0> cost the same, and a batch of them shares
+one form and differs only in L. Odd vectors split off one
 factor 1 + i or 1 - i each, and the sum over the even rest is read off
 its hyperbolic planes and its value on the radical. Total cost is
 polynomial in the matrix size.
@@ -65,20 +66,24 @@ class GaussianInteger:
         return f"{self.re}{self.im:+d}i"
 
 
-def _reduced_generators(M: BinaryMatrix, x: int = 0) -> tuple[list[int], int] | None:
-    """Independent generators g_i = M y_i of the column-span code and the
-    parities x . y_i, bit i for g_i, from one elimination of the columns
-    tagged with their coordinates. A dependent column leaves a tag y with
-    M y = 0; None when x . y = 1, as x is then outside the row space.
+def _reduced_generators(
+    M: BinaryMatrix, xs: Sequence[int] = (0,)
+) -> tuple[list[int], list[int | None]]:
+    """Independent generators g_i = M y_i of the column-span code and, for
+    each x of xs, the parities x . y_i, bit i for g_i, from one elimination
+    of the columns tagged with their coordinates. A dependent column
+    leaves a tag y with M y = 0; an x with x . y = 1 is outside the row
+    space and gets None.
     """
     l = M.l
     residues: list[int] = []
     tagged = [(c << l) | t for c, t in zip(gf2.transpose(M).bits, gf2._row_tags(l))]
     pivots = gf2._eliminate(tagged, {}, l, residues)
-    if any((x & w).bit_count() & 1 for w in residues if not w >> l):
-        return None
-    linear = sum(((x & w).bit_count() & 1) << i for i, w in enumerate(pivots.values()))
-    return [w >> l for w in pivots.values()], linear
+    kernel = [w for w in residues if not w >> l]
+    # x . y_i at bit i; _parities packs its first mask at the top
+    tags = list(reversed(pivots.values()))
+    linears = [None if gf2._parities(x, kernel) else gf2._parities(x, tags) for x in xs]
+    return [w >> l for w in pivots.values()], linears
 
 
 def _gram(vectors: list[int]) -> list[int]:
@@ -100,25 +105,34 @@ def _indices(mask: int):
         mask ^= low
 
 
-def _gauss_sum(vectors: list[int], linear: int = 0) -> GaussianInteger:
-    """Sum of i^|c| (-1)^L(c) over the span of the given independent
-    vectors, where bit i of linear is the linear form L at vectors[i].
+def _gauss_form(vectors: list[int]) -> tuple[list[int], int, int]:
+    """The Z4-valued form Q(c) = |c| mod 4 on the span of independent
+    vectors: the Gram matrix of its polar form b(c, c') = |c & c'| mod 2,
+    and the two bits of each Q(v_i), as masks over i.
+    """
+    odd = high = 0
+    for i, v in enumerate(vectors):
+        w = v.bit_count()
+        odd |= (w & 1) << i
+        high |= (w >> 1 & 1) << i
+    return _gram(vectors), odd, high
 
-    Q(c) = |c| + 2 L(c) mod 4 is a Z4-valued quadratic form, Q(a + b) =
+
+def _form_sum(form: tuple[list[int], int, int], linear: int = 0) -> GaussianInteger:
+    """Sum of i^Q(c) (-1)^L(c) over the span, Q given by _gauss_form and
+    bit i of linear the linear form L at vectors[i]; form is not changed.
+
+    Q(c) + 2 L(c) mod 4 is a Z4-valued quadratic form, Q(a + b) =
     Q(a) + Q(b) + 2 b(a, b), and the Gram matrix of b holds Q mod 2 on
     its diagonal. An odd v splits off as the factor 1 + i^Q(v) once the
     other vectors are made orthogonal to it. On the even rest Q / 2 is a
     Z2 form with polar form b: each hyperbolic plane contributes +-2, and
     on the radical, where Q is linear, the sum is 0 or a power of two.
     """
-    gram = _gram(vectors)
-    odd = high = 0  # the two bits of each Q(v_i), as masks over i
-    for i, v in enumerate(vectors):
-        w = v.bit_count()
-        odd |= (w & 1) << i
-        high |= (w >> 1 & 1) << i
+    gram, odd, high = form
+    gram = gram.copy()
     high ^= linear
-    active = (1 << len(vectors)) - 1
+    active = (1 << len(gram)) - 1
     halves = turns = power = 0  # the sum is (1 + i)^halves i^turns 2^power
     while active & odd:
         low = active & odd & -(active & odd)
@@ -161,6 +175,22 @@ def _gauss_sum(vectors: list[int], linear: int = 0) -> GaussianInteger:
     return value.times_i_power(turns + halves // 2)
 
 
+def _signed_wenums(
+    generators: list[int], k: int, linears: Sequence[int]
+) -> list[GaussianInteger]:
+    """wenum_from_generators at each linear form of linears. The Z4 form
+    of the generators is built once and summed once per linear form."""
+    r = len(generators)
+    k %= 4
+    if not k & 1:
+        # i^(k|c|) = (-1)^(k/2 |c|) and |c| mod 2 is linear too: a character sum
+        parity = sum((k >> 1 & g.bit_count()) << i for i, g in enumerate(generators))
+        return [GaussianInteger(0 if linear ^ parity else 1 << r, 0) for linear in linears]
+    form = _gauss_form(generators)
+    values = [_form_sum(form, linear) for linear in linears]
+    return values if k == 1 else [value.conjugate() for value in values]
+
+
 def wenum_from_generators(generators: list[int], k: int, linear: int = 0) -> GaussianInteger:
     """Signed weight enumerator sum_c i^(k |c|) (-1)^L(c) of the span of
     packed generators; bit i of linear is L(generators[i]).
@@ -169,14 +199,7 @@ def wenum_from_generators(generators: list[int], k: int, linear: int = 0) -> Gau
     _reduced_generators are: the span is taken to hold 2^len(generators)
     words.
     """
-    r = len(generators)
-    k %= 4
-    if not k & 1:
-        # i^(k|c|) = (-1)^(k/2 |c|) and |c| mod 2 is linear too: a character sum
-        linear ^= sum((k >> 1 & g.bit_count()) << i for i, g in enumerate(generators))
-        return GaussianInteger(0 if linear else 1 << r, 0)
-    value = _gauss_sum(generators, linear)
-    return value if k == 1 else value.conjugate()
+    return _signed_wenums(generators, k, [linear])[0]
 
 
 def wenum_at_fourth_root(P: BinaryMatrix, k: int) -> GaussianInteger:

@@ -145,59 +145,117 @@ def _enumeration_table(generators: list[int], count: int) -> np.ndarray:
     return table
 
 
+def _lanes(values: Sequence[int], lanes: int) -> np.ndarray:
+    """Packed words as rows of uint64 lanes, the lowest lane first."""
+    if lanes == 1:
+        return np.array(values, dtype=np.uint64).reshape(-1, 1)
+    data = b"".join(v.to_bytes(8 * lanes, "little") for v in values)
+    return np.frombuffer(data, dtype="<u8").reshape(len(values), lanes)
+
+
 def _lane_tables(words: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Doubling tables of the rows of words (lanes, k), one per lane:
-    entry b of lane w is start[w] xor the words picked by the bits of b."""
-    lanes, k = words.shape
-    table = np.empty((lanes, 1 << k), dtype=np.uint64)
+    """Doubling tables of the rows of words (rows, k), one per row:
+    entry b of row w is start[w] xor the words picked by the bits of b."""
+    rows, k = words.shape
+    table = np.empty((rows, 1 << k), dtype=np.uint64)
     table[:, 0] = start
     for j in range(k):
         np.bitwise_xor(table[:, : 1 << j], words[:, j, None], out=table[:, 1 << j : 2 << j])
     return table
 
 
-def _coset_weights(generators: Sequence[int], n: int, offset: int = 0) -> Iterator[np.ndarray]:
-    """Weights |offset + sum_j b_j generators[j]| in F2^n for every index b,
-    generators[0] by the low bit, in blocks of consecutive b.
+def _coset_weights(bases: np.ndarray, offsets: np.ndarray) -> Iterator[np.ndarray]:
+    """Weights |offsets[p] + sum_j b_j bases[p, j]| for every coset p and
+    index b, bases[p, 0] by the low bit, in blocks (cosets, block) of
+    consecutive b. bases (cosets, k, lanes) and offsets (cosets, lanes)
+    hold words packed by _lanes; one basis (1, k, lanes) serves every
+    coset.
 
     A block is a doubling table of the low generators, xored with one
     word of the span of the high ones, offset included. Popcounts run 64
-    bits per lane, a group of lanes per numpy call, so the work is one
-    table entry per word and lane.
+    bits per lane; the table has one row per lane of each coset, and a
+    numpy call takes a group of rows, so the work is one table entry per
+    word, lane and coset.
     """
-    r = len(generators)
-    lanes = max(1, (n + 63) // 64)
-    low = min(r, _BLOCK_LOG)
-    data = b"".join(g.to_bytes(8 * lanes, "little") for g in (offset, *generators))
-    words = np.frombuffer(data, dtype="<u8").reshape(r + 1, lanes).T
-    tables = _lane_tables(words[:, 1 : low + 1], words[:, 0])
-    counts = np.bitwise_count(tables)
-    # a sum of lanes can pass the uint8 popcount range
-    yield counts[0] if lanes == 1 else counts.sum(axis=0, dtype=np.intp)
-    if r == low:
+    cosets, lanes = offsets.shape
+    k = bases.shape[1]
+    low = min(k, _BLOCK_LOG)
+    if len(bases) < cosets:
+        bases = np.broadcast_to(bases, (cosets, k, lanes))
+    # row p * lanes + i holds lane i of coset p
+    words = bases.transpose(0, 2, 1).reshape(cosets * lanes, k)
+    tables = _lane_tables(words[:, :low], offsets.reshape(-1))
+
+    def by_coset(counts: np.ndarray) -> np.ndarray:
+        # a sum of lanes can pass the uint8 popcount range
+        if lanes == 1:
+            return counts
+        return counts.reshape(cosets, lanes, -1).sum(axis=1, dtype=np.intp)
+
+    yield by_coset(np.bitwise_count(tables))
+    if k == low:
         return
-    heads = _lane_tables(words[:, low + 1 :], np.uint64(0))
+    heads = _lane_tables(words[:, low:], np.uint64(0))
     group = max(1, _GROUP_ENTRIES >> low)
-    for step in range(1, 1 << (r - low)):
-        if lanes == 1:  # most codes: one xor by a scalar per block
-            yield np.bitwise_count(tables[0] ^ heads[0, step])
-            continue
-        weights = 0
-        for lo in range(0, lanes, group):
-            counts = np.bitwise_count(tables[lo : lo + group] ^ heads[lo : lo + group, step, None])
-            weights = weights + counts.sum(axis=0, dtype=np.intp)
-        yield weights
+    for step in range(1, 1 << (k - low)):
+        if len(tables) == 1:  # one code of at most 64 bits: a xor by a scalar
+            yield np.bitwise_count(tables[0] ^ heads[0, step])[None]
+        elif len(tables) <= group:
+            yield by_coset(np.bitwise_count(tables ^ heads[:, step, None]))
+        else:  # more rows than a group come from one coset, as _histograms slices them
+            weights = 0
+            for lo in range(0, len(tables), group):
+                counts = np.bitwise_count(tables[lo : lo + group] ^ heads[lo : lo + group, step, None])
+                weights = weights + counts.sum(axis=0, dtype=np.intp)
+            yield weights[None]
 
 
-def _histogram(generators: list[int], n: int, offset: int = 0) -> np.ndarray:
+def _bincounts(weights: np.ndarray, n: int) -> np.ndarray:
+    """The histogram over 0..n of each row of weights. Full rows take one
+    bincount each; shorter ones one in all, row p counted from p (n + 1)
+    on."""
+    rows, size = weights.shape
+    if rows == 1:
+        return np.bincount(weights[0], minlength=n + 1)[None]
+    if size == 1 << _BLOCK_LOG:
+        return np.stack([np.bincount(row, minlength=n + 1) for row in weights])
+    keys = weights + np.arange(0, rows * (n + 1), n + 1)[:, None]
+    return np.bincount(keys.ravel(), minlength=rows * (n + 1)).reshape(rows, n + 1)
+
+
+def _histograms(bases: np.ndarray, offsets: np.ndarray, n: int) -> np.ndarray:
+    """Weight histograms (cosets, n + 1) of the cosets offsets[p] +
+    span(bases[p]) in F2^n, packed as _coset_weights takes them, one
+    basis for all or one per coset; each basis must be independent.
+
+    The cosets pass through _coset_weights a slice at a time, each slice
+    at most _GROUP_ENTRIES words in all, or one coset.
+    """
+    cosets, lanes = offsets.shape
+    take = max(1, _GROUP_ENTRIES // (lanes << bases.shape[1]))
+    parts = []
+    for lo in range(0, cosets, take):
+        basis = bases if len(bases) == 1 else bases[lo : lo + take]
+        blocks = _coset_weights(basis, offsets[lo : lo + take])
+        part = _bincounts(next(blocks), n)
+        if len(part) == 1:  # one coset, as every single point: add up its one row
+            row = part[0]
+            for weights in blocks:
+                row += np.bincount(weights[0], minlength=n + 1)
+        else:
+            for weights in blocks:
+                part += _bincounts(weights, n)
+        parts.append(part)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _histogram(generators: Sequence[int], n: int, offset: int = 0) -> np.ndarray:
     """Weight histogram of the coset offset + span(generators) in F2^n.
 
     The generators must be independent.
     """
-    counts = np.zeros(n + 1, dtype=np.int64)
-    for weights in _coset_weights(generators, n, offset):
-        counts += np.bincount(weights, minlength=n + 1)
-    return counts
+    lanes = max(1, (n + 63) // 64)
+    return _histograms(_lanes(generators, lanes)[None], _lanes([offset], lanes), n)[0]
 
 
 def _macwilliams(dual_counts: list[int], n: int, dual_rank: int) -> list[int]:
@@ -253,106 +311,167 @@ def weight_enumerator(
     return CodeProfile(n, r, weights_out)
 
 
-def _check_alpha(value: complex) -> None:
-    if abs(value) > 1 + 1e-9:
-        raise NumericalInconsistency(f"|alpha| = {abs(value)} exceeds 1")
+def _check_alpha(values: Sequence[complex]) -> None:
+    for value in values:
+        if abs(value) > 1 + 1e-9:
+            raise NumericalInconsistency(f"|alpha| = {abs(value)} exceeds 1")
 
 
-def _primal_sum(counts: np.ndarray, r: int, n: int, th: float) -> complex:
-    """2^-r sum_w counts[w] exp(i th (n - 2 w)): the phase sum over C."""
-    total = 0j
-    for weight, count in enumerate(counts.tolist()):
-        if count:
-            total += count * cmath.exp(1j * th * (n - 2 * weight))
-    return total / (1 << r)
+def _primal_sums(counts: np.ndarray, r: int, n: int, th: float) -> list[complex]:
+    """2^-r sum_w counts[p, w] exp(i th (n - 2 w)) for every row p: the
+    phase sum over C."""
+    phases: dict[int, complex] = {}  # by weight, as they occur
+    sums = []
+    for row in counts.tolist():
+        total = 0j
+        for weight, count in enumerate(row):
+            if count:
+                if weight not in phases:
+                    phases[weight] = cmath.exp(1j * th * (n - 2 * weight))
+                total += count * phases[weight]
+        sums.append(total / (1 << r))
+    return sums
 
 
-def _dual_sum(counts: np.ndarray, n: int, th: float) -> complex:
-    """sum_w counts[w] cos(th)^(n - w) (i sin(th))^w: the gate expansion."""
+def _dual_sums(counts: np.ndarray, n: int, th: float) -> list[complex]:
+    """sum_w counts[p, w] cos(th)^(n - w) (i sin(th))^w for every row p:
+    the gate expansion."""
     c, s = math.cos(th), math.sin(th)
-    parts = [0.0, 0.0, 0.0, 0.0]  # by the power i^w
-    for weight, count in enumerate(counts.tolist()):
-        if count:
-            parts[weight % 4] += count * c ** (n - weight) * s**weight
-    return complex(parts[0] - parts[2], parts[1] - parts[3])
+    sums = []
+    for row in counts.tolist():
+        parts = [0.0, 0.0, 0.0, 0.0]  # by the power i^w
+        for weight, count in enumerate(row):
+            if count:
+                parts[weight % 4] += count * c ** (n - weight) * s**weight
+        sums.append(complex(parts[0] - parts[2], parts[1] - parts[3]))
+    return sums
 
 
-def _enumerated_amplitude(P: BinaryMatrix, x: int, th: float, rank_limit: int) -> complex:
-    """<x|U|0> at the angle th, by one enumeration of C or of C-perp.
+def _signed_counts(gens: list[int], shifts: list[int], n: int) -> np.ndarray:
+    """sum_c (-1)^(S0.c) [|c| = w] over C = span(gens) for each row set
+    S0 of shifts, as histogram(H) - histogram(h + H): h is the first
+    generator odd against S0, and H is spanned by the others, each odd
+    one plus h. Every S0 must be odd against some generator."""
+    bases, hs = [], []
+    for s0 in shifts:
+        odd = [(g & s0).bit_count() & 1 for g in gens]
+        h = gens[odd.index(1)]
+        bases += [g ^ h if o else g for g, o in zip(gens, odd) if g != h]
+        hs.append(h)
+    lanes = max(1, (n + 63) // 64)
+    words = _lanes(bases, lanes).reshape(len(hs), len(gens) - 1, lanes)
+    counts = _histograms(np.concatenate([words, words]), _lanes([0] * len(hs) + hs, lanes), n)
+    return counts[: len(hs)] - counts[len(hs) :]
+
+
+def _enumerated_amplitudes(
+    P: BinaryMatrix, xs: Sequence[int], th: float, rank_limit: int
+) -> list[complex]:
+    """<x|U|0> at the angle th for every x of xs, by one enumeration of
+    cosets of C or of C-perp for the whole batch.
 
     One tagged elimination of the rows a_i gives the rank r, a basis of
     the circuit space C-perp = {d : sum d_i a_i = 0} (the tags left on
-    dependent rows) and, reducing x, a row set S0 with sum_{S0} a_i = x,
-    or the fact that x is outside the row space, where the amplitude is
-    exactly 0. With exp(i th X_a) = cos th + i sin th X_a the amplitude
-    sums cos^(n-|d|) (i sin)^|d| over the coset S0 + C-perp, 2^(n-r)
-    words. On C it is 2^-r sum_c (-1)^(S0.c) exp(i th (n - 2|c|)). The
-    sign is a character of C; adding one odd generator h to the other
-    odd ones leaves a basis of its kernel H, so the sum is the histogram
-    of H minus that of the coset h + H, 2^r words in all. The smaller
-    side is enumerated.
+    dependent rows) and, reducing each x against the pivots without
+    adding any, a row set S0 with sum_{S0} a_i = x, or the fact that x
+    is outside the row space, where the amplitude is exactly 0. With
+    exp(i th X_a) = cos th + i sin th X_a the amplitude sums
+    cos^(n-|d|) (i sin)^|d| over the coset S0 + C-perp, 2^(n-r) words. On
+    C it is 2^-r sum_c (-1)^(S0.c) exp(i th (n - 2|c|)). The sign is a
+    character of C, trivial at x = 0, where the sum is C's histogram.
+    Otherwise adding one odd generator h to the other odd ones leaves a
+    basis of its kernel H, so the sum is the histogram of H minus that of
+    the coset h + H, 2^r words in all. The smaller side is enumerated,
+    every point's cosets in the same numpy calls.
 
     Raises:
-        RankTooLarge: if min(r, n - r) exceeds rank_limit.
+        RankTooLarge: if min(r, n - r) exceeds rank_limit while some x
+            is in the row space, before any enumeration.
     """
     n = P.n
-    residues: list[int] = []
+    rows: list[int] = []
     tagged = [(a << n) | t for a, t in zip(P.bits, gf2._row_tags(n))]
-    pivots = gf2._eliminate(tagged, {}, n, residues)
+    pivots = gf2._eliminate(tagged, {}, n, rows)
     r = len(pivots)
-    s0 = 0
-    if x:
-        gf2._eliminate([x << n], pivots, n, residues)
-        s0 = residues.pop()
-        if s0 >> n:  # x is outside the row space
-            return 0j
+    if any(xs):
+        shifts: list[int] = []
+        gf2._eliminate([x << n for x in xs], pivots, n, shifts, grow=False)
+        # the row sets S0 of the points in the row space; the others stop above the tags
+        inside = [s0 for s0 in shifts if not s0 >> n]
+    else:  # x = 0 is the sum of no rows
+        shifts = inside = [0] * len(xs)
+    if not inside:
+        return [0j] * len(xs)
     if min(r, n - r) > rank_limit:
         raise RankTooLarge(
             f"rank {r} and dual dimension {n - r} both exceed the enumeration limit {rank_limit}"
         )
-    if n - r < r:
-        dual = [w for w in residues if not w >> n]
-        value = _dual_sum(_histogram(dual, n, s0), n, th)
+    lanes = max(1, (n + 63) // 64)
+    if n - r < r:  # one basis of C-perp, and each point's S0
+        words = _lanes(inside + [w for w in rows if not w >> n], lanes)
+        counts = _histograms(words[None, len(inside) :], words[: len(inside)], n)
+        sums = _dual_sums(counts, n, th)
     else:
         columns = gf2.transpose(P).bits
         # the columns at the pivot positions of the rows are a basis of C
         gens = [columns[P.l - 1 - (top - n)] for top in pivots]
-        odd = [g for g in gens if (g & s0).bit_count() & 1]
-        if odd:
-            h = odd[0]
-            even = [g ^ h if (g & s0).bit_count() & 1 else g for g in gens if g != h]
-            counts = _histogram(even, n) - _histogram(even, n, h)
-        else:
-            counts = _histogram(gens, n)
-        value = _primal_sum(counts, r, n, th)
-    _check_alpha(value)
-    return value
+        signed = [s0 for s0 in inside if s0]  # S0 = 0 exactly at x = 0
+        trivial = None
+        if len(signed) < len(inside):
+            words = _lanes([0, *gens], lanes)
+            (trivial,) = _primal_sums(_histograms(words[None, 1:], words[:1], n), r, n, th)
+        found = iter(())
+        if signed:
+            found = iter(_primal_sums(_signed_counts(gens, signed, n), r, n, th))
+        sums = [next(found) if s0 else trivial for s0 in inside]
+    _check_alpha(sums)
+    if len(inside) == len(xs):
+        return sums
+    sums = iter(sums)
+    return [0j if s0 >> n else next(sums) for s0 in shifts]
+
+
+def _amplitudes(
+    P: BinaryMatrix, xs: Sequence[int], theta: Angle, rank_limit: int
+) -> tuple[list[complex], list[tuple | None]]:
+    """<x|U|0> = 2^-r sum_{c = Py} (-1)^(x.y) exp(i theta (n - 2|c|)) for
+    every x of xs, from one elimination for the whole batch.
+
+    Returns the values and, per point, an exact form: at theta = t pi / 4
+    with x in the row space it is (w, r, odd) with value =
+    e^(i pi odd / 4) w / 2^r, else None. There x.y = L(c) is linear on C,
+    the sum one signed Gauss sum of i^(-t|c|) (-1)^L(c) times
+    e^(i pi t n / 4), of which w absorbs the power of i; the points share
+    the generators and their Z4 form, and only L is their own. Other
+    angles enumerate the smaller of C and C-perp.
+    """
+    if not theta.is_fourth_root:
+        return _enumerated_amplitudes(P, xs, theta.value, rank_limit), [None] * len(xs)
+    gens, linears = clifford._reduced_generators(P, xs)
+    t, r = theta.fourth_root_index, len(gens)
+    sums = iter(clifford._signed_wenums(gens, -t, [L for L in linears if L is not None]))
+    odd = bool(t * P.n % 2)
+    values, exact = [], []
+    for linear in linears:
+        if linear is None:  # x is outside the row space
+            values.append(0j)
+            exact.append(None)
+            continue
+        w = next(sums).times_i_power(t * P.n // 2)
+        # int / int stays finite where 2^r overflows a float
+        value = complex(w.re / (1 << r), w.im / (1 << r))
+        if odd:  # times e^(i pi / 4) = (1 + i) / sqrt(2), exactly 0 where re = +-im
+            value = complex(value.real - value.imag, value.real + value.imag) * math.sqrt(0.5)
+        values.append(value)
+        exact.append((w, r, odd))
+    _check_alpha(values)
+    return values, exact
 
 
 def _amplitude(P: BinaryMatrix, x: int, theta: Angle, rank_limit: int) -> tuple:
-    """<x|U|0> = 2^-r sum_{c = Py} (-1)^(x.y) exp(i theta (n - 2|c|)).
-
-    Returns the value and, at theta = t pi / 4 with x in the row space,
-    its exact form (w, r, odd): value = e^(i pi odd / 4) w / 2^r, else
-    None. There x.y = L(c) is linear on C, the sum one signed Gauss sum
-    of i^(-t|c|) (-1)^L(c) times e^(i pi t n / 4), of which w absorbs the
-    power of i. Other angles enumerate the smaller of C and C-perp.
-    """
-    if not theta.is_fourth_root:
-        return _enumerated_amplitude(P, x, theta.value, rank_limit), None
-    found = clifford._reduced_generators(P, x)
-    if found is None:  # x is outside the row space
-        return 0j, None
-    gens, linear = found
-    t, r = theta.fourth_root_index, len(gens)
-    w = clifford.wenum_from_generators(gens, -t, linear).times_i_power(t * P.n // 2)
-    odd = bool(t * P.n % 2)
-    # int / int stays finite where 2^r overflows a float
-    value = complex(w.re / (1 << r), w.im / (1 << r))
-    if odd:  # times e^(i pi / 4) = (1 + i) / sqrt(2), exactly 0 where re = +-im
-        value = complex(value.real - value.imag, value.real + value.imag) * math.sqrt(0.5)
-    _check_alpha(value)
-    return value, (w, r, odd)
+    """The value and exact form of _amplitudes for one point x."""
+    values, exact = _amplitudes(P, [x], theta, rank_limit)
+    return values[0], exact[0]
 
 
 def alpha(

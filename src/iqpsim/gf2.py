@@ -187,6 +187,8 @@ def _eliminate(
     pivots: dict[int, int],
     tag_bits: int = 0,
     residues: list[int] | None = None,
+    *,
+    grow: bool = True,
 ) -> dict[int, int]:
     """Reduces packed vectors against pivots, keeping each new pivot.
 
@@ -195,7 +197,9 @@ def _eliminate(
     every vector are a companion tag: they ride along in every xor but
     are never pivoted on, so a tag records how its vector was combined.
     When residues is a list, each vector's final value is appended: the
-    new pivot row, or the tag left over from a dependent vector.
+    new pivot row, or the tag left over from a dependent vector. With
+    grow false the pivots stay as they are, and a vector that meets no
+    pivot stops there, its residue above the tag bits nonzero.
     """
     floor = 1 << tag_bits
     get = pivots.get
@@ -204,7 +208,8 @@ def _eliminate(
             top = w.bit_length() - 1
             b = get(top)
             if b is None:
-                pivots[top] = w
+                if grow:
+                    pivots[top] = w
                 break
             w ^= b
         if residues is not None:

@@ -52,24 +52,34 @@ class StateVector:
         agree = float(probs[parities == 0].sum())
         return 2.0 * agree - 1.0
 
+    def betas(self) -> np.ndarray:
+        """Every correlation sum_y (-1)^(s.y) P[y], indexed by s: one
+        character sum, the 2^l x 2^l sign matrix of the index parities
+        times the probabilities."""
+        indices = np.arange(1 << self.l, dtype=np.uint32)
+        odd = np.bitwise_count(indices[:, None] & indices) & 1
+        return np.array([1.0, -1.0])[odd] @ self.probabilities()
+
     def marginal(self, proj: Projector) -> Distribution:
         """Sum the dense distribution over kernel cosets of the projector.
 
-        The image m(y) is recomputed here by row dot products; only the
+        The image m(y) is recomputed here from row parities; only the
         outcome labeling (coordinates in the projector's range basis) is
         shared with the production path, so both sides index identically.
         """
-        probs = self.probabilities()
         l = self.l
-        rows = [r.bits for r in proj.matrix.rows]
-        out = np.zeros(1 << proj.range_dim, dtype=np.float64)
-        for y in range(1 << l):
-            image = 0
-            for i, row in enumerate(rows):
-                if bin(row & y).count("1") & 1:
-                    image |= 1 << (l - 1 - i)
-            w = proj.vector_to_coords(BitVector(l, image))
-            out[w.bits] += probs[y]
+        y = np.arange(1 << l, dtype=np.uint64)
+        image = np.zeros(1 << l, dtype=np.uint64)
+        for i, row in enumerate(proj.matrix.bits):
+            odd = np.bitwise_count(y & np.uint64(row)) & 1
+            image |= odd.astype(np.uint64) << np.uint64(l - 1 - i)
+        images, where = np.unique(image, return_inverse=True)
+        coords = [proj.vector_to_coords(BitVector(l, v)).bits for v in images.tolist()]
+        out = np.bincount(
+            np.array(coords, dtype=np.intp)[where],
+            weights=self.probabilities(),
+            minlength=1 << proj.range_dim,
+        )
         return Distribution(proj.range_dim, out)
 
 

@@ -138,14 +138,14 @@ def tutte_subset_sum(
     shift = P.n + 1
     y = 1 << shift
     x = y << (shift * shift - shift)
-    primal = _split(P.bits)
-    # M* is the row matroid of the matrix whose columns span the circuit space
-    circuits = gf2._circuits(P.bits)
-    dual = _split([gf2._parities(1 << e, circuits) for e in range(P.n)])
-    if len(dual[2]) < len(primal[2]):
-        value = _side_value(dual, y, x)
-    else:
-        value = _side_value(primal, x, y)
+    side, at = _split(P.bits), (x, y)
+    if side[2]:  # M* can leave fewer classes only where M leaves some
+        # M* is the row matroid of the matrix whose columns span the circuit space
+        circuits = gf2._circuits(P.bits)
+        dual = _split([gf2._parities(1 << e, circuits) for e in range(P.n)])
+        if len(dual[2]) < len(side[2]):
+            side, at = dual, (y, x)
+    value = _side_value(side, *at)
     mask = (1 << shift) - 1
     digits = {divmod(k, shift): (value >> (k * shift)) & mask for k in range(shift * shift)}
     return _check_nonnegative(TuttePolynomial(digits))

@@ -38,6 +38,7 @@ __all__ = [
     "Distribution",
     "ReducedProgram",
     "walsh_hadamard",
+    "amplitudes",
     "amplitude",
     "probability",
     "beta",
@@ -144,19 +145,29 @@ def walsh_hadamard(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def amplitude(prog: XProgram, x: BitVector, *, rank_limit: int | None = None) -> complex:
-    """Transition amplitude from the all-zeros state to x.
+def amplitudes(
+    prog: XProgram, xs: Sequence[BitVector], *, rank_limit: int | None = None
+) -> list[complex]:
+    """Transition amplitudes from the all-zeros state to every x of xs.
 
-    It is 2^-r sum_{c = Py} (-1)^(x.y) exp(i theta (n - 2|c|)), exactly
-    0 for x outside the row space. At multiples of pi/4 the sign enters
-    one exact Gauss sum as a linear term; other angles make one
-    enumeration of the smaller of the code C and its dual, so the budget
-    bounds min(r, n - r).
+    Each is 2^-r sum_{c = Py} (-1)^(x.y) exp(i theta (n - 2|c|)), exactly
+    0 for x outside the row space, and the points share one elimination.
+    At multiples of pi/4 the sign enters one exact Gauss sum per point as
+    a linear term of one shared form; other angles enumerate cosets of
+    the smaller of the code C and its dual, every point's in the same
+    numpy calls, so the budget bounds min(r, n - r).
     """
-    if x.n != prog.l:
-        raise DimensionMismatch(f"x has {x.n} bits, program has {prog.l}")
+    for x in xs:
+        if x.n != prog.l:
+            raise DimensionMismatch(f"x has {x.n} bits, program has {prog.l}")
     limit = codes.DEFAULT_RANK_LIMIT if rank_limit is None else rank_limit
-    return codes._amplitude(prog.P, x.bits, prog.theta, limit)[0]
+    return codes._amplitudes(prog.P, [x.bits for x in xs], prog.theta, limit)[0]
+
+
+def amplitude(prog: XProgram, x: BitVector, *, rank_limit: int | None = None) -> complex:
+    """Transition amplitude from the all-zeros state to x: amplitudes
+    for one point."""
+    return amplitudes(prog, [x], rank_limit=rank_limit)[0]
 
 
 def probability(prog: XProgram, x: BitVector, *, rank_limit: int | None = None) -> float:
@@ -228,13 +239,15 @@ class _CosetSweep:
             self._keys = _row_keys(self._bytes, images)
         else:
             self._columns = gf2.transpose(P).bits
-            self._words = [gf2._combine(self._columns, v) for v in vectors]
+            self._lanes = max(1, (P.n + 63) // 64)
+            words = [gf2._combine(self._columns, v) for v in vectors]
+            self._words = codes._lanes(words, self._lanes)[None]
 
     def weights(self, shift: int) -> np.ndarray:
         """|c(b)| for every index b."""
         if not self.by_rows:
-            offset = gf2._combine(self._columns, shift)
-            blocks = list(codes._coset_weights(self._words, self.n, offset))
+            offset = codes._lanes([gf2._combine(self._columns, shift)], self._lanes)
+            blocks = [block[0] for block in codes._coset_weights(self._words, offset)]
             return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
         keys = self._keys
         if shift:  # the sign a.shift as key bit m

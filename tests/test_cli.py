@@ -1,6 +1,7 @@
 """Command-line surface: parsing, payloads, exit codes, determinism."""
 
 import argparse
+import dataclasses
 import json
 import math
 from random import Random
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iqpsim import cli, gf2, marginals, oracle, tutte, xprogram
+from iqpsim import cli, codes, gf2, marginals, oracle, tutte, xprogram
 from iqpsim.cli import dump_matrix, main, parse_angle, parse_matrix_text
 from iqpsim.codes import Angle
 from iqpsim.errors import (
@@ -974,6 +975,54 @@ class TestVerifyCommand:
         assert "check correlations vs oracle: FAILED (max error nan)" in lines
         assert lines[-1] == "1 of 7 checks failed"
         assert json.loads(err)["error"] == "NumericalInconsistency"
+
+    @pytest.mark.parametrize("theta", ["rad:0.7", "1/4"])
+    def test_amplitude_check_eliminates_once(self, capsys, tmp_path, monkeypatch, theta):
+        # the 2^l amplitudes are one batch: a fixed number of eliminations
+        # and transposes, not one of each per outcome
+        counts = {"_eliminate": 0, "transpose": 0}
+        for attr in counts:
+
+            def counted(*args, _attr=attr, _wrapped=getattr(gf2, attr), **kwargs):
+                counts[_attr] += 1
+                return _wrapped(*args, **kwargs)
+
+            monkeypatch.setattr(gf2, attr, counted)
+        batches = []
+        batch = xprogram.amplitudes
+
+        def amplitudes(prog, xs, **kwargs):
+            before = dict(counts)
+            out = batch(prog, xs, **kwargs)
+            batches.append((len(xs), {k: counts[k] - before[k] for k in counts}))
+            return out
+
+        monkeypatch.setattr(xprogram, "amplitudes", amplitudes)
+        rng = Random(93)
+        for n, l in [(12, 8), (10, 8), (16, 10), (6, 9)]:
+            rows = [format(rng.getrandbits(l), f"0{l}b") for _ in range(n)]
+            path = write_matrix(tmp_path, f"m{n}x{l}.txt", n, l, rows)
+            batches.clear()
+            code, out, _ = run_cli(capsys, "verify", path, "--theta", theta)
+            assert code == 0 and out.strip().splitlines()[-1] == "all 7 checks passed"
+            assert [size for size, _ in batches] == [1 << l]
+            work = batches[0][1]
+            assert work["_eliminate"] <= 2 and work["transpose"] <= 1
+
+    def test_direct_count_is_independent_of_the_enumerator(self, capsys, pex_file, monkeypatch):
+        # the direct count reads the rows itself: a wrong histogram fails
+        exact = codes.weight_enumerator
+
+        def wrong(P, **kwargs):
+            profile = exact(P, **kwargs)
+            weights = list(profile.weights)
+            weights[0], weights[1] = weights[0] - 1, weights[1] + 1
+            return dataclasses.replace(profile, weights=tuple(weights))
+
+        monkeypatch.setattr(codes, "weight_enumerator", wrong)
+        code, out, _ = run_cli(capsys, "verify", pex_file)
+        assert code == 4
+        assert "check weight enumerator vs direct count: FAILED (max error 1)" in out.splitlines()
 
     def test_size_guard(self, capsys, tmp_path):
         rows = ["0" * 11] * 2

@@ -188,13 +188,13 @@ class TestWenumAtFourthRoot:
     def test_one_gauss_sum_per_code(self, monkeypatch):
         rng = Random(43)
         calls = []
-        gauss_sum = clifford._gauss_sum
+        form_sum = clifford._form_sum
 
-        def counted(vectors, linear=0):
-            calls.append(len(vectors))
-            return gauss_sum(vectors, linear)
+        def counted(form, linear=0):
+            calls.append(len(form[0]))
+            return form_sum(form, linear)
 
-        monkeypatch.setattr(clifford, "_gauss_sum", counted)
+        monkeypatch.setattr(clifford, "_form_sum", counted)
         for kind in ("dense", "odd", "even", "sparse", "low"):
             m = structured_code(rng, kind, 14, 12)
             for k in range(4):

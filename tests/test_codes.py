@@ -4,11 +4,12 @@ import cmath
 import math
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from iqpsim import clifford, codes, gf2
+from iqpsim import clifford, codes, gf2, oracle
 from iqpsim.codes import Angle, affinify, alpha, is_even_code, project, weight_enumerator
 from iqpsim.errors import (
     DimensionMismatch,
@@ -17,6 +18,7 @@ from iqpsim.errors import (
     ZeroDirection,
 )
 from iqpsim.gf2 import BinaryMatrix, BitVector
+from iqpsim.xprogram import XProgram
 
 from conftest import random_bits, random_matrix
 
@@ -276,7 +278,9 @@ class TestAlphaExactFourthRoot:
     def test_self_check(self, pex, monkeypatch):
         # the exact path keeps alpha's |alpha| <= 1 check
         too_big = clifford.GaussianInteger(1 << 10, 0)
-        monkeypatch.setattr(clifford, "wenum_from_generators", lambda gens, k, linear=0: too_big)
+        monkeypatch.setattr(
+            clifford, "_signed_wenums", lambda gens, k, linears: [too_big] * len(linears)
+        )
         with pytest.raises(NumericalInconsistency):
             codes.alpha_exact_fourth_root(pex, Angle.exact(1, 1))
 
@@ -436,3 +440,137 @@ class TestIsEvenCode:
                 count == 0 for w, count in enumerate(profile.weights) if w % 2
             )
             assert is_even_code(m) == brute
+
+
+# raw and exact angles off pi/4, near 0 and pi/2, and the multiples of pi/4
+BATCH_ANGLES = [
+    Angle.radians(0.7), Angle.radians(2.9), Angle.exact(1, 16), Angle.exact(3, 8),
+    Angle.radians(math.pi / 2 - 1e-3), Angle.radians(1e-3),
+] + [Angle.exact(t, 4) for t in range(8)]
+
+
+def shaped_matrix(data, family: str) -> BinaryMatrix:
+    """A matrix of one shape family: small (r < l, r = l, n - r < r and
+    r = 0 all occur), tall (64, 65 or 130 rows: one, two or three uint64
+    lanes on the side of C) or wide (as many rows, with n - r < r: the
+    lanes on the side of C-perp, and two columns outside the row space)."""
+    if family == "small":
+        l = data.draw(st.integers(1, 8))
+        n = data.draw(st.integers(0, 16))
+        gens = data.draw(st.lists(st.integers(0, (1 << l) - 1), min_size=1, max_size=l))
+        picks = data.draw(st.lists(st.integers(0, (1 << len(gens)) - 1), min_size=n, max_size=n))
+        return BinaryMatrix(n, l, tuple(gf2._combine(gens, b) for b in picks))
+    n = data.draw(st.sampled_from([64, 65, 130]))
+    if family == "tall":
+        l = data.draw(st.integers(1, 6))
+        rows = data.draw(st.lists(st.integers(0, (1 << l) - 1), min_size=n, max_size=n))
+        return BinaryMatrix(n, l, tuple(rows))
+    k = data.draw(st.integers(0, 6))  # extra rows past an identity of rank n - k
+    r = n - k
+    extra = data.draw(st.lists(st.integers(0, (1 << r) - 1), min_size=k, max_size=k))
+    rows = [1 << (r + 1 - i) for i in range(r)] + [e << 2 for e in extra]
+    order = data.draw(st.permutations(range(n)))
+    return BinaryMatrix(n, r + 2, tuple(rows[i] for i in order))
+
+
+def enumerated_exact(m: BinaryMatrix, x: int, t: int) -> tuple:
+    """(w, r, odd) of <x|U|0> at t pi / 4 by summing over every y, each
+    codeword 2^(l - r) times."""
+    r = gf2.rank(m)
+    parts = [0, 0, 0, 0]  # by the power of i
+    for y in range(1 << m.l):
+        c = gf2._parities(y, m.bits).bit_count()
+        parts[(-t * c + 2 * (x & y).bit_count()) % 4] += 1
+    re, im = parts[0] - parts[2], parts[1] - parts[3]
+    assert re % (1 << (m.l - r)) == 0 and im % (1 << (m.l - r)) == 0
+    w = clifford.GaussianInteger(re >> (m.l - r), im >> (m.l - r))
+    return w.times_i_power(t * m.n // 2), r, bool(t * m.n % 2)
+
+
+class TestBatchedAmplitudes:
+    """codes._amplitudes: one elimination for a batch of points, every
+    point's coset weighed in the same numpy calls."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_matches_single_points_and_the_oracle(self, data):
+        family = data.draw(st.sampled_from(["small", "tall", "wide"]))
+        m = shaped_matrix(data, family)
+        theta = data.draw(st.sampled_from(BATCH_ANGLES))
+        xs = data.draw(st.lists(st.integers(0, (1 << m.l) - 1), min_size=1, max_size=40))
+        got = list(zip(*codes._amplitudes(m, xs, theta, codes.DEFAULT_RANK_LIMIT)))
+        # a batch of one is the evaluator single calls use
+        assert got == [codes._amplitude(m, x, theta, codes.DEFAULT_RANK_LIMIT) for x in xs]
+        r = gf2.rank(m)
+        for x, (value, _) in zip(xs, got):
+            if gf2.rank(BinaryMatrix(m.n + 1, m.l, m.bits + (x,))) > r:
+                assert value == 0j and isinstance(value, complex)
+        if family != "wide":
+            state = oracle.statevector(XProgram(m, theta))
+            for x, (value, _) in zip(xs, got):
+                assert abs(value - state.amplitudes[x]) < 1e-12
+
+    def test_every_outcome_across_slices(self):
+        # 2^11 points on C (r = 11 <= n - r): 4094 signed cosets of
+        # dimension 10 pass _coset_weights 64 at a time; 2^14 points on
+        # C-perp (n - r = 6 < r): 16384 cosets, 1024 at a time
+        rng = Random(90)
+        for n, l, side in [(24, 11, "primal"), (20, 14, "dual")]:
+            while True:
+                m = random_matrix(rng, n, l)
+                if gf2.rank(m) == l:
+                    break
+            k = l - 1 if side == "primal" else n - l
+            assert codes._GROUP_ENTRIES // (1 << k) < 1 << l
+            theta = Angle.radians(0.9)
+            xs = list(range(1 << l))
+            got = codes._amplitudes(m, xs, theta, codes.DEFAULT_RANK_LIMIT)[0]
+            want = [codes._amplitude(m, x, theta, codes.DEFAULT_RANK_LIMIT)[0] for x in xs]
+            assert got == want
+            state = oracle.statevector(XProgram(m, theta))
+            assert np.abs(np.array(got) - state.amplitudes).max() < 1e-12
+
+    def test_outside_the_row_space_is_exactly_zero(self):
+        rng = Random(91)
+        for theta in BATCH_ANGLES:
+            m = BinaryMatrix(9, 7, tuple(rng.getrandbits(5) << 2 for _ in range(9)))
+            xs = list(range(1 << 7))
+            got = zip(*codes._amplitudes(m, xs, theta, codes.DEFAULT_RANK_LIMIT))
+            for x, (value, exact) in zip(xs, got):
+                if x & 0b11:
+                    assert value == 0j and isinstance(value, complex) and exact is None
+
+    def test_fourth_root_forms_match_enumeration(self):
+        rng = Random(92)
+        for trial in range(40):
+            l = rng.randint(1, 7)
+            m = random_matrix(rng, rng.randint(0, 12), l)
+            if trial % 2:  # rank below l, so some points fall outside
+                m = BinaryMatrix(m.n, l, tuple(v & ~1 for v in m.bits))
+            xs = list(range(1 << l))
+            for t in range(8):
+                got = zip(*codes._amplitudes(m, xs, Angle.exact(t, 4), codes.DEFAULT_RANK_LIMIT))
+                for x, (value, exact) in zip(xs, got):
+                    if exact is None:
+                        assert value == 0j
+                        continue
+                    assert exact == enumerated_exact(m, x, t)
+                    w, r, odd = exact
+                    assert isinstance(w, clifford.GaussianInteger)
+                    phase = cmath.exp(1j * math.pi / 4) if odd else 1
+                    assert abs(value - phase * w.to_complex() / 2**r) < 1e-12
+
+    def test_rank_too_large_before_any_table(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(codes, "_lane_tables", refuse)
+        # rank 6 and dual dimension 6, both past the limit 4; column 7 is unused
+        m = BinaryMatrix(12, 7, tuple(v << 1 for v in BinaryMatrix.identity(6).bits) * 2)
+        theta = Angle.radians(0.7)
+        outside = [1, 3, 0b1000001]
+        assert codes._amplitudes(m, outside, theta, 4) == ([0j] * 3, [None] * 3)
+        with pytest.raises(RankTooLarge):
+            codes._amplitudes(m, outside + [0b10], theta, 4)
+        with pytest.raises(RankTooLarge):
+            codes._amplitudes(m, [0], theta, 4)

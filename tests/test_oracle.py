@@ -13,7 +13,7 @@ from iqpsim import oracle
 from iqpsim.codes import Angle
 from iqpsim.errors import TooManyQubits
 from iqpsim.gf2 import BinaryMatrix, BitVector
-from iqpsim.marginals import diagonal_projector
+from iqpsim.marginals import diagonal_projector, make_projector
 from iqpsim.xprogram import XProgram
 
 from conftest import random_matrix
@@ -89,6 +89,17 @@ class TestOracleBeta:
             assert got == pytest.approx(2 * agree - 1, abs=1e-12)
 
 
+    def test_all_correlations_in_one_sum(self):
+        rng = Random(75)
+        for _ in range(20):
+            m = random_matrix(rng, rng.randint(0, 10), rng.randint(0, 7))
+            sv = oracle.statevector(XProgram(m, Angle.radians(rng.random() * 3)))
+            betas = sv.betas()
+            assert betas.shape == (1 << m.l,)
+            for s in range(1 << m.l):
+                assert betas[s] == pytest.approx(sv.beta(BitVector(m.l, s)), abs=1e-12)
+
+
 class TestOracleMarginal:
     def test_masks_sum_cosets(self):
         rng = Random(74)
@@ -108,6 +119,29 @@ class TestOracleMarginal:
                     if (y & mask_bits) == rep.bits
                 )
                 assert got.probability(w_ix) == pytest.approx(want, abs=1e-12)
+
+
+    def test_conjugated_projectors(self):
+        # a projector off the diagonal: each outcome y lands on the range
+        # coordinates of its image
+        rng = Random(76)
+        for _ in range(20):
+            l = rng.randint(2, 6)
+            keep = rng.sample(range(l), rng.randint(1, l))
+            rows = [1 << (l - 1 - i) if i in keep else 0 for i in range(l)]
+            for _ in range(3 * l):
+                i, j = rng.sample(range(l), 2)
+                rows[i] ^= rows[j]
+                bi, bj = 1 << (l - 1 - i), 1 << (l - 1 - j)
+                rows = [r ^ bj if r & bi else r for r in rows]
+            proj = make_projector(BinaryMatrix(l, l, tuple(rows)))
+            prog = XProgram(random_matrix(rng, rng.randint(1, 8), l), Angle.radians(0.4))
+            got = oracle.oracle_marginal(prog, proj).as_array()
+            dense = oracle.statevector(prog).probabilities()
+            want = np.zeros(1 << proj.range_dim)
+            for y, p in enumerate(dense):
+                want[proj.vector_to_coords(proj.apply(BitVector(l, y))).bits] += p
+            assert np.array_equal(got, want)
 
 
 class TestOracleTutte:

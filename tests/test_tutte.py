@@ -383,6 +383,36 @@ class TestSubsetTransform:
         with pytest.raises(TooManyRows):
             tutte_subset_sum(_circuit(21))
 
+    def test_no_dual_when_the_primal_side_has_no_class(self, monkeypatch):
+        # zero rows and parallel coloops are closed-form factors on M, so
+        # M* is never built: one circuit basis, the one _split takes
+        calls = []
+        circuits = gf2._circuits
+
+        def counted(rows):
+            calls.append(len(rows))
+            return circuits(rows)
+
+        monkeypatch.setattr(gf2, "_circuits", counted)
+        rng = Random(52)
+        zeros = [BinaryMatrix.zeros(n, 3) for n in (1, 7, 13)]
+        coloops = [BinaryMatrix.identity(6), BinaryMatrix(9, 3, (4, 4, 2, 0, 1, 1, 1, 0, 2))]
+        units = [0, 1, 2, 4, 8, 16]
+        coloops.append(BinaryMatrix(13, 5, tuple(rng.choice(units) for _ in range(13))))
+        for m in zeros + coloops:
+            calls.clear()
+            assert tutte_subset_sum(m) == oracle.oracle_tutte(m)
+            assert len(calls) == 1
+        # a circuit beside zero rows and coloops: both sides are weighed
+        mixed = [
+            BinaryMatrix(8, 4, (0, 8, 8, 4, 3, 2, 1, 0)),
+            BinaryMatrix(6, 3, (0, 4, 3, 2, 1, 1)),
+        ]
+        for m in mixed:
+            calls.clear()
+            assert tutte_subset_sum(m) == oracle.oracle_tutte(m)
+            assert len(calls) > 1
+
     def test_transform_length_follows_the_smaller_side(self, monkeypatch):
         lengths = _transform_lengths(monkeypatch)
         # 20 distinct rows in one circuit, 2^20 subsets; the dual is one

@@ -172,13 +172,13 @@ class TestAmplitude:
 
     def test_one_gauss_sum_per_fourth_root_amplitude(self, monkeypatch):
         calls = []
-        gauss_sum = clifford._gauss_sum
+        form_sum = clifford._form_sum
 
-        def counted(vectors, linear=0):
-            calls.append(len(vectors))
-            return gauss_sum(vectors, linear)
+        def counted(form, linear=0):
+            calls.append(len(form[0]))
+            return form_sum(form, linear)
 
-        monkeypatch.setattr(clifford, "_gauss_sum", counted)
+        monkeypatch.setattr(clifford, "_form_sum", counted)
         rng = Random(55)
         for k in range(40):
             l = rng.randint(2, 8)
@@ -194,6 +194,28 @@ class TestAmplitude:
                     else:
                         # even t leave a character sum, odd t one Gauss sum
                         assert len(calls) == t % 2
+
+
+class TestAmplitudes:
+    def test_batch_matches_single_points_and_the_oracle(self):
+        rng = Random(56)
+        for k in range(60):
+            l = rng.randint(1, 8)
+            m = dependent_rows(rng, rng.randint(0, 16), l, ("dense", "repeated", "low")[k % 3])
+            prog = XProgram(m, OUTSIDE_ANGLES[k % len(OUTSIDE_ANGLES)])
+            xs = [BitVector(l, rng.getrandbits(l)) for _ in range(rng.randint(1, 20))]
+            got = xprogram.amplitudes(prog, xs)
+            assert got == [amplitude(prog, x) for x in xs]
+            state = oracle.statevector(prog)
+            assert all(abs(a - state.amplitude(x)) < 1e-12 for a, x in zip(got, xs))
+
+    def test_empty_batch(self, pex):
+        assert xprogram.amplitudes(XProgram(pex, Angle.radians(0.7)), []) == []
+
+    def test_dimension_mismatch(self, pex):
+        prog = XProgram(pex, Angle.exact(1, 8))
+        with pytest.raises(DimensionMismatch):
+            xprogram.amplitudes(prog, [BitVector(4), BitVector(3)])
 
 
 def dependent_rows(rng: Random, n: int, l: int, kind: str) -> BinaryMatrix:

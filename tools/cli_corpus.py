@@ -24,8 +24,10 @@ sweep reads the weights from the rows; each gets `dist`, a 6- to 8-bit
 1/16, 1/8, 1/4 and rad:0.7. They are drawn last, so no earlier line
 depends on them, and after them the full `tutte` polynomial at the
 20-row limit (the 20-element circuit, the wheel W10, 20 x 4 low rank,
-20 x 12 dense, 20 zero rows), one 21-row `tutte` (exit 3) and `wenum` on
-a full-rank 30 x 30 matrix. Every generated matrix
+20 x 12 dense, 20 zero rows), one 21-row `tutte` (exit 3), `wenum` on
+a full-rank 30 x 30 matrix, and `verify`, `amplitude` and `prob` on a
+12 x 8 program of rank at most 5, at points in and out of its row
+space. Every generated matrix
 file is canonical ("n l", then n rows of 0/1, each ended by a newline),
 which the reader takes in one vectorized pass. The line loop, which
 reads every other file and reports every parse error, is reached by one
@@ -326,6 +328,7 @@ def build_corpus(rng: Random, workdir: str) -> list[list[str]]:
         name = put(f"lane{i}.txt", n, l, matrix_rows(rng, n, l, "dense"))
         calls += lane_program_calls(rng, name, l)
     calls += row_limit_calls(rng, put)
+    calls += rank_deficient_calls(put)
     return calls
 
 
@@ -346,6 +349,26 @@ def row_limit_calls(rng: Random, put):
         put("dense21.txt", 21, 6, matrix_rows(rng, 21, 6, "dense")),
     ]
     return [["tutte", name] for name in names] + [["wenum", put("full30.txt", 30, 30, full)]]
+
+
+def rank_deficient_calls(put):
+    """verify, amplitude and prob on a 12 x 8 program of rank at most 5,
+    so that most outcomes lie outside the row space and the batched
+    amplitudes of verify give them 0. Every row ends in three zeros: a
+    point with a one there is outside, a sum of rows inside. It has its
+    own seed, so no earlier line depends on it."""
+    rng = Random(85)
+    gens = [rng.getrandbits(5) << 3 for _ in range(5)]
+    rows = [_xor(g for g in gens if rng.getrandbits(1)) for _ in range(12)]
+    name = put("rank5.txt", 12, 8, rows)
+    inside = [0] + [_xor(r for r in rows if rng.getrandbits(1)) for _ in range(3)]
+    outside = [1, 0b10000110, rng.getrandbits(5) << 3 | 0b101]
+    calls = [["verify", name, "--theta", "1/4"], ["verify", name, "--theta", "rad:0.7"]]
+    for theta in ("1/4", "3/4", "1/8", "rad:0.7"):
+        for x in inside + outside:
+            for command in ("amplitude", "prob"):
+                calls.append([command, name, "--theta", theta, "--x", format(x, "08b")])
+    return calls
 
 
 def run(main, argv: list[str], records: bool = False) -> str:
