@@ -76,10 +76,7 @@ def _reduced_generators(
     space and gets None.
     """
     l = M.l
-    residues: list[int] = []
-    tagged = [(c << l) | t for c, t in zip(gf2.transpose(M).bits, gf2._row_tags(l))]
-    pivots = gf2._eliminate(tagged, {}, l, residues)
-    kernel = [w for w in residues if not w >> l]
+    pivots, kernel = gf2._tagged(gf2.transpose(M).bits)
     # x . y_i at bit i; _parities packs its first mask at the top
     tags = list(reversed(pivots.values()))
     linears = [None if gf2._parities(x, kernel) else gf2._parities(x, tags) for x in xs]

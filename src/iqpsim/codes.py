@@ -389,9 +389,7 @@ def _enumerated_amplitudes(
             is in the row space, before any enumeration.
     """
     n = P.n
-    rows: list[int] = []
-    tagged = [(a << n) | t for a, t in zip(P.bits, gf2._row_tags(n))]
-    pivots = gf2._eliminate(tagged, {}, n, rows)
+    pivots, circuits = gf2._tagged(P.bits)
     r = len(pivots)
     if any(xs):
         shifts: list[int] = []
@@ -408,7 +406,7 @@ def _enumerated_amplitudes(
         )
     lanes = max(1, (n + 63) // 64)
     if n - r < r:  # one basis of C-perp, and each point's S0
-        words = _lanes(inside + [w for w in rows if not w >> n], lanes)
+        words = _lanes(inside + circuits, lanes)
         counts = _histograms(words[None, len(inside) :], words[: len(inside)], n)
         sums = _dual_sums(counts, n, th)
     else:
@@ -418,8 +416,7 @@ def _enumerated_amplitudes(
         signed = [s0 for s0 in inside if s0]  # S0 = 0 exactly at x = 0
         trivial = None
         if len(signed) < len(inside):
-            words = _lanes([0, *gens], lanes)
-            (trivial,) = _primal_sums(_histograms(words[None, 1:], words[:1], n), r, n, th)
+            (trivial,) = _primal_sums(_histogram(gens, n)[None], r, n, th)
         found = iter(())
         if signed:
             found = iter(_primal_sums(_signed_counts(gens, signed, n), r, n, th))

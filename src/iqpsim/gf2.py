@@ -243,18 +243,28 @@ def _rref(vectors: Iterable[int]) -> list[int]:
     return [v for _, v in _back_substitute(_eliminate(vectors, {}))]
 
 
-def _circuits(rows: Sequence[int]) -> list[int]:
-    """A basis of the circuit space {d : sum_i d_i rows[i] = 0}, bit i of
-    each word for rows[i]: the tags left on the dependent rows."""
-    m = len(rows)
-    residues: list[int] = []
-    _eliminate([(v << m) | (1 << i) for i, v in enumerate(rows)], {}, m, residues)
-    return [w for w in residues if not w >> m]
-
-
 def _row_tags(n: int) -> list[int]:
     # tag of input row i, one bit per row in display order
     return [1 << (n - 1 - i) for i in range(n)]
+
+
+def _tagged(vectors: Sequence[int]) -> tuple[dict[int, int], list[int]]:
+    """Eliminates the vectors, each tagged with its own bit of _row_tags.
+
+    Returns the pivots, each holding the tags of the vectors it sums, and
+    a basis of the circuit space {d : sum_i d_i vectors[i] = 0}: the tags
+    left on the dependent vectors, vectors[0] at the top bit.
+    """
+    n = len(vectors)
+    residues: list[int] = []
+    tagged = [(v << n) | 1 << (n - 1 - i) for i, v in enumerate(vectors)]
+    pivots = _eliminate(tagged, {}, n, residues)
+    return pivots, [w for w in residues if not w >> n]
+
+
+def _circuits(rows: Sequence[int]) -> list[int]:
+    """A basis of the circuit space of the rows, as _tagged gives it."""
+    return _tagged(rows)[1]
 
 
 @dataclass(frozen=True)
@@ -439,7 +449,7 @@ def inverse(M: BinaryMatrix) -> BinaryMatrix:
     l = M.l
     # each row carries its row of the identity as a tag; once the rows
     # reduce to the identity, the tags are the inverse
-    pivots = _eliminate([(b << l) | t for b, t in zip(M.bits, _row_tags(l))], {}, l)
+    pivots = _tagged(M.bits)[0]
     if len(pivots) < l:
         raise ValueError("matrix is singular")
     return BinaryMatrix(l, l, tuple(t & ((1 << l) - 1) for _, t in _back_substitute(pivots)))

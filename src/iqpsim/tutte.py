@@ -41,7 +41,7 @@ __all__ = [
 DEFAULT_ROW_LIMIT = 20
 DEFAULT_MEMO_LIMIT = 500_000
 # recursion depth the frame chain does not show: the calls a level makes
-# (canonical key, elimination, series) and the C calls of the callers,
+# (split, canonical key, separator factor) and the C calls of the callers,
 # which the interpreter counts too
 _FRAME_MARGIN = 32
 
@@ -142,7 +142,7 @@ def tutte_subset_sum(
     if side[2]:  # M* can leave fewer classes only where M leaves some
         # M* is the row matroid of the matrix whose columns span the circuit space
         circuits = gf2._circuits(P.bits)
-        dual = _split([gf2._parities(1 << e, circuits) for e in range(P.n)])
+        dual = _split([gf2._parities(t, circuits) for t in gf2._row_tags(P.n)])
         if len(dual[2]) < len(side[2]):
             side, at = dual, (y, x)
     value = _side_value(side, *at)
@@ -151,9 +151,10 @@ def tutte_subset_sum(
     return _check_nonnegative(TuttePolynomial(digits))
 
 
-def _split(rows: Sequence[int]) -> tuple[int, list[int], list[int], list[int]]:
+def _split(rows: Sequence[int]) -> tuple[int, list[int], dict[int, int]]:
     """The zero-row count, the sizes of the classes of parallel coloops,
-    and the distinct rows that lie in some circuit with their class sizes.
+    and the distinct rows that lie in some circuit, in the order they
+    first occur, each with its class size.
 
     A coloop is a row in no circuit, and the circuit-space basis of the
     distinct rows shows them all at once.
@@ -166,9 +167,39 @@ def _split(rows: Sequence[int]) -> tuple[int, list[int], list[int], list[int]]:
     in_circuit = 0
     for w in gf2._circuits(distinct):
         in_circuit |= w
-    kept = [v for i, v in enumerate(distinct) if in_circuit >> i & 1]
-    coloops = [sizes[v] for i, v in enumerate(distinct) if not in_circuit >> i & 1]
-    return loops, coloops, kept, [sizes[v] for v in kept]
+    coloops = []
+    tag = 1 << len(distinct)
+    for v in distinct:
+        tag >>= 1
+        if not in_circuit & tag:
+            coloops.append(sizes.pop(v))
+    return loops, coloops, sizes
+
+
+def _series(first, y, k: int):
+    # first + y + ... + y^(k-1), by products: y ** j raises OverflowError
+    # on complex values where this gives inf
+    total, power = first, y**0
+    for _ in range(k - 1):
+        power = power * y
+        total = total + power
+    return total
+
+
+def _separators(loops: int, coloops: list[int], x, y):
+    """y^loops prod_k (x + y + ... + y^(k-1)), k over the coloop class
+    sizes: the factor of the separators a split finds."""
+    # y^loops by squaring, in the order complex ** takes for k <= 100, so
+    # the values agree bit for bit; an overflow gives inf, never raises
+    factor, square = y**0, y
+    while loops:
+        if loops & 1:
+            factor = factor * square
+        square = square * square
+        loops >>= 1
+    for k in coloops:
+        factor = factor * _series(x, y, k)
+    return factor
 
 
 def _zeta(values: np.ndarray) -> np.ndarray:
@@ -186,40 +217,39 @@ def _zeta(values: np.ndarray) -> np.ndarray:
 def _side_value(parts: tuple, x: int, y: int) -> int:
     """T(x, y) of one side, split as _split returns it.
 
-    Zero rows give the factor y^k and each class of k parallel coloops
-    x + y + ... + y^(k-1). For the m distinct rows left, each in a
-    circuit, 2^nullity(S) counts the circuit-space words inside the class
-    set S, so one zeta transform of length 2^m of the space's indicator
-    gives every nullity. Summing the rows of k-row classes gives
-    (y^k - 1) = (y - 1)(1 + ... + y^(k-1)) per touched class, so
+    Zero rows and coloop classes give _separators' factor. For the m
+    distinct rows left, each in a circuit, 2^nullity(S) counts the
+    circuit-space words inside the class set S, so one zeta transform of
+    length 2^m of the space's indicator gives every nullity. Summing the
+    rows of k-row classes gives (y^k - 1) = (y - 1)(1 + ... + y^(k-1)) per
+    touched class, so
     T = sum_S (x-1)^(r - |S| + nu(S)) (y-1)^nu(S) prod_(i in S) [k_i]_y,
     summed by a histogram over nu(S) and the touched classes of each size.
     """
-    loops, coloops, rows, sizes = parts
-    value = y**loops
-    for k in coloops:
-        value *= x + sum(y**j for j in range(1, k))
-    m = len(rows)
+    loops, coloops, sizes = parts
+    value = _separators(loops, coloops, x, y)
+    m = len(sizes)
     if not m:
         return value
-    circuits = gf2._circuits(rows)
+    circuits = gf2._circuits(list(sizes))
     indicator = np.zeros(1 << m, dtype=np.uint32)
     indicator[codes._enumeration_table(circuits, len(circuits))] = 1
     # histogram key of S: its nullity, then how many classes of each size it
     # touches, in mixed radix; the class part is filled in by doubling
-    groups = sorted(set(sizes))
-    counts = [sizes.count(k) for k in groups]
+    classes = list(sizes.values())
+    groups = sorted(set(classes))
+    counts = [classes.count(k) for k in groups]
     place = [m + 1]
     for count in counts:
         place.append(place[-1] * (count + 1))
     key = np.empty(1 << m, dtype=np.intp)
     key[0] = 0
-    for i, k in enumerate(sizes):
+    for i, k in enumerate(reversed(classes)):  # circuit words hold rows[0] at the top
         np.add(key[: 1 << i], place[groups.index(k)], out=key[1 << i : 2 << i])
     key += np.bitwise_count(_zeta(indicator) - 1)
     histogram = np.bincount(key, minlength=place[-1])
     rank = m - len(circuits)
-    repunits = [sum(y**j for j in range(k)) for k in groups]
+    repunits = [_series(y**0, y, k) for k in groups]
     total = 0
     for code, count in enumerate(histogram.tolist()):
         if not count:
@@ -234,11 +264,13 @@ def _side_value(parts: tuple, x: int, y: int) -> int:
     return value * total
 
 
-def _canonical_key(rows: list[int]) -> tuple:
-    # coordinates of every row in the canonical basis of their own span, read
-    # at the basis's leading bits; equal keys mean linearly isomorphic multisets
-    masks = [1 << (v.bit_length() - 1) for v in gf2._rref(rows)]
-    return (len(masks), tuple(sorted(gf2._parities(v, masks) for v in rows)))
+def _canonical_key(sizes: dict[int, int]) -> tuple:
+    # each distinct row's bits at the span's leading bits, its coordinates in
+    # the reduced echelon basis, under its class size; equal keys mean
+    # linearly isomorphic multisets
+    masks = [1 << top for top in sorted(gf2._eliminate(sizes, {}), reverse=True)]
+    r = len(masks)
+    return (r, tuple(sorted(k << r | gf2._parities(v, masks) for v, k in sizes.items())))
 
 
 def _recursion_headroom() -> int:
@@ -255,10 +287,10 @@ def tutte_eval(
 ):
     """Tutte polynomial value at (x, y) by deletion and contraction.
 
-    Each minor is taken by parallel classes. Its k zero rows give the
-    factor y^k and each class of k parallel coloops the factor
-    x + y + ... + y^(k-1); the rest branches on one whole class C of k
-    rows, with e in C, as T(M \\ C) + (1 + y + ... + y^(k-1)) T(M/e \\ C).
+    Each minor is taken by parallel classes, split as _split does. Its
+    zero rows and coloop classes give _separators' factor; the rest
+    branches on one whole class C of k rows, with e in C, as
+    T(M \\ C) + (1 + y + ... + y^(k-1)) T(M/e \\ C).
     The depth is therefore at most the number of distinct rows. Minors
     are memoized under a canonical relabeling so that repeated isomorphic
     minors are evaluated once. Only +, * and ** touch x and y, so the
@@ -276,61 +308,20 @@ def tutte_eval(
     """
     memo: dict[tuple, complex] = {}
 
-    def series(first, k: int):
-        # first + y + ... + y^(k-1), by products: y ** j raises
-        # OverflowError on complex values where this gives inf
-        total, power = first, y**0
-        for _ in range(k - 1):
-            power = power * y
-            total = total + power
-        return total
-
-    def power(k: int):
-        # y^k by squaring, in the order complex ** takes for k <= 100, so
-        # the values agree bit for bit; an overflow gives inf, never raises
-        total, square = y**0, y
-        while k:
-            if k & 1:
-                total = total * square
-            square = square * square
-            k >>= 1
-        return total
-
     def evaluate(rows: list[int]):
-        sizes: dict[int, int] = {}
-        for v in rows:
-            sizes[v] = sizes.get(v, 0) + 1
-        factor = power(sizes.pop(0, 0))
-        distinct = list(sizes)
-        m = len(distinct)
-        # a coloop is a row in no circuit. Tagged with its own bit, each
-        # dependent row leaves a tag holding one circuit-space element, and
-        # these tags span that space; removing coloops changes no circuit,
-        # so one pass finds them all. A class of parallel copies of a
-        # coloop of the distinct rows is a separator of the whole matroid
-        residues: list[int] = []
-        gf2._eliminate(
-            [(v << m) | (1 << i) for i, v in enumerate(distinct)], {}, m, residues
-        )
-        in_circuit = 0
-        for w in residues:
-            if w >> m == 0:
-                in_circuit |= w
-        for i, v in enumerate(distinct):
-            if not (in_circuit >> i) & 1:
-                factor = factor * series(x, sizes.pop(v))
+        loops, coloops, sizes = _split(rows)
+        factor = _separators(loops, coloops, x, y)
         if not sizes:
             return factor
-        rest = [v for v in rows if v in sizes]
-        key = _canonical_key(rest)
+        key = _canonical_key(sizes)
         if key not in memo:
             if len(memo) >= memo_limit:
                 raise BudgetExceeded(f"minor memo exceeded {memo_limit} entries")
             e = next(iter(sizes))
-            deleted = [v for v in rest if v != e]
+            deleted = [v for v in rows if v in sizes and v != e]
             pivot = 1 << (e.bit_length() - 1)
             contracted = [v ^ e if v & pivot else v for v in deleted]
-            weight = series(y**0, sizes[e])
+            weight = _series(y**0, y, sizes[e])
             memo[key] = evaluate(deleted) + weight * evaluate(contracted)
         return factor * memo[key]
 

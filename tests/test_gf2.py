@@ -268,6 +268,47 @@ class TestKernel:
                 assert gf2.mat_vec(m, v).is_zero()
 
 
+class TestTagged:
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130])
+    def test_tags_in_row_order(self, n):
+        # zero and repeated rows among random ones; a tag word picks rows[i]
+        # at bit n - 1 - i, as _row_tags lays them out
+        rng = Random(n)
+        l = 9
+        rows = [rng.getrandbits(l) for _ in range(n)]
+        for i in rng.sample(range(n), n // 4):
+            rows[i] = rng.choice([0, rows[rng.randrange(n)]])
+        tags = gf2._row_tags(n)
+
+        def picked(word):
+            return _xor(v for v, t in zip(rows, tags) if word & t)
+
+        pivots, circuits = gf2._tagged(rows)
+        assert gf2._circuits(rows) == circuits
+        r = gf2.rank(BinaryMatrix(n, l, tuple(rows)))
+        assert len(pivots) == r
+        assert len(circuits) == n - r
+        for w in circuits:
+            assert 0 < w < 1 << n and picked(w) == 0
+        assert len(gf2._eliminate(circuits, {})) == len(circuits)
+        # each pivot is the sum of the rows its tag picks
+        for top, p in pivots.items():
+            assert p >> n == picked(p) and p.bit_length() - 1 == top
+
+    def test_zero_and_repeated_rows_are_circuits(self):
+        # a zero row is a loop, a repeated row a parallel pair
+        assert gf2._tagged([0]) == ({}, [1])
+        assert gf2._circuits([5, 5, 3]) == [0b110]
+        assert gf2._tagged([]) == ({}, [])
+
+
+def _xor(values) -> int:
+    out = 0
+    for v in values:
+        out ^= v
+    return out
+
+
 class TestProducts:
     def test_times_identity(self, pex):
         assert gf2.mat_mul(pex, BinaryMatrix.identity(4)).to_strings() == PEX_ROWS

@@ -291,6 +291,43 @@ class TestAgainstOracle:
                 assert tutte_eval(m, x, y) == want.evaluate(x, y)
 
 
+    def test_every_minor_splits_once(self, monkeypatch):
+        # each minor the recursion evaluates, the root and two per memo
+        # entry, makes one _split call, which takes the one circuit basis
+        split, circuits, key = tutte._split, gf2._circuits, tutte._canonical_key
+        splits, bases, keys = [], [], set()
+
+        def counted_split(rows):
+            before = len(bases)
+            parts = split(rows)
+            splits.append(len(bases) - before)
+            return parts
+
+        def counted_circuits(rows):
+            bases.append(rows)
+            return circuits(rows)
+
+        def recorded_key(sizes):
+            keys.add(found := key(sizes))
+            return found
+
+        monkeypatch.setattr(tutte, "_split", counted_split)
+        monkeypatch.setattr(gf2, "_circuits", counted_circuits)
+        monkeypatch.setattr(tutte, "_canonical_key", recorded_key)
+        rng = Random(48)
+        for _ in range(30):
+            m = _classes_program(rng)
+            want = tutte_subset_sum(m)
+            for x, y in [(2, 3), (0.5 + 0.25j, 1.5)]:
+                splits.clear()
+                bases.clear()
+                keys.clear()
+                value = tutte_eval(m, x, y)
+                assert cmath.isclose(value, want.evaluate(x, y), rel_tol=1e-9)
+                assert splits == [1] * (1 + 2 * len(keys))
+                assert len(bases) == len(splits)
+
+
 def _graph(edges, vertices: int) -> BinaryMatrix:
     # one row per edge, its two end vertices set: the cycle matroid
     return BinaryMatrix(len(edges), vertices, tuple(1 << a | 1 << b for a, b in edges))

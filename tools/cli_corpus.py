@@ -27,7 +27,9 @@ depends on them, and after them the full `tutte` polynomial at the
 20 x 12 dense, 20 zero rows), one 21-row `tutte` (exit 3), `wenum` on
 a full-rank 30 x 30 matrix, and `verify`, `amplitude` and `prob` on a
 12 x 8 program of rank at most 5, at points in and out of its row
-space. Every generated matrix
+space, and last `tutte --at` and `verify` on three programs whose
+minors split into zero rows, parallel coloops and repeated rows in
+circuits. Every generated matrix
 file is canonical ("n l", then n rows of 0/1, each ended by a newline),
 which the reader takes in one vectorized pass. The line loop, which
 reads every other file and reports every parse error, is reached by one
@@ -329,6 +331,7 @@ def build_corpus(rng: Random, workdir: str) -> list[list[str]]:
         calls += lane_program_calls(rng, name, l)
     calls += row_limit_calls(rng, put)
     calls += rank_deficient_calls(put)
+    calls += split_calls(put)
     return calls
 
 
@@ -368,6 +371,27 @@ def rank_deficient_calls(put):
         for x in inside + outside:
             for command in ("amplitude", "prob"):
                 calls.append([command, name, "--theta", theta, "--x", format(x, "08b")])
+    return calls
+
+
+def split_calls(put):
+    """tutte --at and verify on three programs that each have zero rows, a
+    class of parallel coloops (copies of a row on the one bit no other row
+    touches) and repeated rows in circuits, so the minors of the recursion
+    split into all three parts. (1e200, 1e200) overflows: exit 4. It has
+    its own seed, so no earlier line depends on it."""
+    rng = Random(22)
+    calls = []
+    for i, (n, l) in enumerate([(10, 5), (12, 6), (14, 7)]):
+        rows = [0, 0] + [1 << (l - 1) | rng.getrandbits(l - 1)] * 3
+        while len(rows) < n:
+            rows += [rng.getrandbits(l - 1) or 1] * rng.randint(1, 2)
+        rng.shuffle(rows)
+        name = put(f"split{i}.txt", len(rows), l, rows)
+        for x, y in [("2", "3"), ("-1", "-1"), ("0.5", "1.5"), ("0.3", "-0.7"),
+                     ("1e200", "1e200")]:
+            calls.append(["tutte", name, "--at", x, y])
+        calls += [["verify", name, "--theta", theta] for theta in ("rad:0.7", "1/8")]
     return calls
 
 
