@@ -25,7 +25,7 @@ from random import Random
 
 import numpy as np
 
-from . import clifford, codes, marginals, oracle, tutte, xprogram
+from . import clifford, codes, gf2, marginals, oracle, tutte, xprogram
 from .codes import Angle
 from .errors import (
     BadAngle,
@@ -511,7 +511,7 @@ def _cmd_verify(args, prog: XProgram) -> None:
     profile = codes.weight_enumerator(M)
     # |Mv| for every v: the rows odd against v, one popcount of each row and v
     v = np.arange(1 << M.l, dtype=np.uint64)[:, None]
-    odd = np.bitwise_count(v & np.array(M.bits, dtype=np.uint64)) & 1
+    odd = np.bitwise_count(v & gf2._lanes(M.bits, M.l)[:, 0]) & 1
     direct = np.bincount(odd.sum(axis=1, dtype=np.intp), minlength=M.n + 1)
     scale = (1 << M.l) >> profile.rank
     same = [c * scale for c in profile.weights] == direct.tolist()

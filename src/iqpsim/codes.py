@@ -136,23 +136,6 @@ _BLOCK_LOG = 14  # doubling-table size cap for the enumeration
 _GROUP_ENTRIES = 1 << 16  # table entries popcounted in one numpy call
 
 
-def _enumeration_table(generators: list[int], count: int) -> np.ndarray:
-    table = np.zeros(1 << count, dtype=np.uint64)
-    size = 1
-    for g in generators[:count]:
-        table[size : 2 * size] = table[:size] ^ np.uint64(g)
-        size *= 2
-    return table
-
-
-def _lanes(values: Sequence[int], lanes: int) -> np.ndarray:
-    """Packed words as rows of uint64 lanes, the lowest lane first."""
-    if lanes == 1:
-        return np.array(values, dtype=np.uint64).reshape(-1, 1)
-    data = b"".join(v.to_bytes(8 * lanes, "little") for v in values)
-    return np.frombuffer(data, dtype="<u8").reshape(len(values), lanes)
-
-
 def _lane_tables(words: np.ndarray, start: np.ndarray) -> np.ndarray:
     """Doubling tables of the rows of words (rows, k), one per row:
     entry b of row w is start[w] xor the words picked by the bits of b."""
@@ -164,11 +147,17 @@ def _lane_tables(words: np.ndarray, start: np.ndarray) -> np.ndarray:
     return table
 
 
+def _enumeration_table(generators: Sequence[int]) -> np.ndarray:
+    """The xors of the generators (each below 2^64) picked by every index,
+    generators[0] by the low bit: the one row of their doubling table."""
+    return _lane_tables(gf2._lanes(generators, 64).T, np.uint64(0))[0]
+
+
 def _coset_weights(bases: np.ndarray, offsets: np.ndarray) -> Iterator[np.ndarray]:
     """Weights |offsets[p] + sum_j b_j bases[p, j]| for every coset p and
     index b, bases[p, 0] by the low bit, in blocks (cosets, block) of
     consecutive b. bases (cosets, k, lanes) and offsets (cosets, lanes)
-    hold words packed by _lanes; one basis (1, k, lanes) serves every
+    hold words packed by gf2._lanes; one basis (1, k, lanes) serves every
     coset.
 
     A block is a doubling table of the low generators, xored with one
@@ -198,9 +187,7 @@ def _coset_weights(bases: np.ndarray, offsets: np.ndarray) -> Iterator[np.ndarra
     heads = _lane_tables(words[:, low:], np.uint64(0))
     group = max(1, _GROUP_ENTRIES >> low)
     for step in range(1, 1 << (k - low)):
-        if len(tables) == 1:  # one code of at most 64 bits: a xor by a scalar
-            yield np.bitwise_count(tables[0] ^ heads[0, step])[None]
-        elif len(tables) <= group:
+        if len(tables) <= group:
             yield by_coset(np.bitwise_count(tables ^ heads[:, step, None]))
         else:  # more rows than a group come from one coset, as _histograms slices them
             weights = 0
@@ -211,14 +198,11 @@ def _coset_weights(bases: np.ndarray, offsets: np.ndarray) -> Iterator[np.ndarra
 
 
 def _bincounts(weights: np.ndarray, n: int) -> np.ndarray:
-    """The histogram over 0..n of each row of weights. Full rows take one
-    bincount each; shorter ones one in all, row p counted from p (n + 1)
-    on."""
-    rows, size = weights.shape
+    """The histogram over 0..n of each row of weights, by one bincount in
+    all, row p counted from p (n + 1) on."""
+    rows = len(weights)
     if rows == 1:
         return np.bincount(weights[0], minlength=n + 1)[None]
-    if size == 1 << _BLOCK_LOG:
-        return np.stack([np.bincount(row, minlength=n + 1) for row in weights])
     keys = weights + np.arange(0, rows * (n + 1), n + 1)[:, None]
     return np.bincount(keys.ravel(), minlength=rows * (n + 1)).reshape(rows, n + 1)
 
@@ -238,13 +222,8 @@ def _histograms(bases: np.ndarray, offsets: np.ndarray, n: int) -> np.ndarray:
         basis = bases if len(bases) == 1 else bases[lo : lo + take]
         blocks = _coset_weights(basis, offsets[lo : lo + take])
         part = _bincounts(next(blocks), n)
-        if len(part) == 1:  # one coset, as every single point: add up its one row
-            row = part[0]
-            for weights in blocks:
-                row += np.bincount(weights[0], minlength=n + 1)
-        else:
-            for weights in blocks:
-                part += _bincounts(weights, n)
+        for weights in blocks:
+            part += _bincounts(weights, n)
         parts.append(part)
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
@@ -254,8 +233,7 @@ def _histogram(generators: Sequence[int], n: int, offset: int = 0) -> np.ndarray
 
     The generators must be independent.
     """
-    lanes = max(1, (n + 63) // 64)
-    return _histograms(_lanes(generators, lanes)[None], _lanes([offset], lanes), n)[0]
+    return _histograms(gf2._lanes(generators, n)[None], gf2._lanes([offset], n), n)[0]
 
 
 def _macwilliams(dual_counts: list[int], n: int, dual_rank: int) -> list[int]:
@@ -282,6 +260,15 @@ def _macwilliams(dual_counts: list[int], n: int, dual_rank: int) -> list[int]:
     return [t >> dual_rank for t in totals]
 
 
+def _check_rank(r: int, n: int, rank_limit: int) -> None:
+    """Raises RankTooLarge when neither C (rank r) nor C-perp (n - r) fits
+    the enumeration budget."""
+    if min(r, n - r) > rank_limit:
+        raise RankTooLarge(
+            f"rank {r} and dual dimension {n - r} both exceed the enumeration limit {rank_limit}"
+        )
+
+
 def weight_enumerator(
     P: BinaryMatrix, *, rank_limit: int = DEFAULT_RANK_LIMIT
 ) -> CodeProfile:
@@ -297,10 +284,7 @@ def weight_enumerator(
     n = P.n
     gens = clifford._reduced_generators(P)[0]
     r = len(gens)
-    if min(r, n - r) > rank_limit:
-        raise RankTooLarge(
-            f"rank {r} and dual dimension {n - r} both exceed the enumeration limit {rank_limit}"
-        )
+    _check_rank(r, n, rank_limit)
     if n - r < r:
         dual = _histogram(gf2._circuits(P.bits), n).tolist()
         weights_out = tuple(_macwilliams(dual, n, n - r))
@@ -358,9 +342,9 @@ def _signed_counts(gens: list[int], shifts: list[int], n: int) -> np.ndarray:
         h = gens[odd.index(1)]
         bases += [g ^ h if o else g for g, o in zip(gens, odd) if g != h]
         hs.append(h)
-    lanes = max(1, (n + 63) // 64)
-    words = _lanes(bases, lanes).reshape(len(hs), len(gens) - 1, lanes)
-    counts = _histograms(np.concatenate([words, words]), _lanes([0] * len(hs) + hs, lanes), n)
+    offsets = gf2._lanes([0] * len(hs) + hs, n)
+    words = gf2._lanes(bases, n).reshape(len(hs), len(gens) - 1, offsets.shape[1])
+    counts = _histograms(np.concatenate([words, words]), offsets, n)
     return counts[: len(hs)] - counts[len(hs) :]
 
 
@@ -400,13 +384,9 @@ def _enumerated_amplitudes(
         shifts = inside = [0] * len(xs)
     if not inside:
         return [0j] * len(xs)
-    if min(r, n - r) > rank_limit:
-        raise RankTooLarge(
-            f"rank {r} and dual dimension {n - r} both exceed the enumeration limit {rank_limit}"
-        )
-    lanes = max(1, (n + 63) // 64)
+    _check_rank(r, n, rank_limit)
     if n - r < r:  # one basis of C-perp, and each point's S0
-        words = _lanes(inside + circuits, lanes)
+        words = gf2._lanes(inside + circuits, n)
         counts = _histograms(words[None, len(inside) :], words[: len(inside)], n)
         sums = _dual_sums(counts, n, th)
     else:

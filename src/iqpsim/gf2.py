@@ -33,9 +33,19 @@ __all__ = [
 ]
 
 
-_LANE = (1 << 64) - 1
 # bit t of byte value v at [v, t]
 _BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+
+
+def _lanes(values: Sequence[int], width: int) -> np.ndarray:
+    """Packed words of up to width bits as rows of little-endian uint64
+    lanes, the lowest lane first, so a row's byte view holds its bytes
+    lowest first. The one place that packed ints become numpy words."""
+    lanes = max(1, (width + 63) // 64)
+    if lanes == 1:
+        return np.fromiter(values, dtype="<u8", count=len(values)).reshape(-1, 1)
+    data = b"".join(v.to_bytes(8 * lanes, "little") for v in values)
+    return np.frombuffer(data, dtype="<u8").reshape(len(values), lanes)
 
 
 @dataclass(frozen=True)
@@ -166,15 +176,12 @@ class BinaryMatrix:
         return [b.bit_count() for b in self.bits]
 
     def column_weights(self) -> list[int]:
-        # 64 columns at a time, one byte histogram per byte of the rows; a
-        # column's weight sums the histogram over the byte values holding it
+        # one byte histogram per byte of the rows; a column's weight sums
+        # the histogram over the byte values holding it
+        octets = _lanes(self.bits, self.l).view(np.uint8)
         weights: list[int] = []  # by packed bit, lowest first
-        for low in range(0, self.l, 64):
-            rows = ((b >> low) & _LANE for b in self.bits) if self.l > 64 else self.bits
-            lane = np.fromiter(rows, dtype="<u8", count=self.n).view(np.uint8)
-            octets = lane.reshape(self.n, 8)
-            for c in range((min(64, self.l - low) + 7) // 8):
-                weights += (np.bincount(octets[:, c], minlength=256) @ _BYTE_BITS).tolist()
+        for c in range((self.l + 7) // 8):
+            weights += (np.bincount(octets[:, c], minlength=256) @ _BYTE_BITS).tolist()
         return weights[self.l - 1 :: -1]
 
     def to_strings(self) -> list[str]:
@@ -396,16 +403,15 @@ def transpose(M: BinaryMatrix) -> BinaryMatrix:
     """Transpose; the rows of the result are the columns of M."""
     n, l = M.n, M.l
     if n * l >= 256:
-        # unpack the rows' big-endian bytes into a bit matrix and pack its
-        # transpose; each row's leading pad bits are dropped first
-        width, stride = (l + 7) // 8, (n + 7) // 8
-        data = b"".join(b.to_bytes(width, "big") for b in M.bits)
-        bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8).reshape(n, width), axis=1)
-        packed = np.packbits(bits[:, 8 * width - l :].T, axis=1).tobytes()
-        pad = 8 * stride - n
+        # unpack the bytes that hold bits into a bit matrix, [i, t] packed
+        # bit t of row i, and pack its transpose: column j is packed bit
+        # l - 1 - j, and row i goes to bit n - 1 - i of it
+        octets = _lanes(M.bits, l).view(np.uint8)[:, : (l + 7) // 8]
+        bits = np.unpackbits(octets, axis=1, bitorder="little")
+        packed = np.packbits(bits[::-1, l - 1 :: -1].T, axis=1, bitorder="little").tobytes()
+        stride = (n + 7) // 8
         cols = tuple(
-            int.from_bytes(packed[j * stride : (j + 1) * stride], "big") >> pad
-            for j in range(l)
+            int.from_bytes(packed[j * stride : (j + 1) * stride], "little") for j in range(l)
         )
         return BinaryMatrix(l, n, cols)
     cols = [0] * l

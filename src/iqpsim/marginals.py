@@ -221,7 +221,7 @@ def _quarter_turn_image(prog: XProgram, proj: Projector) -> Distribution:
     offset, directions = _quarter_turn_coords(prog, proj)
     pivots = gf2._eliminate(directions, {})
     k = len(pivots)
-    points = codes._enumeration_table(list(pivots.values()), k)
+    points = codes._enumeration_table(list(pivots.values()))
     points ^= np.uint64(offset)
     values = np.zeros(1 << proj.range_dim)
     values[points.astype(np.intp)] = math.ldexp(1.0, -k)

@@ -233,7 +233,7 @@ def _side_value(parts: tuple, x: int, y: int) -> int:
         return value
     circuits = gf2._circuits(list(sizes))
     indicator = np.zeros(1 << m, dtype=np.uint32)
-    indicator[codes._enumeration_table(circuits, len(circuits))] = 1
+    indicator[codes._enumeration_table(circuits)] = 1
     # histogram key of S: its nullity, then how many classes of each size it
     # touches, in mixed radix; the class part is filled in by doubling
     classes = list(sizes.values())

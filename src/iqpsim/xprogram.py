@@ -197,16 +197,6 @@ def beta(prog: XProgram, s: BitVector, *, rank_limit: int | None = None) -> floa
 _QUARTER_TURNS = np.array([1, -1j, -1, 1j], dtype=np.complex128)
 
 
-def _row_bytes(P: BinaryMatrix) -> np.ndarray:
-    """The rows as an n x ceil(l / 8) array of bytes, low byte first."""
-    width = (P.l + 7) // 8
-    if P.l <= 64:
-        rows = np.fromiter(P.bits, dtype=np.uint64, count=P.n).astype("<u8", copy=False)
-        return rows.view(np.uint8).reshape(P.n, 8)[:, :width]
-    data = b"".join(row.to_bytes(width, "little") for row in P.bits)
-    return np.frombuffer(data, dtype=np.uint8).reshape(P.n, width)
-
-
 def _row_keys(row_bytes: np.ndarray, images: Sequence[int]) -> np.ndarray:
     """The linear map with images[t] the image of row bit t, on every row:
     one table of 256 values and one lookup per byte of the rows."""
@@ -214,7 +204,7 @@ def _row_keys(row_bytes: np.ndarray, images: Sequence[int]) -> np.ndarray:
     for p in range(row_bytes.shape[1]):
         part = images[8 * p : 8 * p + 8]
         if any(part):
-            keys ^= codes._enumeration_table(part, len(part))[row_bytes[:, p]]
+            keys ^= codes._enumeration_table(part)[row_bytes[:, p]]
     return keys
 
 
@@ -234,19 +224,19 @@ class _CosetSweep:
         self.n, self.m, self.l = P.n, len(vectors), P.l
         self.by_rows = (P.n + 63) // 64 > self.m
         if self.by_rows:
-            self._bytes = _row_bytes(P)
+            # the bytes of each row that hold bits, low byte first
+            self._bytes = gf2._lanes(P.bits, P.l).view(np.uint8)[:, : (P.l + 7) // 8]
             images = [sum((v >> t & 1) << j for j, v in enumerate(vectors)) for t in range(P.l)]
             self._keys = _row_keys(self._bytes, images)
         else:
             self._columns = gf2.transpose(P).bits
-            self._lanes = max(1, (P.n + 63) // 64)
             words = [gf2._combine(self._columns, v) for v in vectors]
-            self._words = codes._lanes(words, self._lanes)[None]
+            self._words = gf2._lanes(words, P.n)[None]
 
     def weights(self, shift: int) -> np.ndarray:
         """|c(b)| for every index b."""
         if not self.by_rows:
-            offset = codes._lanes([gf2._combine(self._columns, shift)], self._lanes)
+            offset = gf2._lanes([gf2._combine(self._columns, shift)], self.n)
             blocks = [block[0] for block in codes._coset_weights(self._words, offset)]
             return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
         keys = self._keys

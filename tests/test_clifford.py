@@ -254,8 +254,9 @@ class TestCliffordSupport:
         "n, l", [(12, 5), (120, 30), (255, 64), (256, 64), (600, 40), (300, 70)]
     )
     def test_kernel_matches_gram_product(self, n, l):
-        # both sides of transpose's vectorized branch (n >= 256, l <= 64);
-        # low-rank and doubled rows give P^T P a kernel beyond ker P
+        # both of transpose's branches (vectorized at n * l >= 256), rows
+        # of one and two lanes; low-rank and doubled rows give P^T P a
+        # kernel beyond ker P
         rng = Random(n * 1000 + l)
         for rank in (l, l // 2, 3):
             basis = [rng.getrandbits(l) for _ in range(rank)]

@@ -2,6 +2,7 @@
 
 from random import Random
 
+import numpy as np
 import pytest
 
 from iqpsim import codes, gf2
@@ -268,6 +269,36 @@ class TestKernel:
                 assert gf2.mat_vec(m, v).is_zero()
 
 
+class TestLanes:
+    @pytest.mark.parametrize("width", [0, 1, 63, 64, 65, 128, 130])
+    def test_byte_view_is_little_endian(self, width):
+        # every row's bytes lowest first, the lowest lane first
+        rng = Random(width)
+        values = [0, (1 << width) - 1] + [rng.getrandbits(width) for _ in range(20)]
+        lanes = max(1, (width + 63) // 64)
+        words = gf2._lanes(values, width)
+        assert words.shape == (len(values), lanes)
+        for row, v in zip(words.view(np.uint8), values):
+            assert row.tobytes() == v.to_bytes(8 * lanes, "little")
+
+    def test_no_values(self):
+        assert gf2._lanes([], 0).shape == (0, 1)
+        assert gf2._lanes([], 130).shape == (0, 3)
+
+
+class TestEnumerationTable:
+    @pytest.mark.parametrize("k", [0, 1, 8, 14, 16])
+    def test_matches_combine(self, k):
+        # entry b xors the generators its bits pick, generators[0] by the
+        # low bit; _combine takes rows[0] by the top bit
+        rng = Random(k)
+        generators = [rng.getrandbits(64) for _ in range(k)]
+        table = codes._enumeration_table(generators)
+        assert table.dtype == np.uint64
+        reverse = generators[::-1]
+        assert table.tolist() == [gf2._combine(reverse, b) for b in range(1 << k)]
+
+
 class TestTagged:
     @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130])
     def test_tags_in_row_order(self, n):
@@ -395,7 +426,7 @@ class TestProducts:
                 assert m.column_weights() == want
 
     def test_transpose_wide_numpy_path(self):
-        # n >= 256 with l <= 64 takes the vectorized branch
+        # n * l >= 256 takes the vectorized branch
         rng = Random(17)
         m = random_matrix(rng, 300, 17)
         t = gf2.transpose(m)

@@ -9,10 +9,15 @@ median, the quartiles (statistics.quantiles, n=4, as bench/compare.py
 takes them) and the run count, with the runs' seeds, run length and
 call counts, the commit checked out here (the one the runs measured when
 the file is written right after them) and CALIBRATION_SECONDS, the
-calibration time that every rate is scaled to. Traced runs hold no
-end-to-end metrics and are skipped.
+calibration time that every rate is scaled to. As the measured tree may
+sit uncommitted on that commit, it also writes src_sha256, the sha256 of
+src/iqpsim/*.py (each file's name, a NUL, its bytes and a NUL, in name
+order), and src_differs_from_head, whether git sees src as changed or
+untracked against HEAD (null outside a git checkout). Traced runs hold
+no end-to-end metrics and are skipped.
 """
 
+import hashlib
 import json
 import statistics
 import subprocess
@@ -49,6 +54,18 @@ def summarize(runs: list[dict], names: list[str]) -> dict:
     return out
 
 
+def source_state() -> dict:
+    """The sha256 of the package source and whether src differs from HEAD."""
+    digest = hashlib.sha256()
+    for path in sorted((ROOT / "src" / "iqpsim").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    status = subprocess.run(
+        ["git", "status", "--porcelain", "--", "src"], cwd=ROOT, capture_output=True, text=True
+    )
+    differs = bool(status.stdout.strip()) if status.returncode == 0 else None
+    return {"src_sha256": digest.hexdigest(), "src_differs_from_head": differs}
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
@@ -60,6 +77,7 @@ def main(argv: list[str]) -> int:
     summary = {
         "commit": commit.stdout.strip() or None,
         "calibration_seconds": CALIBRATION_SECONDS,
+        **source_state(),
         "workloads": summarize([r for r in runs if not r.get("trace")], names),
     }
     Path(argv[1]).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")

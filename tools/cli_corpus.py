@@ -27,9 +27,15 @@ depends on them, and after them the full `tutte` polynomial at the
 20 x 12 dense, 20 zero rows), one 21-row `tutte` (exit 3), `wenum` on
 a full-rank 30 x 30 matrix, and `verify`, `amplitude` and `prob` on a
 12 x 8 program of rank at most 5, at points in and out of its row
-space, and last `tutte --at` and `verify` on three programs whose
+space, then `tutte --at` and `verify` on three programs whose
 minors split into zero rows, parallel coloops and repeated rows in
-circuits. Every generated matrix
+circuits. Last come rows wider than one uint64 lane (l = 65 to 130):
+`clifford` and the four point queries at 1/4 and 1/8 on dense 300 x 70,
+100 x 130 and 65 x 65 programs, `wenum` and `alpha` at rad:0.7 on
+rank-16 programs of 200 and 400 rows (4 and 7 lanes of codewords), 4-bit
+`marginal` calls at 1/8, 1/4 and rad:0.7 with and without the sparse
+path's column bound, `sample` on 300 x 70 (the sweep reads the rows)
+and 100 x 70 (two lanes), and `reduce` on 200 x 70. Every generated matrix
 file is canonical ("n l", then n rows of 0/1, each ended by a newline),
 which the reader takes in one vectorized pass. The line loop, which
 reads every other file and reports every parse error, is reached by one
@@ -332,6 +338,7 @@ def build_corpus(rng: Random, workdir: str) -> list[list[str]]:
     calls += row_limit_calls(rng, put)
     calls += rank_deficient_calls(put)
     calls += split_calls(put)
+    calls += wide_row_calls(put)
     return calls
 
 
@@ -392,6 +399,56 @@ def split_calls(put):
                      ("1e200", "1e200")]:
             calls.append(["tutte", name, "--at", x, y])
         calls += [["verify", name, "--theta", theta] for theta in ("rad:0.7", "1/8")]
+    return calls
+
+
+def wide_row_calls(put):
+    """Calls on programs whose rows pass one uint64 lane (l = 65 to 130),
+    so every numpy pass over packed rows reads more than one lane of each:
+    Gauss sums and point queries on dense 300 x 70, 100 x 130 and 65 x 65;
+    wenum and alpha off multiples of pi/4 on rank-16 programs of 200 rows
+    (4 lanes) and 400 rows (7 lanes, past the rows one popcount call
+    takes); 4-bit marginals by the beta loop, also through the column
+    bound of the sparse path; sample on 300 x 70 (more lanes than index
+    bits, so the sweep reads the rows) and 100 x 70 (two lanes); and
+    reduce on a dense 200 x 70. It has its own seed, so no earlier line
+    depends on it."""
+    rng = Random(23)
+
+    def low_rank(n: int, l: int, r: int) -> list[int]:
+        gens = [rng.getrandbits(l) for _ in range(r)]
+        return [_xor(g for g in gens if rng.getrandbits(1)) for _ in range(n)]
+
+    dense = [put(f"wide{n}x{l}.txt", n, l, matrix_rows(rng, n, l, "dense"))
+             for n, l in [(300, 70), (100, 130), (65, 65)]]
+    rank16 = [put(f"rank16_{n}.txt", n, 70, low_rank(n, 70, 16)) for n in (200, 400)]
+    two_lanes = put("wide100x70.txt", 100, 70, matrix_rows(rng, 100, 70, "dense"))
+    reduced = put("wide200x70.txt", 200, 70, matrix_rows(rng, 200, 70, "dense"))
+    calls = []
+    for name, l in zip(dense, (70, 130, 65)):
+        calls.append(["clifford", name])
+        for theta in ("1/4", "1/8"):
+            t = ["--theta", theta]
+            calls += [
+                ["alpha", name, *t],
+                ["amplitude", name, *t, "--x", bits(rng, l)],
+                ["prob", name, *t, "--x", bits(rng, l)],
+                ["beta", name, *t, "--s", bits(rng, l)],
+            ]
+    for name in rank16:
+        calls += [["wenum", name], ["alpha", name, "--theta", "rad:0.7"]]
+    mask = format(sum(1 << b for b in rng.sample(range(70), 4)), "070b")
+    for name in (dense[0], rank16[0]):
+        for theta in ("1/8", "1/4", "rad:0.7"):
+            calls += [
+                ["marginal", name, "--theta", theta, "--mask", mask],
+                ["marginal", name, "--theta", theta, "--mask", mask, "--path", "sparse",
+                 "--sparse-bound", "1000"],
+            ]
+    for name in (dense[0], two_lanes):
+        calls.append(["sample", name, "--theta", "rad:0.7", "--mask", mask, "--samples", "8",
+                      "--seed", str(rng.randint(0, 99))])
+    calls.append(["reduce", reduced, "--theta", "1/4"])
     return calls
 
 
