@@ -260,19 +260,102 @@ def _macwilliams(dual_counts: list[int], n: int, dual_rank: int) -> list[int]:
     return [t >> dual_rank for t in totals]
 
 
-def _check_rank(r: int, n: int, rank_limit: int) -> None:
-    """Raises RankTooLarge when neither C (rank r) nor C-perp (n - r) fits
-    the enumeration budget."""
+def _front(
+    P: BinaryMatrix, xs: Sequence[int], dual: bool = True
+) -> tuple[int, list[int], list[int | None], bool]:
+    """The one elimination of a code query at the points xs: the rank r,
+    a basis, one form per x (None for an x outside the row space), and
+    whether the basis is of C-perp.
+
+    Either the basis is C's, g_i = P y_i, and the form of x is linear on
+    it, bit i = x.y_i; or, when dual is true and n - r < r, it spans the
+    circuit space C-perp = {d : sum d_i a_i = 0} of the rows a_i and the
+    form of x is a row set S0 with sum_{S0} a_i = x. n - r < r implies
+    n < 2r <= 2l, so only n < 2l eliminates the n rows, tagged as
+    gf2._tagged tags them; C's basis is then the columns at the pivots'
+    leading bits, y_i a unit vector, and x.y_i is x's own bit there (x.y
+    depends on Py alone once x is in the row space). Otherwise the l
+    columns are eliminated.
+    """
+    n = P.n
+    if n >= 2 * P.l:
+        gens, linears = clifford._reduced_generators(P, xs)
+        return len(gens), gens, linears, False
+    pivots, circuits = gf2._tagged(P.bits)
+    r = len(pivots)
+    dual = dual and n - r < r
+    # x = 0 is the sum of no rows, and at r = l every x is inside
+    forms: list[int | None] = [0] * len(xs)
+    if any(xs) and (dual or r < P.l):
+        # reduced against the pivots without adding any, x stops above the
+        # tags when it is outside the row space
+        shifts: list[int] = []
+        gf2._eliminate([x << n for x in xs], pivots, n, shifts, grow=False)
+        forms = [None if s0 >> n else s0 for s0 in shifts]
+    if dual:
+        return r, circuits, forms, True
+    columns = gf2.transpose(P).bits
+    if any(xs):  # x.y_i, x's bit at the leading bit top - n of pivot i
+        masks = [1 << (top - n) for top in reversed(pivots)]
+        forms = [None if s0 is None else gf2._parities(x, masks) for x, s0 in zip(xs, forms)]
+    return r, [columns[P.l - 1 - (top - n)] for top in pivots], forms, False
+
+
+def _signed_counts(gens: list[int], linears: list[int], n: int) -> np.ndarray:
+    """sum_c (-1)^L(c) [|c| = w] over C = span(gens) for each nonzero
+    linear form L of linears, bit i = L(gens[i]), as histogram(H) -
+    histogram(h + H): h is the first generator odd under L, and H is
+    spanned by the others, each odd one plus h, a basis of L's kernel."""
+    bases, hs = [], []
+    for linear in linears:
+        j = (linear & -linear).bit_length() - 1
+        h = gens[j]
+        bases += [g ^ h if linear >> i & 1 else g for i, g in enumerate(gens) if i != j]
+        hs.append(h)
+    offsets = gf2._lanes([0] * len(hs) + hs, n)
+    words = gf2._lanes(bases, n).reshape(len(hs), len(gens) - 1, offsets.shape[1])
+    counts = _histograms(np.concatenate([words, words]), offsets, n)
+    return counts[: len(hs)] - counts[len(hs) :]
+
+
+def _coset_counts(
+    P: BinaryMatrix, xs: Sequence[int], rank_limit: int
+) -> tuple[int, list[int | None], bool, list[list[int]]]:
+    """_front's r, forms and side, and one histogram for each x in the row
+    space: the weights of the coset S0 + C-perp, 2^(n-r) words, or the
+    signed count sum_c (-1)^L(c) [|c| = w] over C, 2^r words. L is
+    trivial exactly at x = 0, where the count is C's histogram. Every x
+    is counted in the same numpy calls.
+
+    Raises:
+        RankTooLarge: if min(r, n - r) exceeds rank_limit while some x
+            is in the row space, before any enumeration.
+    """
+    n = P.n
+    r, basis, forms, dual = _front(P, xs)
+    # no filtered copy when every x is inside, as at every alpha call
+    inside = forms if None not in forms else [form for form in forms if form is not None]
+    if not inside:
+        return r, forms, dual, []
     if min(r, n - r) > rank_limit:
         raise RankTooLarge(
             f"rank {r} and dual dimension {n - r} both exceed the enumeration limit {rank_limit}"
         )
+    if dual:
+        words = gf2._lanes(inside + basis, n)
+        counts = _histograms(words[None, len(inside) :], words[: len(inside)], n)
+        return r, forms, dual, counts.tolist()
+    signed = [linear for linear in inside if linear]
+    found = iter(_signed_counts(basis, signed, n).tolist() if signed else ())
+    trivial = _histogram(basis, n).tolist() if len(signed) < len(inside) else None
+    return r, forms, dual, [next(found) if linear else trivial for linear in inside]
 
 
 def weight_enumerator(
     P: BinaryMatrix, *, rank_limit: int = DEFAULT_RANK_LIMIT
 ) -> CodeProfile:
-    """Exact weight histogram of the column-span code of P.
+    """Exact weight histogram of the column-span code of P: the x = 0
+    count of _coset_counts.
 
     Enumerates the 2^r codewords from an independent generator set or,
     when n - r < r, the 2^(n-r) words of C-perp, the circuit space of P's
@@ -282,31 +365,19 @@ def weight_enumerator(
         RankTooLarge: if min(r, n - r) exceeds rank_limit.
     """
     n = P.n
-    gens = clifford._reduced_generators(P)[0]
-    r = len(gens)
-    _check_rank(r, n, rank_limit)
-    if n - r < r:
-        dual = _histogram(gf2._circuits(P.bits), n).tolist()
-        weights_out = tuple(_macwilliams(dual, n, n - r))
-    else:
-        weights_out = tuple(_histogram(gens, n).tolist())
+    r, _, dual, (weights_out,) = _coset_counts(P, [0], rank_limit)
+    weights_out = tuple(_macwilliams(weights_out, n, n - r) if dual else weights_out)
     if sum(weights_out) != 1 << r or weights_out[0] < 1 or min(weights_out) < 0:
         raise NumericalInconsistency("weight histogram failed its count check")
     return CodeProfile(n, r, weights_out)
 
 
-def _check_alpha(values: Sequence[complex]) -> None:
-    for value in values:
-        if abs(value) > 1 + 1e-9:
-            raise NumericalInconsistency(f"|alpha| = {abs(value)} exceeds 1")
-
-
-def _primal_sums(counts: np.ndarray, r: int, n: int, th: float) -> list[complex]:
-    """2^-r sum_w counts[p, w] exp(i th (n - 2 w)) for every row p: the
+def _primal_sums(counts: list[list[int]], r: int, n: int, th: float) -> list[complex]:
+    """2^-r sum_w counts[p][w] exp(i th (n - 2 w)) for every row p: the
     phase sum over C."""
     phases: dict[int, complex] = {}  # by weight, as they occur
     sums = []
-    for row in counts.tolist():
+    for row in counts:
         total = 0j
         for weight, count in enumerate(row):
             if count:
@@ -317,12 +388,12 @@ def _primal_sums(counts: np.ndarray, r: int, n: int, th: float) -> list[complex]
     return sums
 
 
-def _dual_sums(counts: np.ndarray, n: int, th: float) -> list[complex]:
-    """sum_w counts[p, w] cos(th)^(n - w) (i sin(th))^w for every row p:
-    the gate expansion."""
+def _dual_sums(counts: list[list[int]], n: int, th: float) -> list[complex]:
+    """sum_w counts[p][w] cos(th)^(n - w) (i sin(th))^w for every row p:
+    the gate expansion exp(i th X_a) = cos th + i sin th X_a."""
     c, s = math.cos(th), math.sin(th)
     sums = []
-    for row in counts.tolist():
+    for row in counts:
         parts = [0.0, 0.0, 0.0, 0.0]  # by the power i^w
         for weight, count in enumerate(row):
             if count:
@@ -331,88 +402,12 @@ def _dual_sums(counts: np.ndarray, n: int, th: float) -> list[complex]:
     return sums
 
 
-def _signed_counts(gens: list[int], shifts: list[int], n: int) -> np.ndarray:
-    """sum_c (-1)^(S0.c) [|c| = w] over C = span(gens) for each row set
-    S0 of shifts, as histogram(H) - histogram(h + H): h is the first
-    generator odd against S0, and H is spanned by the others, each odd
-    one plus h. Every S0 must be odd against some generator."""
-    bases, hs = [], []
-    for s0 in shifts:
-        odd = [(g & s0).bit_count() & 1 for g in gens]
-        h = gens[odd.index(1)]
-        bases += [g ^ h if o else g for g, o in zip(gens, odd) if g != h]
-        hs.append(h)
-    offsets = gf2._lanes([0] * len(hs) + hs, n)
-    words = gf2._lanes(bases, n).reshape(len(hs), len(gens) - 1, offsets.shape[1])
-    counts = _histograms(np.concatenate([words, words]), offsets, n)
-    return counts[: len(hs)] - counts[len(hs) :]
-
-
-def _enumerated_amplitudes(
-    P: BinaryMatrix, xs: Sequence[int], th: float, rank_limit: int
-) -> list[complex]:
-    """<x|U|0> at the angle th for every x of xs, by one enumeration of
-    cosets of C or of C-perp for the whole batch.
-
-    One tagged elimination of the rows a_i gives the rank r, a basis of
-    the circuit space C-perp = {d : sum d_i a_i = 0} (the tags left on
-    dependent rows) and, reducing each x against the pivots without
-    adding any, a row set S0 with sum_{S0} a_i = x, or the fact that x
-    is outside the row space, where the amplitude is exactly 0. With
-    exp(i th X_a) = cos th + i sin th X_a the amplitude sums
-    cos^(n-|d|) (i sin)^|d| over the coset S0 + C-perp, 2^(n-r) words. On
-    C it is 2^-r sum_c (-1)^(S0.c) exp(i th (n - 2|c|)). The sign is a
-    character of C, trivial at x = 0, where the sum is C's histogram.
-    Otherwise adding one odd generator h to the other odd ones leaves a
-    basis of its kernel H, so the sum is the histogram of H minus that of
-    the coset h + H, 2^r words in all. The smaller side is enumerated,
-    every point's cosets in the same numpy calls.
-
-    Raises:
-        RankTooLarge: if min(r, n - r) exceeds rank_limit while some x
-            is in the row space, before any enumeration.
-    """
-    n = P.n
-    pivots, circuits = gf2._tagged(P.bits)
-    r = len(pivots)
-    if any(xs):
-        shifts: list[int] = []
-        gf2._eliminate([x << n for x in xs], pivots, n, shifts, grow=False)
-        # the row sets S0 of the points in the row space; the others stop above the tags
-        inside = [s0 for s0 in shifts if not s0 >> n]
-    else:  # x = 0 is the sum of no rows
-        shifts = inside = [0] * len(xs)
-    if not inside:
-        return [0j] * len(xs)
-    _check_rank(r, n, rank_limit)
-    if n - r < r:  # one basis of C-perp, and each point's S0
-        words = gf2._lanes(inside + circuits, n)
-        counts = _histograms(words[None, len(inside) :], words[: len(inside)], n)
-        sums = _dual_sums(counts, n, th)
-    else:
-        columns = gf2.transpose(P).bits
-        # the columns at the pivot positions of the rows are a basis of C
-        gens = [columns[P.l - 1 - (top - n)] for top in pivots]
-        signed = [s0 for s0 in inside if s0]  # S0 = 0 exactly at x = 0
-        trivial = None
-        if len(signed) < len(inside):
-            (trivial,) = _primal_sums(_histogram(gens, n)[None], r, n, th)
-        found = iter(())
-        if signed:
-            found = iter(_primal_sums(_signed_counts(gens, signed, n), r, n, th))
-        sums = [next(found) if s0 else trivial for s0 in inside]
-    _check_alpha(sums)
-    if len(inside) == len(xs):
-        return sums
-    sums = iter(sums)
-    return [0j if s0 >> n else next(sums) for s0 in shifts]
-
-
 def _amplitudes(
     P: BinaryMatrix, xs: Sequence[int], theta: Angle, rank_limit: int
 ) -> tuple[list[complex], list[tuple | None]]:
     """<x|U|0> = 2^-r sum_{c = Py} (-1)^(x.y) exp(i theta (n - 2|c|)) for
-    every x of xs, from one elimination for the whole batch.
+    every x of xs, from one elimination for the whole batch, exactly 0
+    for x outside the row space.
 
     Returns the values and, per point, an exact form: at theta = t pi / 4
     with x in the row space it is (w, r, odd) with value =
@@ -420,29 +415,36 @@ def _amplitudes(
     the sum one signed Gauss sum of i^(-t|c|) (-1)^L(c) times
     e^(i pi t n / 4), of which w absorbs the power of i; the points share
     the generators and their Z4 form, and only L is their own. Other
-    angles enumerate the smaller of C and C-perp.
+    angles sum the counts of _coset_counts: on C, or by the gate
+    expansion on S0 + C-perp, whichever is smaller.
     """
+    n = P.n
     if not theta.is_fourth_root:
-        return _enumerated_amplitudes(P, xs, theta.value, rank_limit), [None] * len(xs)
-    gens, linears = clifford._reduced_generators(P, xs)
-    t, r = theta.fourth_root_index, len(gens)
-    sums = iter(clifford._signed_wenums(gens, -t, [L for L in linears if L is not None]))
-    odd = bool(t * P.n % 2)
-    values, exact = [], []
-    for linear in linears:
-        if linear is None:  # x is outside the row space
-            values.append(0j)
-            exact.append(None)
-            continue
-        w = next(sums).times_i_power(t * P.n // 2)
-        # int / int stays finite where 2^r overflows a float
-        value = complex(w.re / (1 << r), w.im / (1 << r))
-        if odd:  # times e^(i pi / 4) = (1 + i) / sqrt(2), exactly 0 where re = +-im
-            value = complex(value.real - value.imag, value.real + value.imag) * math.sqrt(0.5)
-        values.append(value)
-        exact.append((w, r, odd))
-    _check_alpha(values)
-    return values, exact
+        r, forms, dual, counts = _coset_counts(P, xs, rank_limit)
+        th = theta.value
+        values = _dual_sums(counts, n, th) if dual else _primal_sums(counts, r, n, th)
+        exact = [None] * len(values)
+    else:
+        r, gens, forms, _ = _front(P, xs, dual=False)
+        t = theta.fourth_root_index
+        odd = bool(t * n % 2)
+        values, exact = [], []
+        for w in clifford._signed_wenums(gens, -t, [L for L in forms if L is not None]):
+            w = w.times_i_power(t * n // 2)
+            # int / int stays finite where 2^r overflows a float
+            value = complex(w.re / (1 << r), w.im / (1 << r))
+            if odd:  # times e^(i pi / 4) = (1 + i) / sqrt(2), exactly 0 where re = +-im
+                value = complex(value.real - value.imag, value.real + value.imag) * math.sqrt(0.5)
+            values.append(value)
+            exact.append((w, r, odd))
+    for value in values:
+        if abs(value) > 1 + 1e-9:
+            raise NumericalInconsistency(f"|alpha| = {abs(value)} exceeds 1")
+    if len(values) == len(xs):
+        return values, exact
+    found = iter(zip(values, exact))
+    pairs = [(0j, None) if form is None else next(found) for form in forms]
+    return [pair[0] for pair in pairs], [pair[1] for pair in pairs]
 
 
 def _amplitude(P: BinaryMatrix, x: int, theta: Angle, rank_limit: int) -> tuple:

@@ -142,7 +142,7 @@ def tutte_subset_sum(
     if side[2]:  # M* can leave fewer classes only where M leaves some
         # M* is the row matroid of the matrix whose columns span the circuit space
         circuits = gf2._circuits(P.bits)
-        dual = _split([gf2._parities(t, circuits) for t in gf2._row_tags(P.n)])
+        dual = _split(gf2.transpose(BinaryMatrix(len(circuits), P.n, tuple(circuits))).bits)
         if len(dual[2]) < len(side[2]):
             side, at = dual, (y, x)
     value = _side_value(side, *at)

@@ -197,17 +197,6 @@ def beta(prog: XProgram, s: BitVector, *, rank_limit: int | None = None) -> floa
 _QUARTER_TURNS = np.array([1, -1j, -1, 1j], dtype=np.complex128)
 
 
-def _row_keys(row_bytes: np.ndarray, images: Sequence[int]) -> np.ndarray:
-    """The linear map with images[t] the image of row bit t, on every row:
-    one table of 256 values and one lookup per byte of the rows."""
-    keys = np.zeros(len(row_bytes), dtype=np.uint64)
-    for p in range(row_bytes.shape[1]):
-        part = images[8 * p : 8 * p + 8]
-        if any(part):
-            keys ^= codes._enumeration_table(part)[row_bytes[:, p]]
-    return keys
-
-
 class _CosetSweep:
     """The codewords c(b) = P (shift + sum_j b_j vectors[j]) of one
     program, vectors[0] by the low bit of b, weighed for any shift.
@@ -224,10 +213,14 @@ class _CosetSweep:
         self.n, self.m, self.l = P.n, len(vectors), P.l
         self.by_rows = (P.n + 63) // 64 > self.m
         if self.by_rows:
-            # the bytes of each row that hold bits, low byte first
-            self._bytes = gf2._lanes(P.bits, P.l).view(np.uint8)[:, : (P.l + 7) // 8]
+            self._rows = gf2._lanes(P.bits, P.l)
+            # the key map, images[t] the image of row bit t, on every row:
+            # one table of 256 values and one lookup per byte of the rows
             images = [sum((v >> t & 1) << j for j, v in enumerate(vectors)) for t in range(P.l)]
-            self._keys = _row_keys(self._bytes, images)
+            self._keys = np.zeros(P.n, dtype=np.uint64)
+            for p, octets in enumerate(self._rows.view(np.uint8)[:, : (P.l + 7) // 8].T):
+                if any(part := images[8 * p : 8 * p + 8]):
+                    self._keys ^= codes._enumeration_table(part)[octets]
         else:
             self._columns = gf2.transpose(P).bits
             words = [gf2._combine(self._columns, v) for v in vectors]
@@ -240,9 +233,9 @@ class _CosetSweep:
             blocks = [block[0] for block in codes._coset_weights(self._words, offset)]
             return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
         keys = self._keys
-        if shift:  # the sign a.shift as key bit m
-            signs = [(shift >> t & 1) << self.m for t in range(self.l)]
-            keys = keys | _row_keys(self._bytes, signs)
+        if shift:  # the sign a.shift, the parity of row & shift, as key bit m
+            folded = np.bitwise_xor.reduce(self._rows & gf2._lanes([shift], self.l), axis=1)
+            keys = keys | (np.bitwise_count(folded) & 1).astype(np.uint64) << np.uint64(self.m)
         size = 1 << self.m
         counts = np.bincount(keys.view(np.int64), minlength=2 * size)
         spectrum = counts[:size] - counts[size:]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from iqpsim import clifford, codes, gf2, oracle
+from iqpsim import clifford, codes, gf2, oracle, xprogram
 from iqpsim.codes import Angle, affinify, alpha, is_even_code, project, weight_enumerator
 from iqpsim.errors import (
     DimensionMismatch,
@@ -574,3 +574,107 @@ class TestBatchedAmplitudes:
             codes._amplitudes(m, outside + [0b10], theta, 4)
         with pytest.raises(RankTooLarge):
             codes._amplitudes(m, [0], theta, 4)
+
+
+def full_rank_matrix(rng: Random, n: int, l: int) -> BinaryMatrix:
+    while True:
+        m = random_matrix(rng, n, l)
+        if gf2.rank(m) == min(n, l):
+            return m
+
+
+def low_rank_matrix(rng: Random, n: int, l: int, r: int) -> BinaryMatrix:
+    gens = [rng.getrandbits(l) for _ in range(r)]
+    return BinaryMatrix(n, l, tuple(gf2._combine(gens, rng.getrandbits(r)) for _ in range(n)))
+
+
+def front_shapes() -> list[BinaryMatrix]:
+    """The shapes whose front is checked: 12 x 8, full-rank 30 x 30, a
+    tall 2000 x 12, n = 0, l = 0, all-zero rows, n = l at full rank, and
+    n = 2l - 1, 2l and 2l + 1 (l = 6), each at full and at low rank."""
+    rng = Random(93)
+    shapes = [
+        random_matrix(rng, 12, 8), full_rank_matrix(rng, 30, 30), random_matrix(rng, 2000, 12),
+        BinaryMatrix(0, 5, ()), BinaryMatrix.zeros(4, 0), BinaryMatrix.zeros(6, 5),
+        full_rank_matrix(rng, 8, 8),
+    ]
+    for n in (11, 12, 13):
+        shapes += [full_rank_matrix(rng, n, 6), low_rank_matrix(rng, n, 6, 3)]
+    return shapes
+
+
+FRONT_ANGLES = [Angle.radians(0.7), Angle.exact(1, 16), Angle.exact(1, 4)]
+
+
+class TestOneElimination:
+    """Every code query makes one tagged elimination: of the n rows when
+    n < 2l, the only shapes where C-perp can be the smaller side, else of
+    the l columns."""
+
+    @pytest.fixture
+    def eliminated(self, monkeypatch):
+        sizes = []
+        tagged = gf2._tagged
+
+        def counted(vectors):
+            sizes.append(len(vectors))
+            return tagged(vectors)
+
+        monkeypatch.setattr(gf2, "_tagged", counted)
+        return sizes
+
+    @pytest.mark.parametrize("m", front_shapes(), ids=lambda m: f"{m.n}x{m.l}")
+    def test_one_tagged_elimination_per_query(self, m, eliminated):
+        rng = Random(94)
+        side = m.n if m.n < 2 * m.l else m.l
+        points = [BitVector(m.l, rng.getrandbits(m.l)) for _ in range(5)]
+        queries = [lambda: weight_enumerator(m)]
+        for theta in FRONT_ANGLES:
+            prog = XProgram(m, theta)
+            queries += [
+                lambda theta=theta: alpha(m, theta),
+                lambda prog=prog: xprogram.amplitudes(prog, points),
+                lambda theta=theta: codes.alpha_exact_fourth_root(m, theta),
+            ]
+        for query in queries:
+            eliminated.clear()
+            if query() is None:  # no fourth-root form to evaluate
+                assert eliminated == []
+            else:
+                assert eliminated == [side]
+
+    def test_tall_programs_never_eliminate_their_rows(self, eliminated):
+        rng = Random(95)
+        for n, l in [(12, 6), (13, 6), (2000, 12), (64, 3), (4, 0)]:
+            m = random_matrix(rng, n, l)
+            weight_enumerator(m)
+            for theta in FRONT_ANGLES:
+                xprogram.amplitudes(XProgram(m, theta), [BitVector(l, x) for x in range(1 << l)])
+            assert eliminated and set(eliminated) == {l}
+            eliminated.clear()
+
+    @pytest.mark.parametrize("n", [11, 12, 13])
+    @pytest.mark.parametrize("rank", ["full", "low"])
+    def test_both_sides_at_the_shape_boundary(self, n, rank):
+        # l = 6: n = 11 < 2l eliminates the rows, and at full rank
+        # n - r = 5 < r = 6 takes C-perp; n = 12 and 13 eliminate the columns
+        rng = Random(96 + n)
+        for _ in range(6):
+            if rank == "full":
+                m = full_rank_matrix(rng, n, 6)
+            else:
+                m = low_rank_matrix(rng, n, 6, rng.randint(2, 4))
+            r = gf2.rank(m)
+            gens = clifford._reduced_generators(m)[0]
+            profile = weight_enumerator(m)
+            assert profile.rank == r
+            assert profile.weights == tuple(codes._histogram(gens, n).tolist())
+            xs = list(range(1 << 6))
+            for theta in FRONT_ANGLES:
+                state = oracle.statevector(XProgram(m, theta))
+                values = codes._amplitudes(m, xs, theta, codes.DEFAULT_RANK_LIMIT)[0]
+                for x, value in zip(xs, values):
+                    if gf2.rank(BinaryMatrix(n + 1, 6, m.bits + (x,))) > r:
+                        assert value == 0j and isinstance(value, complex)
+                    else:
+                        assert abs(value - state.amplitudes[x]) < 1e-12

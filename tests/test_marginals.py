@@ -466,9 +466,10 @@ class TestSweepKernel:
                 tracemalloc.stop()
             assert peak <= 4 << 20
 
-    @pytest.mark.parametrize("l", [5, 64, 70])
+    @pytest.mark.parametrize("l", [5, 64, 70, 130])
     def test_weights_agree_on_both_sides_of_the_row_choice(self, l):
-        # l = 64 and 70 read the rows through uint64 and through bytes
+        # l = 64, 70 and 130 read the rows through one, two and three
+        # uint64 lanes, whose signs against the shift fold into one parity
         rng = Random(160 + l)
         for m in range(5):
             for n in (64 * m, 64 * m + 1, 64 * m + 65):

@@ -35,7 +35,12 @@ circuits. Last come rows wider than one uint64 lane (l = 65 to 130):
 rank-16 programs of 200 and 400 rows (4 and 7 lanes of codewords), 4-bit
 `marginal` calls at 1/8, 1/4 and rad:0.7 with and without the sparse
 path's column bound, `sample` on 300 x 70 (the sweep reads the rows)
-and 100 x 70 (two lanes), and `reduce` on 200 x 70. Every generated matrix
+and 100 x 70 (two lanes), and `reduce` on 200 x 70. After them, on both
+sides of the shape rule that picks the rows or the columns to eliminate
+(n < 2l), programs of n = 2l - 1, 2l and 2l + 1 rows (l = 7 and 10) at
+full rank and at rank 3 get `wenum` and `alpha`, `amplitude`, `prob` and
+`beta` at rad:0.7, 1/16 and 1/4, and a rank-10 2000 x 12 program gets
+`wenum` and those point queries at rad:0.7 and 1/16. Every generated matrix
 file is canonical ("n l", then n rows of 0/1, each ended by a newline),
 which the reader takes in one vectorized pass. The line loop, which
 reads every other file and reports every parse error, is reached by one
@@ -339,6 +344,7 @@ def build_corpus(rng: Random, workdir: str) -> list[list[str]]:
     calls += rank_deficient_calls(put)
     calls += split_calls(put)
     calls += wide_row_calls(put)
+    calls += shape_boundary_calls(put)
     return calls
 
 
@@ -449,6 +455,49 @@ def wide_row_calls(put):
         calls.append(["sample", name, "--theta", "rad:0.7", "--mask", mask, "--samples", "8",
                       "--seed", str(rng.randint(0, 99))])
     calls.append(["reduce", reduced, "--theta", "1/4"])
+    return calls
+
+
+def shape_boundary_calls(put):
+    """Code queries on either side of the shape rule that picks which
+    elimination serves them: rows when n < 2l, else columns. For l = 7
+    and 10, programs of n = 2l - 1, 2l and 2l + 1 rows, of full rank
+    (an identity among shuffled random rows) and of rank 3, each get
+    `wenum`, then `alpha`, `amplitude`, `prob` and `beta` at rad:0.7, 1/16
+    and 1/4, the points drawn at random (outside the row space of the
+    low-rank ones, mostly) and from the row space. Last, a rank-10
+    2000 x 12 program gets `wenum`, `alpha` and the three point queries at
+    rad:0.7 and 1/16. It has its own seed, so no earlier line depends on
+    it."""
+    rng = Random(24)
+    calls = []
+
+    def point_calls(name: str, rows: list[int], l: int, thetas) -> list[list[str]]:
+        inside = format(_xor(r for r in rows if rng.getrandbits(1)), f"0{l}b")
+        out = []
+        for theta in thetas:
+            t = ["--theta", theta]
+            out.append(["alpha", name, *t])
+            for x in (bits(rng, l), inside):
+                out += [["amplitude", name, *t, "--x", x], ["prob", name, *t, "--x", x]]
+            out.append(["beta", name, *t, "--s", format(rng.randrange(1, 1 << l), f"0{l}b")])
+        return out
+
+    for l in (7, 10):
+        for n in (2 * l - 1, 2 * l, 2 * l + 1):
+            full = [1 << (l - 1 - i) for i in range(l)] + [rng.getrandbits(l) for _ in range(n - l)]
+            rng.shuffle(full)
+            gens = [rng.getrandbits(l) for _ in range(3)]
+            low = [_xor(g for g in gens if rng.getrandbits(1)) for _ in range(n)]
+            for kind, rows in (("full", full), ("low", low)):
+                name = put(f"edge{n}x{l}_{kind}.txt", n, l, rows)
+                calls.append(["wenum", name])
+                calls += point_calls(name, rows, l, ("rad:0.7", "1/16", "1/4"))
+    gens = [rng.getrandbits(12) for _ in range(10)]
+    rows = [_xor(g for g in gens if rng.getrandbits(1)) for _ in range(2000)]
+    name = put("tall2000x12_rank10.txt", 2000, 12, rows)
+    calls.append(["wenum", name])
+    calls += point_calls(name, rows, 12, ("rad:0.7", "1/16"))
     return calls
 
 
