@@ -318,8 +318,8 @@ def _cmd_tutte(args, prog: XProgram):
     if args.at is not None:
         x, y = args.at
         if isinstance(x, int) and isinstance(y, int):
-            # the recursion runs on the ints themselves: the value is exact
-            value = tutte.tutte_eval(prog.P, x, y)
+            # every evaluator runs on the ints themselves: the value is exact
+            value = tutte.tutte_at(prog.P, x, y)
             try:
                 str(value)  # the interpreter caps the length of integer text
             except ValueError as exc:
@@ -334,7 +334,7 @@ def _cmd_tutte(args, prog: XProgram):
         x, y = coords
         if not (math.isfinite(x) and math.isfinite(y)):
             raise InputError(f"--at needs finite values, got {x} {y}")
-        value = tutte.tutte_eval(prog.P, complex(x), complex(y))
+        value = tutte.tutte_at(prog.P, x, y)
         fields = {
             "x": fmt(x),
             "y": fmt(y),

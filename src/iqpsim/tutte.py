@@ -3,15 +3,21 @@
 Two independent evaluators. One deletion and contraction recursion over
 parallel classes, memoized on canonicalized minors, evaluates T at a
 point; the Greene identity turns its values into the alpha scalar. The
-whole polynomial comes from the corank-nullity sum instead: for the
-distinct rows that lie in circuits, 2^nullity(A) counts the words of the
-circuit space C-perp inside A, so one zeta (subset-sum) transform of
-C-perp's indicator gives every nullity (Bjorklund, Husfeldt, Kaski and
-Koivisto, FOCS 2008). Zero rows and coloop classes give closed-form
-factors, parallel classes enter as multiplicities, and the transform runs
-on M or its dual M*, whichever has fewer classes left. Evaluated once at
-large enough powers of two, the sum is an integer whose digits are the
-coefficients. A closed-form product covers star multigraphs.
+corank-nullity sum is the other: for the distinct rows that lie in
+circuits, 2^nullity(A) counts the words of the circuit space C-perp
+inside A, so one zeta (subset-sum) transform of C-perp's indicator gives
+every nullity (Bjorklund, Husfeldt, Kaski and Koivisto, FOCS 2008). Zero
+rows and coloop classes give closed-form factors, parallel classes enter
+as multiplicities, and the transform runs on M or its dual M*. Evaluated
+once at large enough powers of two, on the side with fewer classes, the
+sum is an integer whose digits are the coefficients.
+
+A point query (tutte_at) runs the corank-nullity sum at the point itself
+on a side of at most DEFAULT_ROW_LIMIT classes, or the code C spanned by
+the columns where that touches fewer words: at the integer points of
+Greene's hyperbola (x - 1)(y - 1) = 2 and at (-1, -1) (Rosenstiehl and
+Read). The recursion takes the rest. A closed-form product covers star
+multigraphs.
 """
 
 from __future__ import annotations
@@ -23,8 +29,8 @@ from typing import Sequence
 
 import numpy as np
 
-from . import codes, gf2
-from .errors import BudgetExceeded, NumericalInconsistency, TooManyRows
+from . import clifford, codes, gf2
+from .errors import BudgetExceeded, NumericalInconsistency, RankTooLarge, TooManyRows
 from .codes import Angle
 from .gf2 import BinaryMatrix
 
@@ -32,6 +38,7 @@ __all__ = [
     "TuttePolynomial",
     "tutte_subset_sum",
     "tutte_eval",
+    "tutte_at",
     "greene_alpha",
     "star_tutte",
     "DEFAULT_ROW_LIMIT",
@@ -40,6 +47,10 @@ __all__ = [
 
 DEFAULT_ROW_LIMIT = 20
 DEFAULT_MEMO_LIMIT = 500_000
+# tutte_at leaves a matrix of at most this many distinct nonzero rows to
+# deletion and contraction: its few memo entries cost less than the code's
+# enumeration or the transform's fixed numpy work
+_RECURSION_MAX_ROWS = 8
 # recursion depth the frame chain does not show: the calls a level makes
 # (split, canonical key, separator factor) and the C calls of the callers,
 # which the interpreter counts too
@@ -127,8 +138,8 @@ def tutte_subset_sum(
     degree is at most n. So at y = 2^(n+1) and x = y^(n+1) the value
     holds the coefficient of x^i y^j as digit i (n+1) + j in base 2^(n+1).
     The value comes from the corank-nullity histogram of M or of its dual
-    M*, whichever leaves fewer classes to transform (see _side_value);
-    T(M; x, y) = T(M*; y, x).
+    M*, whichever leaves fewer classes to transform (see _transform_side
+    and _side_value).
 
     Raises:
         TooManyRows: when the row count exceeds row_limit.
@@ -138,34 +149,103 @@ def tutte_subset_sum(
     shift = P.n + 1
     y = 1 << shift
     x = y << (shift * shift - shift)
-    side, at = _split(P.bits), (x, y)
-    if side[2]:  # M* can leave fewer classes only where M leaves some
-        # M* is the row matroid of the matrix whose columns span the circuit space
-        circuits = gf2._circuits(P.bits)
-        dual = _split(gf2.transpose(BinaryMatrix(len(circuits), P.n, tuple(circuits))).bits)
-        if len(dual[2]) < len(side[2]):
-            side, at = dual, (y, x)
+    side, at = _transform_side(P.bits, x, y, row_limit)
     value = _side_value(side, *at)
     mask = (1 << shift) - 1
     digits = {divmod(k, shift): (value >> (k * shift)) & mask for k in range(shift * shift)}
     return _check_nonnegative(TuttePolynomial(digits))
 
 
-def _split(rows: Sequence[int]) -> tuple[int, list[int], dict[int, int]]:
+def tutte_at(P: BinaryMatrix, x, y, *, memo_limit: int = DEFAULT_MEMO_LIMIT):
+    """T(M; x, y) from the cheapest of three evaluators that applies.
+
+    A matrix of at most _RECURSION_MAX_ROWS distinct nonzero rows goes to
+    tutte_eval's deletion and contraction. Otherwise _transform_side
+    picks M or M*, and two evaluators compete:
+
+    1. The class transform of _side_value at the point, over 2^classes
+       subsets, on a side that keeps at most DEFAULT_ROW_LIMIT classes.
+    2. At integer points the code C spanned by P's columns
+       (_easy_value): on Greene's hyperbola (x - 1)(y - 1) = 2 from its
+       2^min(r, n - r) words, at (-1, -1) from one elimination.
+
+    The code answers where it touches fewer words than the transform, or
+    where the transform cannot run; tutte_eval takes what neither does.
+    Integer points give exact integers, float points a float.
+
+    Raises:
+        BudgetExceeded: from tutte_eval, where it is the evaluator left.
+        NumericalInconsistency: when a float or complex value is not finite.
+    """
+    if len(set(P.bits) - {0}) > _RECURSION_MAX_ROWS:
+        side, at = _transform_side(P.bits, x, y, DEFAULT_ROW_LIMIT)
+        _, coloops, sizes, circuits = side
+        classes = len(sizes)
+        if classes and isinstance(x, int) and isinstance(y, int):
+            rank = len(coloops) + classes - len(circuits)  # r(M*) = n - r(M)
+            words = min(rank, P.n - rank) if (x - 1) * (y - 1) == 2 else 0
+            if words < classes or classes > DEFAULT_ROW_LIMIT:
+                value = _easy_value(P, x, y)
+                if value is not None:
+                    return value
+        if classes <= DEFAULT_ROW_LIMIT:
+            return _finite(_side_value(side, *at))
+    return tutte_eval(P, x, y, memo_limit=memo_limit)
+
+
+def _easy_value(P: BinaryMatrix, x: int, y: int) -> int | None:
+    """T at an integer point the code C answers, else None.
+
+    On (x - 1)(y - 1) = 2, Greene's identity W_C(y, 1) = (y - 1)^r T(x, y)
+    (Stud. Appl. Math. 1976) reads T off C's weight histogram; None where
+    that is past the enumeration budget. At (-1, -1),
+    T = (-1)^n (-2)^b, where b = r - rank(G), G the Gram matrix of a basis
+    of C, is the dimension of C intersect C-perp (Rosenstiehl and Read;
+    Jaeger, Vertigan and Welsh 1990).
+    """
+    if (x - 1) * (y - 1) == 2:
+        try:
+            profile = codes.weight_enumerator(P)
+        except RankTooLarge:
+            return None
+        words = 0  # sum_w A_w y^(n - w), by Horner
+        for count in profile.weights:
+            words = words * y + count
+        value, rest = divmod(words, (y - 1) ** profile.rank)
+        if rest:
+            raise NumericalInconsistency("Greene's identity left a remainder")
+        return value
+    if x == y == -1:
+        basis, _ = clifford._reduced_generators(P)
+        b = len(basis) - len(gf2._eliminate(clifford._gram(basis), {}))
+        return (-1) ** P.n * (-2) ** b
+    return None
+
+
+def _finite(value):
+    if isinstance(value, (float, complex)) and not cmath.isfinite(value):
+        raise NumericalInconsistency(f"Tutte value {value} is not finite")
+    return value
+
+
+def _split(rows: Sequence[int]) -> tuple[int, list[int], dict[int, int], list[int]]:
     """The zero-row count, the sizes of the classes of parallel coloops,
-    and the distinct rows that lie in some circuit, in the order they
-    first occur, each with its class size.
+    the distinct rows that lie in some circuit, in the order they first
+    occur, each with its class size, and a basis of their circuit space,
+    the first of them at the top bit.
 
     A coloop is a row in no circuit, and the circuit-space basis of the
-    distinct rows shows them all at once.
+    distinct rows shows them all at once. Their bits are zero in every
+    basis word, so dropping them leaves the same space on the rows kept.
     """
     sizes: dict[int, int] = {}
     for v in rows:
         sizes[v] = sizes.get(v, 0) + 1
     loops = sizes.pop(0, 0)
     distinct = list(sizes)
+    circuits = gf2._circuits(distinct)
     in_circuit = 0
-    for w in gf2._circuits(distinct):
+    for w in circuits:
         in_circuit |= w
     coloops = []
     tag = 1 << len(distinct)
@@ -173,7 +253,35 @@ def _split(rows: Sequence[int]) -> tuple[int, list[int], dict[int, int]]:
         tag >>= 1
         if not in_circuit & tag:
             coloops.append(sizes.pop(v))
-    return loops, coloops, sizes
+            if circuits:  # the bits above the coloop's move down onto it
+                circuits = [w >> 1 & -tag | w & tag - 1 for w in circuits]
+    return loops, coloops, sizes, circuits
+
+
+def _transform_side(rows: Sequence[int], x, y, limit: int) -> tuple[tuple, tuple]:
+    """The split for _side_value and the point to read it at: M's at
+    (x, y), or M*'s at (y, x) where M* keeps fewer classes;
+    T(M; x, y) = T(M*; y, x).
+
+    On M's kept rows M* has rank nu, their nullity in M, so at least nu
+    classes there. M* is built only where nu is below M's class count and
+    at most limit, the most classes the caller transforms.
+    """
+    side = _split(rows)
+    _, _, sizes, circuits = side
+    nullity = sum(sizes.values()) - len(sizes) + len(circuits)
+    if nullity < min(len(sizes), limit + 1):
+        dual = _dual_split(rows)
+        if len(dual[2]) < len(sizes):
+            return dual, (y, x)
+    return side, (x, y)
+
+
+def _dual_split(rows: Sequence[int]) -> tuple:
+    """_split of M*: the row matroid of the matrix whose columns span the
+    circuit space of the rows."""
+    circuits = gf2._circuits(rows)
+    return _split(gf2.transpose(BinaryMatrix(len(circuits), len(rows), tuple(circuits))).bits)
 
 
 def _series(first, y, k: int):
@@ -214,7 +322,17 @@ def _zeta(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _side_value(parts: tuple, x: int, y: int) -> int:
+def _powers(base, top: int, dtype) -> np.ndarray:
+    """base^0, ..., base^top by products, in an array of dtype: ints and
+    Fractions in an object array stay exact, and a float product past the
+    range is inf, where ** would raise."""
+    table = [base**0]
+    for _ in range(top):
+        table.append(table[-1] * base)
+    return np.array(table, dtype=dtype)
+
+
+def _side_value(parts: tuple, x, y):
     """T(x, y) of one side, split as _split returns it.
 
     Zero rows and coloop classes give _separators' factor. For the m
@@ -225,13 +343,16 @@ def _side_value(parts: tuple, x: int, y: int) -> int:
     touched class, so
     T = sum_S (x-1)^(r - |S| + nu(S)) (y-1)^nu(S) prod_(i in S) [k_i]_y,
     summed by a histogram over nu(S) and the touched classes of each size.
+    Each nonzero histogram entry picks its factors out of power tables of
+    (y - 1), (x - 1) and each [k]_y, all entries in one numpy pass. The
+    tables hold floats (or complex values) at a float point, else the
+    values themselves, so integer and Fraction points stay exact.
     """
-    loops, coloops, sizes = parts
+    loops, coloops, sizes, circuits = parts
     value = _separators(loops, coloops, x, y)
     m = len(sizes)
     if not m:
         return value
-    circuits = gf2._circuits(list(sizes))
     indicator = np.zeros(1 << m, dtype=np.uint32)
     indicator[codes._enumeration_table(circuits)] = 1
     # histogram key of S: its nullity, then how many classes of each size it
@@ -248,20 +369,22 @@ def _side_value(parts: tuple, x: int, y: int) -> int:
         np.add(key[: 1 << i], place[groups.index(k)], out=key[1 << i : 2 << i])
     key += np.bitwise_count(_zeta(indicator) - 1)
     histogram = np.bincount(key, minlength=place[-1])
-    rank = m - len(circuits)
-    repunits = [_series(y**0, y, k) for k in groups]
-    total = 0
-    for code, count in enumerate(histogram.tolist()):
-        if not count:
-            continue
-        rest, nu = divmod(code, m + 1)
-        term, touched = count * (y - 1) ** nu, 0
-        for repunit, classes in zip(repunits, counts):
-            rest, c = divmod(rest, classes + 1)
-            term *= repunit**c
-            touched += c
-        total += term * (x - 1) ** (rank - touched + nu)
-    return value * total
+    found = np.flatnonzero(histogram)
+    nullity = len(circuits)
+    rank = m - nullity
+    floats = isinstance(x, (float, complex)) or isinstance(y, (float, complex))
+    dtype = np.result_type(x, y) if floats else object
+    with np.errstate(over="ignore", invalid="ignore"):
+        rest, nu = np.divmod(found, m + 1)
+        terms = histogram[found] * _powers(y - 1, nullity, dtype)[nu]
+        exponent = rank + nu
+        for k, count in zip(groups, counts):
+            rest, c = np.divmod(rest, count + 1)
+            terms *= _powers(_series(y**0, y, k), count, dtype)[c]
+            exponent -= c
+        terms *= _powers(x - 1, rank, dtype)[exponent]
+        total = terms.sum()
+    return value * (total.item() if floats else total)
 
 
 def _canonical_key(sizes: dict[int, int]) -> tuple:
@@ -309,7 +432,7 @@ def tutte_eval(
     memo: dict[tuple, complex] = {}
 
     def evaluate(rows: list[int]):
-        loops, coloops, sizes = _split(rows)
+        loops, coloops, sizes, _ = _split(rows)
         factor = _separators(loops, coloops, x, y)
         if not sizes:
             return factor
@@ -333,10 +456,7 @@ def tutte_eval(
             f"deletion chain of {chain} levels exceeds the recursion headroom "
             f"of {headroom} levels"
         )
-    value = evaluate(list(P.bits))
-    if isinstance(value, (float, complex)) and not cmath.isfinite(value):
-        raise NumericalInconsistency(f"Tutte value {value} is not finite")
-    return value
+    return _finite(evaluate(list(P.bits)))
 
 
 def greene_alpha(

@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import json
 import math
+import warnings
 from random import Random
 
 import numpy as np
@@ -386,6 +387,50 @@ class TestTutteCommand:
         code, out, err = run_cli(capsys, "tutte", path, "--at", "1000", "1000")
         assert (code, out) == (3, "")
         assert json.loads(err)["error"] == "BudgetExceeded"
+
+    def test_long_circuit_at_points(self, capsys, tmp_path):
+        # 1199 unit rows and their sum: T = y + x + ... + x^1199, whose
+        # contraction path is deeper than the recursion limit allows
+        l = 1199
+        rows = ["0" * i + "1" + "0" * (l - 1 - i) for i in range(l)] + ["1" * l]
+        path = write_matrix(tmp_path, "circuit.txt", l + 1, l, rows)
+        code, out, _ = run_cli(capsys, "tutte", path, "--at", "2", "3")
+        assert code == 0
+        assert json.loads(out)["value"] == {"re": 2**1200 + 1, "im": 0}
+        code, out, _ = run_cli(capsys, "tutte", path, "--at", "0.5", "1.5")
+        assert code == 0
+        want = 1.5 + sum(2.0**-i for i in range(1, 1200))
+        assert abs(json.loads(out)["value"]["re"] - want) <= 1e-9
+
+    def test_easy_points_on_wide_programs(self, capsys, tmp_path):
+        # (2, 3) and (-1, -1) come from the code C, where deletion and
+        # contraction outgrew its memo; (2, 3) of M is (3, 2) of M*
+        rng = Random(74)
+        for n, l in [(30, 15), (40, 20)]:
+            m = BinaryMatrix(n, l, tuple(rng.getrandbits(l) for _ in range(n)))
+            path = write_matrix(tmp_path, "m.txt", n, l, m.to_strings())
+            code, out, _ = run_cli(capsys, "tutte", path, "--at", "2", "3")
+            assert code == 0
+            dual = gf2.kernel(gf2.transpose(m))
+            rows = [gf2._parities(1 << (n - 1 - i), [v.bits for v in dual]) for i in range(n)]
+            m_star = BinaryMatrix(n, len(dual), tuple(rows))
+            assert json.loads(out)["value"]["re"] == tutte.tutte_at(m_star, 3, 2)
+            code, out, _ = run_cli(capsys, "tutte", path, "--at", "-1", "-1")
+            assert code == 0
+            gram = gf2.rank(gf2.mat_mul(gf2.transpose(m), m))
+            b = gf2.rank(m) - gram  # dim of C & C-perp
+            assert json.loads(out)["value"]["re"] == (-1) ** n * (-2) ** b
+
+    def test_rosenstiehl_read_on_a_tall_program(self, capsys, tmp_path):
+        rng = Random(73)
+        rows = {format(rng.getrandbits(64) | 1 << 63, "064b") for _ in range(2000)}
+        m = BinaryMatrix.from_strings(sorted(rows))
+        path = write_matrix(tmp_path, "tall.txt", 2000, 64, sorted(rows))
+        code, out, _ = run_cli(capsys, "tutte", path, "--at", "-1", "-1")
+        assert code == 0
+        b = gf2.rank(m) - gf2.rank(gf2.mat_mul(gf2.transpose(m), m))
+        assert json.loads(out)["value"] == {"re": (-2) ** b, "im": 0}
+
 
 class TestAlphaCommand:
     def test_pex_at_pi(self, capsys, pex_file):
@@ -1112,6 +1157,20 @@ class TestErrorPaths:
             assert len(err.strip().splitlines()) == 1
             assert json.loads(err)["error"] == "NumericalInconsistency"
 
+    def test_power_table_overflow_exit_four(self, capsys, tmp_path):
+        # K5's cycle matroid at (1e160, 1e160): the inputs are finite and
+        # it has no separator, only the transform's table products
+        # overflow; no numpy warning reaches stderr
+        rows = [format(1 << a | 1 << b, "05b") for a in range(5) for b in range(a + 1, 5)]
+        path = write_matrix(tmp_path, "m.txt", 10, 5, rows)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "tutte", path, "--at", "1e160", "1e160")
+        assert caught == []
+        assert (code, out) == (4, "")
+        assert len(err.strip().splitlines()) == 1
+        assert json.loads(err)["error"] == "NumericalInconsistency"
+
     def test_non_finite_point_exit_two(self, capsys, tmp_path):
         path = write_matrix(tmp_path, "m.txt", 3, 2, ["10", "01", "11"])
         code, out, err = run_cli(capsys, "tutte", path, "--at", "nan", "1")
@@ -1199,7 +1258,7 @@ class TestErrorPaths:
         def boom(*args):
             raise error("synthetic failure")
 
-        monkeypatch.setattr(tutte, "tutte_eval", boom)
+        monkeypatch.setattr(tutte, "tutte_at", boom)
         path = write_matrix(tmp_path, "m.txt", 3, 2, ["10", "01", "11"])
         code, out, err = run_cli(capsys, "tutte", path, "--at", "2", "3")
         assert code == 4
@@ -1279,7 +1338,7 @@ def test_arithmetic_errors_exit_four(capsys, tmp_path, monkeypatch):
     def boom(*args):
         raise OverflowError("synthetic overflow")
 
-    monkeypatch.setattr(tutte, "tutte_eval", boom)
+    monkeypatch.setattr(tutte, "tutte_at", boom)
     path = write_matrix(tmp_path, "m.txt", 3, 2, ["10", "01", "11"])
     code, out, err = run_cli(capsys, "tutte", path, "--at", "2", "3")
     assert code == 4

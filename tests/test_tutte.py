@@ -3,6 +3,8 @@
 import cmath
 import inspect
 import sys
+import warnings
+from fractions import Fraction
 from itertools import combinations
 from random import Random
 
@@ -469,6 +471,210 @@ class TestSubsetTransform:
         # 20 rows in 4 columns: at most 15 distinct ones, as classes
         tutte_subset_sum(BinaryMatrix(20, 4, tuple(rng.getrandbits(4) for _ in range(20))))
         assert max(lengths) <= 1 << 15
+
+
+def _low_rank(rng: Random, n: int, l: int, r: int) -> BinaryMatrix:
+    gens = [rng.getrandbits(l) for _ in range(r)]
+    rows = []
+    for _ in range(n):
+        v = 0
+        for g in gens:
+            v ^= g * rng.getrandbits(1)
+        rows.append(v)
+    return BinaryMatrix(n, l, tuple(rows))
+
+
+def _repeated_rows(rng: Random, classes: int, l: int) -> BinaryMatrix:
+    # classes distinct rows, each repeated 1 to 4 times, with zero rows
+    distinct = rng.sample(range(1, 1 << l), classes)
+    rows = [v for v in distinct for _ in range(rng.randint(1, 4))] + [0] * rng.randint(0, 2)
+    rng.shuffle(rows)
+    return BinaryMatrix(len(rows), l, tuple(rows))
+
+
+def _point_programs(rng: Random, count: int) -> list[BinaryMatrix]:
+    # n <= 12 and l <= 7: dense, low-rank with zero rows, and split programs
+    programs = []
+    for i in range(count):
+        kind = i % 3
+        if kind == 0:
+            programs.append(random_matrix(rng, rng.randint(0, 12), rng.randint(1, 7)))
+        elif kind == 1:
+            n, l = rng.randint(1, 12), rng.randint(2, 7)
+            programs.append(_low_rank(rng, n, l, rng.randint(1, 4)))
+        else:
+            programs.append(_classes_program(rng))
+    return programs
+
+
+def _theta_graph(length: int) -> BinaryMatrix:
+    # three paths of length edges each between vertices 0 and 1: 3 * length
+    # distinct rows, whose dual keeps three classes, one per path
+    edges = []
+    vertex = 2
+    for _ in range(3):
+        previous = 0
+        for _ in range(length - 1):
+            edges.append((previous, vertex))
+            previous, vertex = vertex, vertex + 1
+        edges.append((previous, 1))
+    return _graph(edges, vertex)
+
+
+class TestTutteAt:
+    """tutte_at: the code at the easy points, else the class transform at
+    the point, else deletion and contraction."""
+
+    EASY = [(2, 3), (3, 2), (0, -1), (-1, 0), (-1, -1)]
+    INTEGER = EASY + [(1, 1), (2, 2), (0, 0), (1, -3), (-1, 2), (5, 7), (-3, 4)]
+    # the float points of the tests and the bench, and points far from 1
+    FLOAT = [(x, y) for x in (0.5, 1.0, 2.0, 3.0) for y in (0.5, 1.0, 1.5, 2.0)] + [
+        (0.3, -0.7), (2.0, 3.0), (3.0, 0.5), (50.0, -40.0), (-30.0, 0.5), (0.5, -20.0),
+    ]
+
+    def test_easy_points_equal_the_recursion(self):
+        rng = Random(53)
+        for m in _point_programs(rng, 210):
+            for x, y in self.EASY:
+                assert tutte._easy_value(m, x, y) == tutte_eval(m, x, y)
+            assert tutte._easy_value(m, 2, 2) is None
+
+    def test_transform_equals_the_recursion_at_integer_points(self):
+        rng = Random(54)
+        for m in _point_programs(rng, 210):
+            primal, dual = tutte._split(m.bits), tutte._dual_split(m.bits)
+            for x, y in self.INTEGER:
+                want = tutte_eval(m, x, y)
+                assert tutte._side_value(primal, x, y) == want
+                assert tutte._side_value(dual, y, x) == want
+                got = tutte.tutte_at(m, x, y)
+                assert got == want and isinstance(got, int)
+
+    def test_float_transform_within_the_exact_sum(self):
+        # the float sum against the same sum over Fractions, at up to 20 classes
+        rng = Random(55)
+        sides = [tutte._split(random_matrix(rng, n, l).bits) for n, l in ((9, 4), (14, 8), (20, 12))]
+        sides += [tutte._split(_repeated_rows(rng, k, l).bits) for k, l in ((5, 3), (11, 4), (17, 5))]
+        for n, r in ((60, 3), (100, 4), (20, 5)):
+            sides.append(tutte._split(_low_rank(rng, n, 8, r).bits))
+        for side in sides:
+            assert 3 <= len(side[2]) <= 20
+            for x, y in self.FLOAT:
+                exact = tutte._side_value(side, Fraction(x), Fraction(y))
+                got = tutte._side_value(side, x, y)
+                assert isinstance(got, float)
+                assert abs(got - exact) <= 1e-9 * max(1, abs(exact))
+
+    def test_exact_sum_is_the_polynomial(self):
+        rng = Random(56)
+        for m in [random_matrix(rng, 12, 7), _repeated_rows(rng, 6, 5), _circuit(9)]:
+            poly = tutte_subset_sum(m)
+            for x, y in [(0.5, 1.5), (50.0, -40.0), (0.3, -0.7)]:
+                fx, fy = Fraction(x), Fraction(y)
+                assert tutte._side_value(tutte._split(m.bits), fx, fy) == poly.evaluate(fx, fy)
+
+    def test_dispatch(self, monkeypatch):
+        calls = []
+        for name in ("tutte_eval", "_easy_value", "_side_value", "_dual_split"):
+            function = getattr(tutte, name)
+
+            def counted(*args, _name=name, _function=function, **kwargs):
+                calls.append(_name)
+                return _function(*args, **kwargs)
+
+            monkeypatch.setattr(tutte, name, counted)
+        rng = Random(57)
+        # at most 8 distinct nonzero rows: deletion and contraction alone
+        few = _low_rank(rng, 100, 6, 3)
+        assert len(set(few.bits) - {0}) <= tutte._RECURSION_MAX_ROWS
+        for x, y in [(2, 3), (0.5, 1.5)]:
+            calls.clear()
+            tutte.tutte_at(few, x, y)
+            assert calls == ["tutte_eval"]
+        # rank 8, nullity 6: M* may keep fewer of the 14 classes, and the
+        # code's 2^6 words are fewer than either side's subsets
+        dense = random_matrix(rng, 14, 8)
+        assert gf2.rank(dense) == 8 and len(tutte._split(dense.bits)[2]) == 14
+        calls.clear()
+        tutte.tutte_at(dense, 2, 3)
+        assert calls == ["_dual_split", "_easy_value"]
+        want = tutte_subset_sum(dense).evaluate(0.5, 1.5)
+        calls.clear()
+        assert tutte.tutte_at(dense, 0.5, 1.5) == pytest.approx(want, rel=1e-12)
+        assert calls == ["_dual_split", "_side_value"]
+        # the 20-element circuit is one parallel class in M*, which keeps none
+        circuit = _circuit(20)
+        calls.clear()
+        got = tutte.tutte_at(circuit, 0.5, 1.5)
+        assert calls == ["_dual_split", "_side_value"]
+        assert got == pytest.approx(1.5 + sum(0.5**i for i in range(1, 20)), rel=1e-12)
+        # 30 distinct rows of nullity 2: M* keeps three series classes
+        theta = _theta_graph(10)
+        calls.clear()
+        got = tutte.tutte_at(theta, 0.5, 1.5)
+        assert calls == ["_dual_split", "_side_value"]
+        assert got == pytest.approx(tutte_eval(theta, 0.5, 1.5), rel=1e-12)
+        # M and M* both keep more than 20 classes: M* is never built
+        wide = random_matrix(rng, 50, 20)
+        calls.clear()
+        with pytest.raises(BudgetExceeded):
+            tutte.tutte_at(wide, 0.5, 1.5, memo_limit=10)
+        assert calls == ["tutte_eval"]
+
+    def test_transform_where_the_code_is_dearer(self, monkeypatch):
+        # rank 46 and nullity 38, past the enumeration limit of 26, but M
+        # keeps 16 classes of 3 parallel rows beside 30 coloops and 6 loops
+        def never(*args, **kwargs):
+            raise AssertionError("the code was asked where the transform is cheaper")
+
+        monkeypatch.setattr(tutte, "_easy_value", never)
+        rng = Random(58)
+        units = [1 << i for i in range(46)]
+        rows = [v for v in units[:16] for _ in range(3)] + units[16:] + [0] * 6
+        rng.shuffle(rows)
+        m = BinaryMatrix(len(rows), 46, tuple(rows))
+        want = 3**6 * 2**30 * (2 + 3 + 9) ** 16  # y^6 x^30 (x + y + y^2)^16 at (2, 3)
+        assert tutte.tutte_at(m, 2, 3) == want
+        # 26 coloops and 26 loops: r = n - r = 26, within the enumeration
+        # limit, and no class is left to transform
+        rows = units[:26] + [0] * 26
+        rng.shuffle(rows)
+        m = BinaryMatrix(52, 26, tuple(rows))
+        assert tutte.tutte_at(m, 2, 3) == 2**26 * 3**26
+        assert tutte.tutte_at(m, -1, -1) == 1
+
+    def test_easy_point_past_the_budget_falls_through(self):
+        # 60 distinct rows of rank 30 and nullity 30: the code is past the
+        # enumeration limit and M* is never built, so the recursion is left
+        m = random_matrix(Random(59), 60, 30)
+        assert gf2.rank(m) == 30 and len(set(m.bits)) == 60
+        assert tutte._easy_value(m, 2, 3) is None
+        with pytest.raises(BudgetExceeded):
+            tutte.tutte_at(m, 2, 3, memo_limit=10)
+
+    def test_long_circuit(self):
+        # 1199 unit rows and their sum: T = y + x + ... + x^1199, whose
+        # contraction path passes the recursion limit; M* is one class
+        l = 1199
+        m = BinaryMatrix(l + 1, l, tuple(1 << i for i in range(l)) + ((1 << l) - 1,))
+        assert tutte.tutte_at(m, 2, 3) == 2**1200 + 1
+        assert tutte.tutte_at(m, -1, -1) == -2
+        want = 1.5 + sum(2.0**-i for i in range(1, 1200))
+        assert abs(tutte.tutte_at(m, 0.5, 1.5) - want) <= 1e-9
+
+    def test_non_finite_values_raise(self):
+        # K5's cycle matroid keeps its 10 classes on M and M* and has no
+        # separator: only products of the power tables overflow, and no
+        # warning escapes
+        m = _graph([(a, b) for a in range(5) for b in range(a + 1, 5)], 5)
+        assert tutte._transform_side(m.bits, 0, 1, tutte.DEFAULT_ROW_LIMIT)[1] == (0, 1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericalInconsistency):
+                tutte.tutte_at(m, 1e160, 1e160)
+            with pytest.raises(NumericalInconsistency):
+                tutte.tutte_at(m, 1e200, -1e200)
+        assert caught == []
 
 
 class TestStarTutte:

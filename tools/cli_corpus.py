@@ -40,7 +40,9 @@ sides of the shape rule that picks the rows or the columns to eliminate
 (n < 2l), programs of n = 2l - 1, 2l and 2l + 1 rows (l = 7 and 10) at
 full rank and at rank 3 get `wenum` and `alpha`, `amplitude`, `prob` and
 `beta` at rad:0.7, 1/16 and 1/4, and a rank-10 2000 x 12 program gets
-`wenum` and those point queries at rad:0.7 and 1/16. Every generated matrix
+`wenum` and those point queries at rad:0.7 and 1/16. Last of all,
+`tutte --at` on a dense 24 x 12 program at (2, 3), (-1, -1) and (0.5, 1.5),
+and on K5's cycle matroid at (1e160, 1e160). Every generated matrix
 file is canonical ("n l", then n rows of 0/1, each ended by a newline),
 which the reader takes in one vectorized pass. The line loop, which
 reads every other file and reports every parse error, is reached by one
@@ -345,6 +347,7 @@ def build_corpus(rng: Random, workdir: str) -> list[list[str]]:
     calls += split_calls(put)
     calls += wide_row_calls(put)
     calls += shape_boundary_calls(put)
+    calls += point_calls(put)
     return calls
 
 
@@ -499,6 +502,21 @@ def shape_boundary_calls(put):
     calls.append(["wenum", name])
     calls += point_calls(name, rows, 12, ("rad:0.7", "1/16"))
     return calls
+
+
+def point_calls(put):
+    """tutte --at on a dense 24 x 12 program, whose M and M* both keep
+    more than 20 classes: at (2, 3) and (-1, -1), which the code answers,
+    and at (0.5, 1.5), which takes deletion and contraction. Then K5's
+    cycle matroid at (1e160, 1e160): it has no separator and keeps its 10
+    classes on M and M*, so only products of the class transform's power
+    tables overflow: exit 4. It has its own seed, so no earlier line
+    depends on it."""
+    rng = Random(25)
+    name = put("dense24x12.txt", 24, 12, matrix_rows(rng, 24, 12, "dense"))
+    calls = [["tutte", name, "--at", x, y] for x, y in [("2", "3"), ("-1", "-1"), ("0.5", "1.5")]]
+    k5 = put("k5.txt", 10, 5, [1 << a | 1 << b for a in range(5) for b in range(a + 1, 5)])
+    return calls + [["tutte", k5, "--at", "1e160", "1e160"]]
 
 
 def run(main, argv: list[str], records: bool = False) -> str:
