@@ -53,6 +53,7 @@ from .xprogram import (
     XProgram,
     amplitude,
     beta,
+    betas,
     full_distribution,
     probability,
     reduce_rows,
@@ -84,6 +85,7 @@ __all__ = [
     "alpha_exact_fourth_root",
     "amplitude",
     "beta",
+    "betas",
     "clifford",
     "clifford_probability",
     "clifford_sample",

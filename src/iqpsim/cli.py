@@ -498,7 +498,7 @@ def _cmd_verify(args, prog: XProgram) -> None:
 
     errors = np.abs(np.array(xprogram.amplitudes(prog, outcomes)) - sv.amplitudes)
     check("amplitudes vs oracle", errors, 1e-9)
-    errors = (abs(xprogram.beta(prog, s) - b) for s, b in zip(outcomes, sv.betas().tolist()))
+    errors = np.abs(np.array(xprogram.betas(prog, outcomes)) - sv.betas())
     check("correlations vs oracle", errors, 1e-9)
 
     dist = xprogram.full_distribution(prog)

@@ -70,7 +70,9 @@ _DRAW_LIMIT = 1 << 20  # draws one sample command may ask for
 
 # The fixed work of one beta call (affinify, transpose, elimination) in
 # steps of the phase sweep: about 100 us against about 0.015 us per
-# outcome per transform level on one core.
+# outcome per transform level on one core. It still counts one unbatched
+# call: the batch shares only the enumerations' numpy calls, and a lower
+# count would move the choice between evaluators for some shapes.
 _BETA_CALL_WORK = 1 << 13
 # The most work one marginal may take, in the same steps. It admits 2^12
 # beta calls on a 60x40 program (about 1 s at pi/8) and refuses 2^13; the
@@ -173,24 +175,28 @@ def _span(basis: Sequence[int]) -> list[int]:
     return span
 
 
-def _range_transform(proj: Projector, beta_at) -> Distribution:
+def _dual_range(proj: Projector) -> list[BitVector]:
+    """Every vector s_v = sum_j v_j D_j of Rstar, indexed by v."""
+    return [BitVector(proj.l, s) for s in _span(proj._dual_basis)]
+
+
+def _range_transform(proj: Projector, betas: Sequence[float]) -> Distribution:
     """Assemble the marginal from one coefficient per dual-range vector.
 
-    beta_at(s) supplies the correlation for s in Rstar. The vector
-    s_v = sum_j v_j D_j pairs with the R basis to the coordinates v, so
-    the standard transform over v produces
-    P[x] = 2^-q sum_v (-1)^(x.v) beta(s_v).
+    betas[v] is the correlation for s_v of _dual_range. s_v pairs with
+    the R basis to the coordinates v, so the standard transform over v
+    produces P[x] = 2^-q sum_v (-1)^(x.v) beta(s_v).
     """
-    span = _span(proj._dual_basis)
-    values = np.array([beta_at(BitVector(proj.l, s)) for s in span], dtype=float)
+    values = np.array(betas, dtype=float)
     walsh_hadamard(values)
-    values /= len(span)
+    values /= len(values)
     return Distribution(proj.range_dim, values)
 
 
 def _beta_loop(prog: XProgram, proj: Projector) -> Distribution:
-    """One correlation coefficient per dual-range vector, then one transform."""
-    return _range_transform(proj, lambda s: xprogram.beta(prog, s))
+    """One correlation coefficient per dual-range vector, all from one
+    batch, then one transform."""
+    return _range_transform(proj, xprogram.betas(prog, _dual_range(proj)))
 
 
 def _push_forward(prog: XProgram, proj: Projector) -> Distribution:
@@ -382,13 +388,8 @@ def marginal_graphic(
             f"projector touches {proj.support_bits} bits, bound is 2"
         )
     phi = prog.theta.doubled().value
-
-    def beta_at(s: BitVector) -> float:
-        if s.is_zero():
-            return 1.0
-        return _graphic_beta(prog.P, s, phi)
-
-    return _range_transform(proj, beta_at)
+    betas = [1.0 if s.is_zero() else _graphic_beta(prog.P, s, phi) for s in _dual_range(proj)]
+    return _range_transform(proj, betas)
 
 
 class MarginalSampler:

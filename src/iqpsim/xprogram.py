@@ -42,6 +42,7 @@ __all__ = [
     "amplitude",
     "probability",
     "beta",
+    "betas",
     "full_distribution",
     "reduce_rows",
     "DEFAULT_DOMAIN_LIMIT",
@@ -174,23 +175,38 @@ def probability(prog: XProgram, x: BitVector, *, rank_limit: int | None = None) 
     return abs(amplitude(prog, x, rank_limit=rank_limit)) ** 2
 
 
-def beta(prog: XProgram, s: BitVector, *, rank_limit: int | None = None) -> float:
-    """Correlation coefficient of the parity X.s, equal to 2 P[X.s=0] - 1.
+def betas(
+    prog: XProgram, ss: Sequence[BitVector], *, rank_limit: int | None = None
+) -> list[float]:
+    """Correlation coefficients of the parities X.s for every s of ss,
+    each equal to 2 P[X.s=0] - 1.
 
-    Computed as alpha of the affinified matrix at the doubled angle, so
-    the enumeration budget bounds min(r, n - r) of that matrix; the
-    result is real because that code contains the all-ones word, pairing
-    codewords into conjugate contributions.
+    Each is alpha of the affinified matrix at the doubled angle, so the
+    enumeration budget bounds min(r, n - r) of that matrix, checked for
+    every s in order before any enumeration; the result is real because
+    that code contains the all-ones word, pairing codewords into
+    conjugate contributions. Every s keeps its own code and elimination;
+    away from multiples of pi/4 the enumerations of all of them share
+    their numpy calls.
     """
-    if s.n != prog.l:
-        raise DimensionMismatch(f"s has {s.n} bits, program has {prog.l}")
-    if s.is_zero():
-        return 1.0
+    for s in ss:
+        if s.n != prog.l:
+            raise DimensionMismatch(f"s has {s.n} bits, program has {prog.l}")
     limit = codes.DEFAULT_RANK_LIMIT if rank_limit is None else rank_limit
-    value = codes.alpha(codes.affinify(prog.P, s), prog.theta.doubled(), rank_limit=limit)
-    if abs(value.imag) > IMAG_TOLERANCE:
-        raise NumericalInconsistency(f"correlation has imaginary part {value.imag}")
-    return float(value.real)
+    matrices = (codes.affinify(prog.P, s) for s in ss if not s.is_zero())
+    found = iter(codes._alphas(matrices, prog.theta.doubled(), limit))
+    values = []
+    for s in ss:
+        value = 1.0 if s.is_zero() else next(found)
+        if abs(value.imag) > IMAG_TOLERANCE:
+            raise NumericalInconsistency(f"correlation has imaginary part {value.imag}")
+        values.append(float(value.real))
+    return values
+
+
+def beta(prog: XProgram, s: BitVector, *, rank_limit: int | None = None) -> float:
+    """Correlation coefficient of the parity X.s: betas for one s."""
+    return betas(prog, [s], rank_limit=rank_limit)[0]
 
 
 # i^-k for k mod 4: the unit phases of a fourth-root sweep, exactly

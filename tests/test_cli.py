@@ -824,7 +824,7 @@ class TestMarginalCommand:
         def refused(*args):
             raise AssertionError("coefficient computed")
 
-        monkeypatch.setattr(xprogram, "beta", refused)
+        monkeypatch.setattr(xprogram, "betas", refused)
         rng = Random(60)
         path = write_matrix(
             tmp_path, "m.txt", 60, 40, [format(rng.getrandbits(40), "040b") for _ in range(60)]
@@ -1008,12 +1008,13 @@ class TestVerifyCommand:
     def test_nan_error_fails_its_check(self, capsys, tmp_path, monkeypatch):
         # max(0.0, nan) is 0.0, so a plain fold would pass a NaN error
         path = write_matrix(tmp_path, "m.txt", 3, 3, ["110", "011", "101"])
-        exact = xprogram.beta
+        exact = xprogram.betas
 
-        def beta(prog, s, **kwargs):
-            return float("nan") if s.to_string() == "111" else exact(prog, s, **kwargs)
+        def betas(prog, ss, **kwargs):
+            values = exact(prog, ss, **kwargs)
+            return [float("nan") if s.to_string() == "111" else v for s, v in zip(ss, values)]
 
-        monkeypatch.setattr(xprogram, "beta", beta)
+        monkeypatch.setattr(xprogram, "betas", betas)
         code, out, err = run_cli(capsys, "verify", path, "--theta", "1/8")
         assert code == 4
         lines = out.splitlines()
@@ -1053,6 +1054,39 @@ class TestVerifyCommand:
             assert [size for size, _ in batches] == [1 << l]
             work = batches[0][1]
             assert work["_eliminate"] <= 2 and work["transpose"] <= 1
+
+    def test_correlation_check_shares_the_enumeration(self, capsys, tmp_path, monkeypatch):
+        # the 2^l coefficients are one batch: one _histograms call per
+        # distinct basis size min(r, n - r) of the affinified codes, not
+        # one per s
+        calls = []
+        histograms = codes._histograms
+        monkeypatch.setattr(codes, "_histograms", lambda *a: calls.append(1) or histograms(*a))
+        batches = []
+        batch = xprogram.betas
+
+        def betas(prog, ss, **kwargs):
+            before = len(calls)
+            out = batch(prog, ss, **kwargs)
+            batches.append((len(ss), len(calls) - before))
+            return out
+
+        monkeypatch.setattr(xprogram, "betas", betas)
+        rng = Random(94)
+        for n, l in [(12, 8), (10, 8)]:
+            rows = [format(rng.getrandbits(l), f"0{l}b") for _ in range(n)]
+            path = write_matrix(tmp_path, f"m{n}x{l}.txt", n, l, rows)
+            batches.clear()
+            code, out, _ = run_cli(capsys, "verify", path, "--theta", "rad:0.7")
+            assert code == 0 and out.strip().splitlines()[-1] == "all 7 checks passed"
+            m = BinaryMatrix.from_strings(rows)
+            sizes = set()
+            for ix in range(1, 1 << l):
+                odd = codes.affinify(m, BitVector(l, ix))
+                r = gf2.rank(odd)
+                sizes.add(min(r, odd.n - r))
+            assert [size for size, _ in batches] == [1 << l]
+            assert batches[0][1] <= len(sizes) < (1 << l) - 1
 
     def test_direct_count_is_independent_of_the_enumerator(self, capsys, pex_file, monkeypatch):
         # the direct count reads the rows itself: a wrong histogram fails

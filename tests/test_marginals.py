@@ -276,7 +276,7 @@ class TestMarginalDistribution:
         def refused(*args):
             raise AssertionError("coefficient computed")
 
-        monkeypatch.setattr(xprogram, "beta", refused)
+        monkeypatch.setattr(xprogram, "betas", refused)
         for q, work in ((13, 67928064), (16, 543424512)):
             with pytest.raises(BudgetExceeded, match=f"marginal work {work} exceeds"):
                 marginal_pi8(prog.P, mask_projector(40, q))

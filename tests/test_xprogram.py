@@ -10,9 +10,9 @@ from random import Random
 import numpy as np
 import pytest
 
-from iqpsim import clifford, gf2, oracle, xprogram
+from iqpsim import clifford, codes, gf2, oracle, xprogram
 from iqpsim.clifford import clifford_support
-from iqpsim.codes import Angle, alpha, project
+from iqpsim.codes import Angle, affinify, alpha, project
 from iqpsim.errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -355,6 +355,112 @@ class TestBeta:
     def test_dimension_mismatch(self, pex):
         with pytest.raises(DimensionMismatch):
             beta(XProgram(pex, Angle.exact(1, 8)), BitVector(5))
+
+
+# generic angles, and 1/8 and 1/4, whose doubled angles take the Gauss sum
+BETA_ANGLES = [
+    Angle.radians(0.7), Angle.radians(2.9), Angle.exact(1, 16), Angle.exact(3, 16),
+    Angle.exact(1, 8), Angle.exact(1, 4),
+]
+
+
+def rank_rows(rng: Random, n: int, l: int, rank: int) -> BinaryMatrix:
+    """n rows of width l, each a random sum of the same rank random rows."""
+    base = [rng.getrandbits(l) for _ in range(rank)]
+    return BinaryMatrix(n, l, tuple(gf2._combine(base, rng.getrandbits(rank)) for _ in range(n)))
+
+
+def per_s_betas(prog: XProgram, ss: list[BitVector]) -> list[float]:
+    """The coefficients one at a time, as alpha of each affinified matrix."""
+    return [alpha(affinify(prog.P, s), prog.theta.doubled()).real for s in ss]
+
+
+class TestBetas:
+    """betas: each s keeps its own code and elimination, and the
+    enumerations share their numpy calls."""
+
+    def test_equals_the_per_s_definition(self):
+        rng = Random(57)
+        sides, empty = set(), 0
+        for k in range(150):
+            l = rng.randint(1, 8)
+            kind = ("dense", "repeated", "low")[k % 3]
+            m = dependent_rows(rng, rng.randint(0, 16) if k % 10 else 0, l, kind)
+            prog = XProgram(m, BETA_ANGLES[k % len(BETA_ANGLES)])
+            ss = [BitVector(l, ix) for ix in range(1 << l)]
+            rng.shuffle(ss)
+            assert xprogram.betas(prog, ss) == per_s_betas(prog, ss)
+            for s in ss:
+                odd = affinify(m, s)
+                if not odd.n:
+                    empty += not s.is_zero()
+                    continue
+                r = gf2.rank(odd)
+                sides.add(odd.n - r < r)
+        assert sides == {True, False} and empty > 20
+
+    def test_codes_past_one_lane(self):
+        # l = 70: 140 dense rows keep n - r < r, 150 rank-8 rows put C in
+        # front, and both affinify to codes longer than 64
+        rng = Random(58)
+        for k, theta in enumerate(BETA_ANGLES):
+            m = random_matrix(rng, 140, 70) if k % 2 else rank_rows(rng, 150, 70, 8)
+            prog = XProgram(m, theta)
+            ss = [BitVector(70)] + [BitVector(70, rng.getrandbits(70)) for _ in range(40)]
+            assert xprogram.betas(prog, ss) == per_s_betas(prog, ss)
+            assert sum(affinify(m, s).n > 64 for s in ss) > 20
+
+    def test_chunks_of_many_codes(self, monkeypatch):
+        # 600 codes of about 150 rows pass _GROUP_ENTRIES histogram
+        # entries in all, so the counts come in more than one chunk
+        rng = Random(59)
+        m = rank_rows(rng, 300, 70, 8)
+        prog = XProgram(m, Angle.radians(0.9))
+        ss = [BitVector(70, rng.getrandbits(70)) for _ in range(600)]
+        want = per_s_betas(prog, ss)
+        chunks = []
+        exact = codes._chunk_counts
+
+        def counted(fronts):
+            chunks.append(len(fronts))
+            return exact(fronts)
+
+        monkeypatch.setattr(codes, "_chunk_counts", counted)
+        assert xprogram.betas(prog, ss) == want
+        assert len(chunks) > 1 and sum(chunks) == 600
+
+    def test_budget_before_any_enumeration(self, monkeypatch):
+        # several s pass the limit; the batch names the first of a per-s loop
+        rng = Random(60)
+        prog = XProgram(random_matrix(rng, 16, 10), Angle.radians(0.7))
+        ss = [BitVector(10, ix) for ix in range(1024)]
+        rng.shuffle(ss)
+        messages = []
+        for s in ss:
+            try:
+                beta(prog, s, rank_limit=3)
+            except RankTooLarge as err:
+                messages.append(str(err))
+        assert len(messages) > 1 and len(set(messages)) > 1
+        calls = []
+        exact = codes._histograms
+        monkeypatch.setattr(codes, "_histograms", lambda *a: calls.append(1) or exact(*a))
+        with pytest.raises(RankTooLarge) as caught:
+            xprogram.betas(prog, ss, rank_limit=3)
+        assert str(caught.value) == messages[0] and not calls
+
+    def test_beta_is_a_batch_of_one(self, monkeypatch, pex):
+        seen = []
+        exact = xprogram.betas
+        monkeypatch.setattr(xprogram, "betas", lambda prog, ss, **kw: seen.append(ss) or exact(prog, ss, **kw))
+        s = BitVector.from_string("0110")
+        assert beta(XProgram(pex, Angle.radians(0.7)), s) == exact(XProgram(pex, Angle.radians(0.7)), [s])[0]
+        assert seen == [[s]]
+
+    def test_dimension_mismatch_before_any_code(self, pex, monkeypatch):
+        monkeypatch.setattr(codes, "affinify", None)
+        with pytest.raises(DimensionMismatch):
+            xprogram.betas(XProgram(pex, Angle.exact(1, 8)), [BitVector(4, 3), BitVector(5)])
 
 
 class TestFullDistribution:

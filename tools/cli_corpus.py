@@ -42,7 +42,11 @@ full rank and at rank 3 get `wenum` and `alpha`, `amplitude`, `prob` and
 `beta` at rad:0.7, 1/16 and 1/4, and a rank-10 2000 x 12 program gets
 `wenum` and those point queries at rad:0.7 and 1/16. Last of all,
 `tutte --at` on a dense 24 x 12 program at (2, 3), (-1, -1) and (0.5, 1.5),
-and on K5's cycle matroid at (1e160, 1e160). Every generated matrix
+and on K5's cycle matroid at (1e160, 1e160), then batched correlations:
+`verify` at rad:0.7 and 1/16 on a 14 x 8 program of rank 5 with a zero
+column and a repeated row, a beta-loop `marginal` at rad:0.7 past l = 16
+(column-sparse 24 x 20, 6 bits), and one on a dense 140 x 30 program
+that exits 3 on the enumeration limit. Every generated matrix
 file is canonical ("n l", then n rows of 0/1, each ended by a newline),
 which the reader takes in one vectorized pass. The line loop, which
 reads every other file and reports every parse error, is reached by one
@@ -348,6 +352,7 @@ def build_corpus(rng: Random, workdir: str) -> list[list[str]]:
     calls += wide_row_calls(put)
     calls += shape_boundary_calls(put)
     calls += point_calls(put)
+    calls += beta_batch_calls(put)
     return calls
 
 
@@ -517,6 +522,30 @@ def point_calls(put):
     calls = [["tutte", name, "--at", x, y] for x, y in [("2", "3"), ("-1", "-1"), ("0.5", "1.5")]]
     k5 = put("k5.txt", 10, 5, [1 << a | 1 << b for a in range(5) for b in range(a + 1, 5)])
     return calls + [["tutte", k5, "--at", "1e160", "1e160"]]
+
+
+def beta_batch_calls(put):
+    """Calls whose correlation coefficients come in one batch: verify at
+    rad:0.7 and 1/16 on a 14 x 8 program of rank at most 5 with a zero
+    column and a repeated row, so some s are odd against no row (empty
+    codes) and the other codes fall on both sides of n - r < r; a 6-bit marginal at
+    rad:0.7 by the beta loop on a column-sparse 24 x 20 program, past the
+    full-distribution width of 16; and a 2-bit marginal at rad:0.7 on a
+    dense 140 x 30 program, whose affinified codes pass the enumeration
+    limit on both sides: exit 3. It has its own seed, so no earlier line
+    depends on it."""
+    rng = Random(26)
+    gens = [rng.getrandbits(8) & ~(1 << 5) for _ in range(5)]
+    rows = [_xor(g for g in gens if rng.getrandbits(1)) for _ in range(13)]
+    rows.insert(rng.randrange(14), rng.choice(rows))
+    name = put("zero_column14x8.txt", 14, 8, rows)
+    calls = [["verify", name, "--theta", theta] for theta in ("rad:0.7", "1/16")]
+    sparse = put("colsparse24x20.txt", 24, 20, matrix_rows(rng, 24, 20, "colsparse"))
+    mask = format(sum(1 << b for b in rng.sample(range(20), 6)), "020b")
+    calls.append(["marginal", sparse, "--theta", "rad:0.7", "--mask", mask])
+    dense = put("dense140x30.txt", 140, 30, matrix_rows(rng, 140, 30, "dense"))
+    calls.append(["marginal", dense, "--theta", "rad:0.7", "--mask", "11" + "0" * 28])
+    return calls
 
 
 def run(main, argv: list[str], records: bool = False) -> str:
