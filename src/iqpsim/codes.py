@@ -301,138 +301,63 @@ def _front(
     return r, [columns[P.l - 1 - (top - n)] for top in pivots], forms, False
 
 
-def _cosets(
-    basis: list[int], inside: list[int], dual: bool
-) -> list[tuple[list[list[int]], list[int]]]:
-    """The cosets whose histograms give _coset_counts' counts of one code
-    at the forms inside, as (bases, offsets) pairs: the cosets o + span(b)
-    for each offset o, b its own basis of bases or the one basis shared.
-
-    On C-perp each form is an offset S0 of the circuit basis. On C =
-    span(gens) the signed count sum_c (-1)^L(c) [|c| = w] of a nonzero
-    linear form L, bit i = L(gens[i]), is histogram(H) - histogram(h + H):
-    h is the first generator odd under L, and H is spanned by the others,
-    each odd one plus h, a basis of L's kernel. Every nonzero form takes
-    H in the first half of one pair and h + H in its second; the trivial
-    form, if any, takes C's own histogram, last.
-    """
-    if not inside or dual:
-        return [([basis], inside)] if inside else []
-    cosets = []
-    kernels, hs = [], []
-    for linear in inside:
-        if linear:
-            j = (linear & -linear).bit_length() - 1
-            h = basis[j]
-            kernels.append([g ^ h if linear >> i & 1 else g for i, g in enumerate(basis) if i != j])
-            hs.append(h)
-    if hs:
-        cosets.append((kernels + kernels, [0] * len(hs) + hs))
-    if len(hs) < len(inside):
-        cosets.append(([basis], [0]))
-    return cosets
+def _check_budget(n: int, r: int, rank_limit: int) -> None:
+    """Refuses a code whose smaller side, min(r, n - r), passes the budget."""
+    if min(r, n - r) > rank_limit:
+        raise RankTooLarge(
+            f"rank {r} and dual dimension {n - r} both exceed the enumeration limit {rank_limit}"
+        )
 
 
-def _coset_histograms(cosets: list[tuple[list[list[int]], list[int]]], n: int) -> list[np.ndarray]:
-    """The weight histograms (len(offsets), n + 1) in F2^n of every pair
-    of cosets as _cosets gives them, in one _histograms call per basis
-    size. A pair alone in its call keeps its bases as they are; pairs
-    that share a call give each offset its own copy of the basis. Each
-    basis must be independent."""
-    groups: dict[int, list[tuple[list[list[int]], list[int]]]] = {}
-    for bases, offsets in cosets:
-        groups.setdefault(len(bases[0]), []).append((bases, offsets))
-    found: dict[int, Iterator[np.ndarray]] = {}
-    for k, group in groups.items():
-        if len(group) > 1:
-            group = [(bases * len(offsets) if len(bases) == 1 else bases, offsets) for bases, offsets in group]
-        offsets = [o for _, offs in group for o in offs]
-        # the offsets, then every basis of the group, in one packing
-        words = gf2._lanes(offsets + [g for bases, _ in group for basis in bases for g in basis], n)
-        count = sum(len(bases) for bases, _ in group)
-        stacked = words[len(offsets) :].reshape(count, k, words.shape[1])
-        counts = _histograms(stacked, words[: len(offsets)], n)
-        parts, lo = [], 0
-        for _, offs in group:
-            parts.append(counts[lo : lo + len(offs)])
-            lo += len(offs)
-        found[k] = iter(parts)
-    return [next(found[len(bases[0])]) for bases, _ in cosets]
-
-
-def _chunk_counts(fronts: list[tuple]) -> list[tuple]:
-    """_coset_counts' entries for the fronts of one chunk: every coset of
-    every code in one _coset_histograms call, in lanes for the longest
-    code, each histogram cut to its own code's n + 1."""
-    cosets = [_cosets(basis, inside, dual) for _, _, basis, _, dual, inside in fronts]
-    width = max(front[0] for front in fronts)
-    found = iter(_coset_histograms([pair for code in cosets for pair in code], width))
-    entries = []
-    for (n, r, _, forms, dual, inside), code in zip(fronts, cosets):
-        hists = [next(found)[:, : n + 1] for _ in code]
-        if dual or not inside:
-            entries.append((n, r, forms, dual, hists[0].tolist() if hists else []))
-            continue
-        signed, trivial = iter(()), None
-        if any(inside):
-            pairs = hists[0]
-            signed = iter((pairs[: len(pairs) // 2] - pairs[len(pairs) // 2 :]).tolist())
-        if not all(inside):
-            trivial = hists[-1][0].tolist()
-        entries.append((n, r, forms, dual, [next(signed) if linear else trivial for linear in inside]))
-    return entries
+def _signed_counts(gens: list[int], linears: list[int], n: int) -> np.ndarray:
+    """sum_c (-1)^L(c) [|c| = w] over C = span(gens) for each nonzero
+    linear form L of linears, bit i = L(gens[i]), as histogram(H) -
+    histogram(h + H): h is the first generator odd under L, and H is
+    spanned by the others, each odd one plus h, a basis of L's kernel.
+    Every kernel and coset is counted in the same numpy calls."""
+    bases, hs = [], []
+    for linear in linears:
+        j = (linear & -linear).bit_length() - 1
+        h = gens[j]
+        bases += [g ^ h if linear >> i & 1 else g for i, g in enumerate(gens) if i != j]
+        hs.append(h)
+    offsets = gf2._lanes([0] * len(hs) + hs, n)
+    words = gf2._lanes(bases, n).reshape(len(hs), len(gens) - 1, offsets.shape[1])
+    counts = _histograms(np.concatenate([words, words]), offsets, n)
+    return counts[: len(hs)] - counts[len(hs) :]
 
 
 def _coset_counts(
-    Ps: Iterable[BinaryMatrix], xs: Sequence[int], rank_limit: int
-) -> Iterator[tuple[int, int, list[int | None], bool, list[list[int]]]]:
-    """For every matrix P of Ps in order, its n, _front's r, forms and
-    side at the points xs, and one histogram for each x in the row
-    space: the weights of the coset S0 + C-perp, 2^(n-r) words, or the
-    signed count sum_c (-1)^L(c) [|c| = w] over C, 2^r words. L is
-    trivial exactly at x = 0, where the count is C's histogram.
-
-    Every matrix is eliminated and checked against the budget first. The
-    counts then come a chunk of codes at a time, every x of every code in
-    a chunk counted in one numpy call per basis size. A chunk holds at
-    most _GROUP_ENTRIES histogram entries, n + 1 per x inside, or one
-    code, so one matrix is always one chunk, and the histograms held at
-    once stay bounded however many matrices come.
+    P: BinaryMatrix, xs: Sequence[int], rank_limit: int
+) -> tuple[int, list[int | None], bool, list[list[int]]]:
+    """_front's r, forms and side at the points xs, and one histogram for
+    each x in the row space: the weights of the coset S0 + C-perp,
+    2^(n-r) words, or the signed count sum_c (-1)^L(c) [|c| = w] over C,
+    2^r words. L is trivial exactly at x = 0, where the count is C's
+    histogram. On C-perp every S0 is an offset of the one circuit basis,
+    all of them in one _histograms call; on C the nonzero forms share
+    _signed_counts' calls, and C's own histogram, if some x needs it,
+    is one more.
 
     Raises:
-        RankTooLarge: for the first P whose min(r, n - r) exceeds
-            rank_limit while some x is in its row space, before any
-            enumeration.
+        RankTooLarge: if min(r, n - r) exceeds rank_limit while some x
+            is in the row space, before any enumeration.
     """
-    fronts = []
-    for P in Ps:
-        n = P.n
-        r, basis, forms, dual = _front(P, xs)
-        # no filtered copy when every x is inside, as at every alpha call
-        inside = forms if None not in forms else [form for form in forms if form is not None]
-        if inside and min(r, n - r) > rank_limit:
-            raise RankTooLarge(
-                f"rank {r} and dual dimension {n - r} both exceed the enumeration limit {rank_limit}"
-            )
-        fronts.append((n, r, basis, forms, dual, inside))
-    return _chunks(fronts)
-
-
-def _chunks(fronts: list[tuple]) -> Iterator[tuple]:
-    """_chunk_counts over the fronts, a chunk at a time as _coset_counts
-    cuts them."""
-    chunk: list[tuple] = []
-    entries = 0
-    for front in fronts:
-        n, *_, inside = front
-        size = len(inside) * (n + 1)
-        if chunk and entries + size > _GROUP_ENTRIES:
-            yield from _chunk_counts(chunk)
-            chunk, entries = [], 0
-        chunk.append(front)
-        entries += size
-    if chunk:
-        yield from _chunk_counts(chunk)
+    n = P.n
+    r, basis, forms, dual = _front(P, xs)
+    # no filtered copy when every x is inside, as at every alpha call
+    inside = forms if None not in forms else [form for form in forms if form is not None]
+    if not inside:
+        return r, forms, dual, []
+    _check_budget(n, r, rank_limit)
+    if dual:
+        words = gf2._lanes(inside + basis, n)
+        counts = _histograms(words[None, len(inside) :], words[: len(inside)], n)
+        return r, forms, dual, counts.tolist()
+    signed = [linear for linear in inside if linear]
+    found = iter(_signed_counts(basis, signed, n).tolist() if signed else ())
+    trivial = _histogram(basis, n).tolist() if len(signed) < len(inside) else None
+    return r, forms, dual, [next(found) if linear else trivial for linear in inside]
 
 
 def weight_enumerator(
@@ -449,7 +374,7 @@ def weight_enumerator(
         RankTooLarge: if min(r, n - r) exceeds rank_limit.
     """
     n = P.n
-    ((_, r, _, dual, (weights_out,)),) = _coset_counts([P], [0], rank_limit)
+    r, _, dual, (weights_out,) = _coset_counts(P, [0], rank_limit)
     weights_out = tuple(_macwilliams(weights_out, n, n - r) if dual else weights_out)
     if sum(weights_out) != 1 << r or weights_out[0] < 1 or min(weights_out) < 0:
         raise NumericalInconsistency("weight histogram failed its count check")
@@ -511,7 +436,7 @@ def _amplitudes(
     """
     n = P.n
     if not theta.is_fourth_root:
-        ((_, r, forms, dual, counts),) = _coset_counts([P], xs, rank_limit)
+        r, forms, dual, counts = _coset_counts(P, xs, rank_limit)
         th = theta.value
         values = _dual_sums(counts, n, th) if dual else _primal_sums(counts, r, n, th)
         exact = [None] * len(values)
@@ -537,15 +462,38 @@ def _amplitudes(
 
 
 def _alphas(Ps: Iterable[BinaryMatrix], theta: Angle, rank_limit: int) -> list[complex]:
-    """alpha of every matrix of Ps: one Gauss sum each at multiples of
-    pi/4, else each code's own sum of its x = 0 count, every count from
-    one _coset_counts call over them all."""
+    """alpha of every matrix of Ps, each == its own alpha call: one Gauss
+    sum each at multiples of pi/4. Other angles eliminate every code and
+    check its budget, in order, before any enumeration. The x = 0 counts
+    then share the numpy calls: the codes of one basis size are stacked
+    with zero offsets, in lanes for the longest of them, width, and at
+    most _GROUP_ENTRIES // (width + 1) codes go to one _histograms call,
+    so its histograms hold at most _GROUP_ENTRIES entries. Each histogram
+    is cut to its own code's n + 1 and summed on that code's side."""
     if theta.is_fourth_root:
         return [alpha(P, theta, rank_limit=rank_limit) for P in Ps]
+    fronts = []
+    for P in Ps:
+        r, basis, _, dual = _front(P, [0])
+        _check_budget(P.n, r, rank_limit)
+        fronts.append((P.n, r, basis, dual))
+    groups: dict[int, list[int]] = {}
+    for p, (_, _, basis, _) in enumerate(fronts):
+        groups.setdefault(len(basis), []).append(p)
     th = theta.value
-    values = []
-    for n, r, _, dual, counts in _coset_counts(Ps, [0], rank_limit):
-        values += _dual_sums(counts, n, th) if dual else _primal_sums(counts, r, n, th)
+    values = [0j] * len(fronts)
+    for k, members in groups.items():
+        width = max(fronts[p][0] for p in members)
+        take = max(1, _GROUP_ENTRIES // (width + 1))
+        for lo in range(0, len(members), take):
+            part = members[lo : lo + take]
+            offsets = gf2._lanes([0] * len(part), width)
+            bases = gf2._lanes([g for p in part for g in fronts[p][2]], width)
+            counts = _histograms(bases.reshape(len(part), k, offsets.shape[1]), offsets, width)
+            for p, row in zip(part, counts.tolist()):
+                n, r, _, dual = fronts[p]
+                row = [row[: n + 1]]
+                values[p] = (_dual_sums(row, n, th) if dual else _primal_sums(row, r, n, th))[0]
     _check_moduli(values)
     return values
 

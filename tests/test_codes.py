@@ -511,17 +511,18 @@ class TestBatchedAmplitudes:
                 assert abs(value - state.amplitudes[x]) < 1e-12
 
     def test_counts_over_many_matrices_match_one_at_a_time(self):
-        # codes of mixed lengths and sides share the numpy calls, with
-        # signed pairs, trivial forms and points outside the row spaces
+        # codes of mixed lengths and sides, n = 0 included, share the
+        # numpy calls of _alphas, each histogram cut to its own length
         rng = Random(89)
+        generic = [theta for theta in BATCH_ANGLES if not theta.is_fourth_root]
         for trial in range(40):
             l = rng.randint(1, 7)
             ms = [random_matrix(rng, rng.randint(0, 14), l) for _ in range(rng.randint(1, 6))]
-            if trial % 2:  # rank below l, so some points fall outside
+            if trial % 2:  # rank below l
                 ms = [BinaryMatrix(m.n, l, tuple(v & ~1 for v in m.bits)) for m in ms]
-            xs = [rng.getrandbits(l) for _ in range(rng.randint(1, 6))]
-            got = list(codes._coset_counts(ms, xs, codes.DEFAULT_RANK_LIMIT))
-            assert got == [c for m in ms for c in codes._coset_counts([m], xs, codes.DEFAULT_RANK_LIMIT)]
+            theta = generic[trial % len(generic)]
+            got = codes._alphas(ms, theta, codes.DEFAULT_RANK_LIMIT)
+            assert got == [codes.alpha(m, theta) for m in ms]
 
     def test_every_outcome_across_slices(self):
         # 2^11 points on C (r = 11 <= n - r): 4094 signed cosets of

@@ -411,24 +411,26 @@ class TestBetas:
             assert sum(affinify(m, s).n > 64 for s in ss) > 20
 
     def test_chunks_of_many_codes(self, monkeypatch):
-        # 600 codes of about 150 rows pass _GROUP_ENTRIES histogram
-        # entries in all, so the counts come in more than one chunk
+        # 600 codes of about 150 rows, nearly all of basis size 8, pass
+        # the codes one _histograms call may take, so that size takes
+        # more than one call
         rng = Random(59)
         m = rank_rows(rng, 300, 70, 8)
         prog = XProgram(m, Angle.radians(0.9))
         ss = [BitVector(70, rng.getrandbits(70)) for _ in range(600)]
         want = per_s_betas(prog, ss)
-        chunks = []
-        exact = codes._chunk_counts
+        calls = []
+        exact = codes._histograms
 
-        def counted(fronts):
-            chunks.append(len(fronts))
-            return exact(fronts)
+        def counted(bases, offsets, n):
+            calls.append((bases.shape[1], len(offsets), n))
+            return exact(bases, offsets, n)
 
-        monkeypatch.setattr(codes, "_chunk_counts", counted)
+        monkeypatch.setattr(codes, "_histograms", counted)
         assert xprogram.betas(prog, ss) == want
-        assert len(chunks) > 1 and sum(chunks) == 600
-
+        assert all(count <= max(1, codes._GROUP_ENTRIES // (n + 1)) for _, count, n in calls)
+        sizes = [k for k, _, _ in calls]
+        assert any(sizes.count(k) > 1 for k in sizes) and sum(count for _, count, _ in calls) == 600
     def test_budget_before_any_enumeration(self, monkeypatch):
         # several s pass the limit; the batch names the first of a per-s loop
         rng = Random(60)

@@ -45,8 +45,10 @@ full rank and at rank 3 get `wenum` and `alpha`, `amplitude`, `prob` and
 and on K5's cycle matroid at (1e160, 1e160), then batched correlations:
 `verify` at rad:0.7 and 1/16 on a 14 x 8 program of rank 5 with a zero
 column and a repeated row, a beta-loop `marginal` at rad:0.7 past l = 16
-(column-sparse 24 x 20, 6 bits), and one on a dense 140 x 30 program
-that exits 3 on the enumeration limit. Every generated matrix
+(column-sparse 24 x 20, 6 bits), one on a dense 140 x 30 program
+that exits 3 on the enumeration limit, and a 9-bit one on a rank-8
+300 x 20 program, whose 511 codes of about 150 rows pass what one numpy
+call of the batch takes. Every generated matrix
 file is canonical ("n l", then n rows of 0/1, each ended by a newline),
 which the reader takes in one vectorized pass. The line loop, which
 reads every other file and reports every parse error, is reached by one
@@ -532,8 +534,10 @@ def beta_batch_calls(put):
     rad:0.7 by the beta loop on a column-sparse 24 x 20 program, past the
     full-distribution width of 16; and a 2-bit marginal at rad:0.7 on a
     dense 140 x 30 program, whose affinified codes pass the enumeration
-    limit on both sides: exit 3. It has its own seed, so no earlier line
-    depends on it."""
+    limit on both sides: exit 3. Last, a 9-bit marginal at rad:0.7 on a
+    rank-8 300 x 20 program: 511 affinified codes of about 150 rows, more
+    than one numpy call of the batch takes. It has its own seed, so no
+    earlier line depends on it."""
     rng = Random(26)
     gens = [rng.getrandbits(8) & ~(1 << 5) for _ in range(5)]
     rows = [_xor(g for g in gens if rng.getrandbits(1)) for _ in range(13)]
@@ -545,6 +549,11 @@ def beta_batch_calls(put):
     calls.append(["marginal", sparse, "--theta", "rad:0.7", "--mask", mask])
     dense = put("dense140x30.txt", 140, 30, matrix_rows(rng, 140, 30, "dense"))
     calls.append(["marginal", dense, "--theta", "rad:0.7", "--mask", "11" + "0" * 28])
+    gens = [rng.getrandbits(20) for _ in range(8)]
+    rows = [_xor(g for g in gens if rng.getrandbits(1)) for _ in range(300)]
+    tall = put("rank8_300x20.txt", 300, 20, rows)
+    mask = format(sum(1 << b for b in rng.sample(range(20), 9)), "020b")
+    calls.append(["marginal", tall, "--theta", "rad:0.7", "--mask", mask])
     return calls
 
 
