@@ -7,7 +7,10 @@ Q(c) = |c| mod 4 over the whole code, whose polar form is twice the
 plain GF(2) inner product b(c, c') = |c & c'| mod 2. A sign (-1)^L(c)
 with L linear adds 2L to Q and keeps its polar form, so the signed sums
 that give amplitudes <x|U|0> cost the same, and a batch of them shares
-one form and differs only in L. Odd vectors split off one
+one form and differs only in L. Masking the generators by a word m
+punctures the code to supp(m), and the masked Gram matrix is linear in
+m, so a batch of masks, as the correlations at pi/8 take them, builds
+it once per basis vector of span(masks). Odd vectors split off one
 factor 1 + i or 1 - i each, and the sum over the even rest is read off
 its hyperbolic planes and its value on the radical. Total cost is
 polynomial in the matrix size.
@@ -85,12 +88,16 @@ def _reduced_generators(
 
 def _gram(vectors: list[int]) -> list[int]:
     """Pairwise inner products: bit j of entry i is |v_i & v_j| mod 2."""
-    gram = [0] * len(vectors)
+    r = len(vectors)
+    gram = [0] * r
     for i, v in enumerate(vectors):
-        for j in range(i, len(vectors)):
+        row = gram[i] | (v.bit_count() & 1) << i
+        bit = 1 << i
+        for j in range(i + 1, r):
             if (v & vectors[j]).bit_count() & 1:
-                gram[i] |= 1 << j
-                gram[j] |= 1 << i
+                row |= 1 << j
+                gram[j] |= bit
+        gram[i] = row
     return gram
 
 
@@ -102,17 +109,30 @@ def _indices(mask: int):
         mask ^= low
 
 
-def _gauss_form(vectors: list[int]) -> tuple[list[int], int, int]:
-    """The Z4-valued form Q(c) = |c| mod 4 on the span of independent
-    vectors: the Gram matrix of its polar form b(c, c') = |c & c'| mod 2,
-    and the two bits of each Q(v_i), as masks over i.
-    """
+def _xor_rows(gram: list[int], rows: int, value: int) -> None:
+    """gram[k] ^= value for every set bit k of rows, in place."""
+    while rows:
+        low = rows & -rows
+        gram[low.bit_length() - 1] ^= value
+        rows ^= low
+
+
+def _weight_bits(vectors: list[int]) -> tuple[int, int]:
+    """The two bits of each |v_i| mod 4, as masks over i."""
     odd = high = 0
     for i, v in enumerate(vectors):
         w = v.bit_count()
         odd |= (w & 1) << i
         high |= (w >> 1 & 1) << i
-    return _gram(vectors), odd, high
+    return odd, high
+
+
+def _gauss_form(vectors: list[int]) -> tuple[list[int], int, int]:
+    """The Z4-valued form Q(c) = |c| mod 4 on the span of independent
+    vectors: the Gram matrix of its polar form b(c, c') = |c & c'| mod 2,
+    and the two bits of each Q(v_i), as masks over i.
+    """
+    return _gram(vectors), *_weight_bits(vectors)
 
 
 def _form_sum(form: tuple[list[int], int, int], linear: int = 0) -> GaussianInteger:
@@ -144,8 +164,7 @@ def _form_sum(form: tuple[list[int], int, int], linear: int = 0) -> GaussianInte
         else:  # Q(v_k) gains 3
             high ^= a & ~odd
         odd ^= a
-        for k in _indices(a):
-            gram[k] ^= a
+        _xor_rows(gram, a, a)
     for i in _indices(active):
         row = gram[i] & active
         if not active >> i & 1 or not row:
@@ -160,10 +179,8 @@ def _form_sum(form: tuple[list[int], int, int], linear: int = 0) -> GaussianInte
         # v_k += a_k v_j + bb_k v_i restores orthogonality to the pair;
         # track Q and the Gram matrix symbolically instead of touching vectors
         high ^= (a if qj else 0) ^ (bb if qi else 0) ^ (a & bb)
-        for k in _indices(a):
-            gram[k] ^= bb
-        for k in _indices(bb):
-            gram[k] ^= a
+        _xor_rows(gram, a, bb)
+        _xor_rows(gram, bb, a)
     # the polar form vanishes on what is left, so Q / 2 is linear there
     if high & active:
         return GaussianInteger(0, 0)
@@ -186,6 +203,40 @@ def _signed_wenums(
     form = _gauss_form(generators)
     values = [_form_sum(form, linear) for linear in linears]
     return values if k == 1 else [value.conjugate() for value in values]
+
+
+def _masked_wenums(generators: list[int], k: int, masks: Sequence[int]) -> list[GaussianInteger]:
+    """sum_u i^(k|c_u|) over the 2^r combinations c_u = sum_i u_i (g_i & m)
+    of the r generators masked by m, for every m of masks.
+
+    The masked generators may be dependent: each word of their span then
+    counts 2^(r - rank) times, and _form_sum's radical takes the excess.
+    Only the weights |g_i & m| mod 4 are counted for each m. The Gram
+    matrix, GF(2)-linear in m, is built once for each new basis vector of
+    span(masks), as the masks are reduced in turn, and xored along.
+    """
+    r = len(generators)
+    k %= 4
+    if not k & 1:
+        return [_signed_wenums([g & m for g in generators], k, [0])[0] for m in masks]
+    rows = (1 << r) - 1
+    # by leading bit: a basis mask, and the Gram matrix under it with row i at bit i r
+    pivots: dict[int, tuple[int, int]] = {}
+    values = []
+    for m in masks:
+        w, packed = m, 0
+        while w:
+            top = w.bit_length() - 1
+            if top not in pivots:
+                gram = _gram([g & w for g in generators])
+                pivots[top] = (w, sum(row << (i * r) for i, row in enumerate(gram)))
+            basis, part = pivots[top]
+            w ^= basis
+            packed ^= part
+        gram = [packed >> (i * r) & rows for i in range(r)]
+        value = _form_sum((gram, *_weight_bits([g & m for g in generators])))
+        values.append(value if k == 1 else value.conjugate())
+    return values
 
 
 def wenum_from_generators(generators: list[int], k: int, linear: int = 0) -> GaussianInteger:

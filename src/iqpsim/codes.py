@@ -418,6 +418,21 @@ def _check_moduli(values: list[complex]) -> None:
             raise NumericalInconsistency(f"|alpha| = {abs(value)} exceeds 1")
 
 
+def _quarter_value(
+    w: clifford.GaussianInteger, r: int, t: int, n: int
+) -> tuple[complex, tuple[clifford.GaussianInteger, int, bool]]:
+    """e^(i pi t n / 4) w / 2^r as a complex float, and its exact form
+    (w', r, odd), value = e^(i pi odd / 4) w' / 2^r: the power of i in
+    the phase goes into w'."""
+    w = w.times_i_power(t * n // 2)
+    # int / int stays finite where 2^r overflows a float
+    value = complex(w.re / (1 << r), w.im / (1 << r))
+    odd = bool(t * n % 2)
+    if odd:  # times e^(i pi / 4) = (1 + i) / sqrt(2), exactly 0 where re = +-im
+        value = complex(value.real - value.imag, value.real + value.imag) * math.sqrt(0.5)
+    return value, (w, r, odd)
+
+
 def _amplitudes(
     P: BinaryMatrix, xs: Sequence[int], theta: Angle, rank_limit: int
 ) -> tuple[list[complex], list[tuple | None]]:
@@ -443,16 +458,11 @@ def _amplitudes(
     else:
         r, gens, forms, _ = _front(P, xs, dual=False)
         t = theta.fourth_root_index
-        odd = bool(t * n % 2)
         values, exact = [], []
         for w in clifford._signed_wenums(gens, -t, [L for L in forms if L is not None]):
-            w = w.times_i_power(t * n // 2)
-            # int / int stays finite where 2^r overflows a float
-            value = complex(w.re / (1 << r), w.im / (1 << r))
-            if odd:  # times e^(i pi / 4) = (1 + i) / sqrt(2), exactly 0 where re = +-im
-                value = complex(value.real - value.imag, value.real + value.imag) * math.sqrt(0.5)
+            value, form = _quarter_value(w, r, t, n)
             values.append(value)
-            exact.append((w, r, odd))
+            exact.append(form)
     _check_moduli(values)
     if len(values) == len(xs):
         return values, exact
@@ -462,16 +472,15 @@ def _amplitudes(
 
 
 def _alphas(Ps: Iterable[BinaryMatrix], theta: Angle, rank_limit: int) -> list[complex]:
-    """alpha of every matrix of Ps, each == its own alpha call: one Gauss
-    sum each at multiples of pi/4. Other angles eliminate every code and
-    check its budget, in order, before any enumeration. The x = 0 counts
-    then share the numpy calls: the codes of one basis size are stacked
-    with zero offsets, in lanes for the longest of them, width, and at
-    most _GROUP_ENTRIES // (width + 1) codes go to one _histograms call,
-    so its histograms hold at most _GROUP_ENTRIES entries. Each histogram
-    is cut to its own code's n + 1 and summed on that code's side."""
-    if theta.is_fourth_root:
-        return [alpha(P, theta, rank_limit=rank_limit) for P in Ps]
+    """alpha of every matrix of Ps at an angle off the multiples of pi/4,
+    each == its own alpha call (_punctured_alphas serves the correlations
+    at multiples of pi/4). Every code is eliminated and its budget
+    checked, in order, before any enumeration. The x = 0 counts then
+    share the numpy calls: the codes of one basis size are stacked with
+    zero offsets, in lanes for the longest of them, width, and at most
+    _GROUP_ENTRIES // (width + 1) codes go to one _histograms call, so
+    its histograms hold at most _GROUP_ENTRIES entries. Each histogram is
+    cut to its own code's n + 1 and summed on that code's side."""
     fronts = []
     for P in Ps:
         r, basis, _, dual = _front(P, [0])
@@ -494,6 +503,28 @@ def _alphas(Ps: Iterable[BinaryMatrix], theta: Angle, rank_limit: int) -> list[c
                 n, r, _, dual = fronts[p]
                 row = [row[: n + 1]]
                 values[p] = (_dual_sums(row, n, th) if dual else _primal_sums(row, r, n, th))[0]
+    _check_moduli(values)
+    return values
+
+
+def _punctured_alphas(P: BinaryMatrix, ss: Sequence[int], theta: Angle) -> list[complex]:
+    """alpha(affinify(P, s), theta) at theta = t pi / 4 for every packed s
+    of ss, each == that call, from one elimination of P for all of them.
+
+    The rows odd against s are the support of the codeword c = Ps, so the
+    affinified code is C punctured to supp(c), spanned by C's generators
+    g_i masked by c. Q_s(u) = |sum_i u_i (g_i & c)| mod 4 is a Z4 form on
+    F2^r, and over all 2^r points u each of the affinified code's 2^r'
+    words counts 2^(r - r') times: 2^-r times the sum of i^(-t Q_s) is
+    that code's own 2^-r' sum, the same dyadic, and the phase
+    e^(i pi t |c| / 4) is alpha's at length |c|.
+    """
+    t = theta.fourth_root_index
+    columns = gf2.transpose(P).bits
+    gens = list(gf2._eliminate(columns, {}).values())
+    words = [gf2._combine(columns, s) for s in ss]
+    sums = clifford._masked_wenums(gens, -t, words)
+    values = [_quarter_value(w, len(gens), t, c.bit_count())[0] for w, c in zip(sums, words)]
     _check_moduli(values)
     return values
 

@@ -403,15 +403,17 @@ def transpose(M: BinaryMatrix) -> BinaryMatrix:
     """Transpose; the rows of the result are the columns of M."""
     n, l = M.n, M.l
     if n * l >= 256:
-        # unpack the bytes that hold bits into a bit matrix, [i, t] packed
-        # bit t of row i, and pack its transpose: column j is packed bit
-        # l - 1 - j, and row i goes to bit n - 1 - i of it
+        # unpack the bytes that hold bits, byte p of every row side by side,
+        # into a bit matrix with [t, i] packed bit t of row i, each t one
+        # contiguous row; column j is packed bit l - 1 - j, and its row
+        # packs big-endian, row i at bit n - 1 - i once the padding is cut
         octets = _lanes(M.bits, l).view(np.uint8)[:, : (l + 7) // 8]
-        bits = np.unpackbits(octets, axis=1, bitorder="little")
-        packed = np.packbits(bits[::-1, l - 1 :: -1].T, axis=1, bitorder="little").tobytes()
+        bits = np.unpackbits(np.ascontiguousarray(octets.T), axis=0, bitorder="little")
+        packed = np.packbits(bits[l - 1 :: -1], axis=1).tobytes()
         stride = (n + 7) // 8
+        pad = 8 * stride - n
         cols = tuple(
-            int.from_bytes(packed[j * stride : (j + 1) * stride], "little") for j in range(l)
+            int.from_bytes(packed[j * stride : (j + 1) * stride], "big") >> pad for j in range(l)
         )
         return BinaryMatrix(l, n, cols)
     cols = [0] * l

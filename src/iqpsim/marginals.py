@@ -68,16 +68,18 @@ PI8_RANGE_LIMIT = 24
 _CACHE_FLOATS = 1 << 20  # CDF entries a sampler keeps over all its shifts
 _DRAW_LIMIT = 1 << 20  # draws one sample command may ask for
 
-# The fixed work of one beta call (affinify, transpose, elimination) in
-# steps of the phase sweep: about 100 us against about 0.015 us per
-# outcome per transform level on one core. It still counts one unbatched
-# call: the batch shares only the enumerations' numpy calls, and a lower
-# count would move the choice between evaluators for some shapes.
+# The fixed work of one beta call in steps of the phase sweep, about
+# 0.015 us per outcome per transform level on one core. Off the multiples
+# of pi/8 a coefficient has its own affinify and elimination, about
+# 100 us; at multiples of pi/8 the batch eliminates P once and each
+# coefficient is one Gauss sum, about 11 ns a counted step on 60x40 and
+# 23 ns on 2000x64. A count near that would move the choice between
+# evaluators for some shapes, the 500x14 pi/8 marginal among them.
 _BETA_CALL_WORK = 1 << 13
 # The most work one marginal may take, in the same steps. It admits 2^12
-# beta calls on a 60x40 program (about 1 s at pi/8) and refuses 2^13; the
+# beta calls on a 60x40 program (about 0.4 s at pi/8) and refuses 2^13; the
 # largest marginal of the tests, the command-line corpus and the benchmark
-# (2000x64 with q = 8 at pi/8, about 0.7 s) counts 2625536.
+# (2000x64 with q = 8 at pi/8, about 0.06 s) counts 2625536.
 _MARGINAL_WORK_LIMIT = 1 << 26
 
 
@@ -307,8 +309,9 @@ def marginal_pi8(
 
     The doubled angle is pi/4, so when the engine picks the beta loop
     every coefficient is an exact fourth-root Gauss sum, polynomial in
-    the matrix size; for l up to the domain limit it may instead pick
-    the push-forward's single sweep.
+    the matrix size, read off the program's own code: one elimination of
+    its columns serves all 2^q coefficients. For l up to the domain
+    limit the engine may instead pick the push-forward's single sweep.
     """
     prog = XProgram(P, Angle.exact(1, 8))
     return marginal_distribution(prog, proj, range_limit=range_limit)

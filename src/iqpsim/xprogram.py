@@ -181,20 +181,28 @@ def betas(
     """Correlation coefficients of the parities X.s for every s of ss,
     each equal to 2 P[X.s=0] - 1.
 
-    Each is alpha of the affinified matrix at the doubled angle, so the
-    enumeration budget bounds min(r, n - r) of that matrix, checked for
-    every s in order before any enumeration; the result is real because
-    that code contains the all-ones word, pairing codewords into
-    conjugate contributions. Every s keeps its own code and elimination;
-    away from multiples of pi/4 the enumerations of all of them share
-    their numpy calls.
+    Each is alpha of the affinified matrix at the doubled angle; the
+    result is real because that code contains the all-ones word, pairing
+    codewords into conjugate contributions. When the doubled angle is a
+    multiple of pi/4, P's columns are eliminated once for the batch and
+    each s is one Gauss sum over C's generators masked by the codeword
+    Ps (codes._punctured_alphas), with no budget. Otherwise every s keeps
+    its own code and elimination, the enumeration budget bounds
+    min(r, n - r) of that code, checked for every s in order before any
+    enumeration, and the enumerations of all of them share their numpy
+    calls.
     """
     for s in ss:
         if s.n != prog.l:
             raise DimensionMismatch(f"s has {s.n} bits, program has {prog.l}")
-    limit = codes.DEFAULT_RANK_LIMIT if rank_limit is None else rank_limit
-    matrices = (codes.affinify(prog.P, s) for s in ss if not s.is_zero())
-    found = iter(codes._alphas(matrices, prog.theta.doubled(), limit))
+    doubled = prog.theta.doubled()
+    nonzero = [s for s in ss if not s.is_zero()]
+    if doubled.is_fourth_root:
+        found = iter(codes._punctured_alphas(prog.P, [s.bits for s in nonzero], doubled))
+    else:
+        limit = codes.DEFAULT_RANK_LIMIT if rank_limit is None else rank_limit
+        matrices = (codes.affinify(prog.P, s) for s in nonzero)
+        found = iter(codes._alphas(matrices, doubled, limit))
     values = []
     for s in ss:
         value = 1.0 if s.is_zero() else next(found)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from iqpsim import clifford, gf2, marginals, oracle, xprogram
-from iqpsim.codes import Angle
+from iqpsim.codes import Angle, affinify, alpha
 from iqpsim.errors import (
     BudgetExceeded,
     ColumnBoundViolated,
@@ -528,6 +528,24 @@ class TestMarginalPi8:
         proj = diagonal_projector(BitVector(40, mask_bits))
         d = marginal_pi8(m, proj)
         assert abs(sum(p for _, p in d.outcomes()) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("a", [1, 3])
+    def test_beta_loop_past_the_domain_limit(self, a):
+        # at pi/8 and 3 pi/8 every coefficient comes off the program's own
+        # code, on a dense tall program and on a rank-6 one, == the per-s
+        # coefficients, each alpha of its affinified matrix
+        rng = Random(95 + a)
+        base = [rng.getrandbits(24) for _ in range(6)]
+        low = BinaryMatrix(300, 24, tuple(gf2._combine(base, rng.getrandbits(6)) for _ in range(300)))
+        for m in (random_matrix(rng, 400, 24), low):
+            prog = XProgram(m, Angle.exact(a, 8))
+            proj = diagonal_projector(BitVector(24, sum(1 << b for b in rng.sample(range(24), 8))))
+            assert marginals._choose_evaluator(prog, proj) == "beta"
+            ss = marginals._dual_range(proj)
+            per_s = [alpha(affinify(m, s), prog.theta.doubled()).real for s in ss]
+            want = marginals._range_transform(proj, per_s).as_array()
+            got = marginal_pi8(m, proj) if a == 1 else marginal_distribution(prog, proj)
+            assert np.array_equal(got.as_array(), want)
 
 
 class TestMarginalSparse:

@@ -376,8 +376,10 @@ def per_s_betas(prog: XProgram, ss: list[BitVector]) -> list[float]:
 
 
 class TestBetas:
-    """betas: each s keeps its own code and elimination, and the
-    enumerations share their numpy calls."""
+    """betas: at doubled angles off the multiples of pi/4 each s keeps its
+    own code and elimination, and the enumerations share their numpy
+    calls; at multiples of pi/4 every s reads its Gauss sum off P's own
+    code, one elimination for the batch."""
 
     def test_equals_the_per_s_definition(self):
         rng = Random(57)
@@ -431,6 +433,7 @@ class TestBetas:
         assert all(count <= max(1, codes._GROUP_ENTRIES // (n + 1)) for _, count, n in calls)
         sizes = [k for k, _, _ in calls]
         assert any(sizes.count(k) > 1 for k in sizes) and sum(count for _, count, _ in calls) == 600
+
     def test_budget_before_any_enumeration(self, monkeypatch):
         # several s pass the limit; the batch names the first of a per-s loop
         rng = Random(60)
@@ -458,6 +461,74 @@ class TestBetas:
         s = BitVector.from_string("0110")
         assert beta(XProgram(pex, Angle.radians(0.7)), s) == exact(XProgram(pex, Angle.radians(0.7)), [s])[0]
         assert seen == [[s]]
+
+    @pytest.mark.parametrize("l", [1, 8, 64, 65, 130])
+    def test_fourth_roots_equal_the_per_s_definition(self, l):
+        # at a pi/8 the doubled angle is t pi/4 with t = a: even t leave a
+        # character sum, odd t a Gauss sum of i^-t, k = 1 or 3; the batches
+        # hold s = 0 and repeated s, and the last one spans 3 dimensions
+        rng = Random(61 + l)
+        for kind in ("dense", "repeated", "low", "no rows", "zero rows", "zero column"):
+            n = rng.randint(l // 2, 2 * l + 4)
+            if kind == "no rows":
+                m = BinaryMatrix(0, l, ())
+            elif kind == "zero rows":
+                half = dependent_rows(rng, n // 2, l, "dense").bits
+                m = BinaryMatrix(n, l, half + (0,) * (n - n // 2))
+            elif kind == "zero column":
+                # column 0 is zero, so s = 10..0 is odd against no row
+                rows = dependent_rows(rng, n, l, "dense").bits
+                m = BinaryMatrix(n, l, tuple(a & ~(1 << (l - 1)) for a in rows))
+            else:
+                m = dependent_rows(rng, n, l, kind)
+            ss = [BitVector(l), BitVector.unit(l, 0)] + [random_bits(rng, l) for _ in range(6)]
+            ss += ss[1:4]
+            base = [rng.getrandbits(l) for _ in range(3)]
+            small = [BitVector(l, gf2._combine(base, rng.getrandbits(3))) for _ in range(12)]
+            for a in range(16):
+                prog = XProgram(m, Angle.exact(a, 8))
+                for batch in (ss, small):
+                    rng.shuffle(batch)
+                    assert xprogram.betas(prog, batch) == per_s_betas(prog, batch), (kind, a)
+
+    def test_fourth_roots_take_one_elimination(self, monkeypatch):
+        # no affinified code and no per-s front; one elimination of P's
+        # columns, and at odd t one Gram matrix per basis vector of
+        # span(Ps), rank(P) of them for 256 coefficients
+        rng = Random(66)
+        progs = [XProgram(dependent_rows(rng, 40, 8, kind), Angle.exact(a, 8))
+                 for kind in ("dense", "low") for a in range(16)]
+        ss = [BitVector(8, ix) for ix in range(256)]
+        wants = [per_s_betas(prog, ss) for prog in progs]
+        monkeypatch.setattr(codes, "affinify", None)
+        monkeypatch.setattr(codes, "_front", None)
+        monkeypatch.setattr(clifford, "_gauss_form", None)
+        calls = {"eliminate": 0, "gram": 0}
+        for module, name in ((gf2, "_eliminate"), (clifford, "_gram")):
+            def counted(*args, exact=getattr(module, name), key=name.strip("_")):
+                calls[key] += 1
+                return exact(*args)
+            monkeypatch.setattr(module, name, counted)
+        for prog, want in zip(progs, wants):
+            calls.update(eliminate=0, gram=0)
+            assert xprogram.betas(prog, ss) == want
+            assert calls["eliminate"] == 1
+            odd = prog.theta.doubled().fourth_root_index % 2
+            assert calls["gram"] == (gf2.rank(prog.P) if odd else 0)
+
+    def test_fourth_root_checks(self, monkeypatch):
+        # |value| <= 1 and the imaginary part are still checked: at t = 2 the
+        # one row pair 1, 1 has phase e^(i pi) = -1, so 2^r i gives -i
+        prog = XProgram(BinaryMatrix(2, 1, (1, 1)), Angle.exact(1, 4))
+        s = BitVector(1, 1)
+        assert xprogram.betas(prog, [s]) == [-1.0]
+        for fake, message in ((clifford.GaussianInteger(4, 0), "exceeds 1"),
+                              (clifford.GaussianInteger(0, 2), "imaginary part")):
+            monkeypatch.setattr(
+                clifford, "_masked_wenums", lambda gens, k, masks, w=fake: [w] * len(masks)
+            )
+            with pytest.raises(NumericalInconsistency, match=message):
+                xprogram.betas(prog, [s])
 
     def test_dimension_mismatch_before_any_code(self, pex, monkeypatch):
         monkeypatch.setattr(codes, "affinify", None)

@@ -48,7 +48,12 @@ column and a repeated row, a beta-loop `marginal` at rad:0.7 past l = 16
 (column-sparse 24 x 20, 6 bits), one on a dense 140 x 30 program
 that exits 3 on the enumeration limit, and a 9-bit one on a rank-8
 300 x 20 program, whose 511 codes of about 150 rows pass what one numpy
-call of the batch takes. Every generated matrix
+call of the batch takes; after them, correlations at angles that double
+to multiples of pi/4, read off the program's own code: `verify` at 1/8,
+3/8, 1/4 and 1/2 on that 14 x 8 program and on a rank-3 12 x 8 one,
+8-bit beta-loop `marginal` calls at 1/8 and 3/8 on a dense 400 x 24
+program and a rank-6 300 x 20 one, and `beta` at 1/8 and 3/8 on a
+rank-4 300 x 70 program. Every generated matrix
 file is canonical ("n l", then n rows of 0/1, each ended by a newline),
 which the reader takes in one vectorized pass. The line loop, which
 reads every other file and reports every parse error, is reached by one
@@ -355,6 +360,7 @@ def build_corpus(rng: Random, workdir: str) -> list[list[str]]:
     calls += shape_boundary_calls(put)
     calls += point_calls(put)
     calls += beta_batch_calls(put)
+    calls += fourth_root_beta_calls(put)
     return calls
 
 
@@ -554,6 +560,33 @@ def beta_batch_calls(put):
     tall = put("rank8_300x20.txt", 300, 20, rows)
     mask = format(sum(1 << b for b in rng.sample(range(20), 9)), "020b")
     calls.append(["marginal", tall, "--theta", "rad:0.7", "--mask", mask])
+    return calls
+
+
+def fourth_root_beta_calls(put):
+    """Correlations at angles that double to multiples of pi/4, each read
+    off the program's own code: verify at 1/8, 3/8, 1/4 and 1/2 on the
+    zero-column 14 x 8 program of beta_batch_calls and on a rank-3 12 x 8
+    one; 8-bit marginals at 1/8 and 3/8 by the beta loop on a dense
+    400 x 24 program and a rank-6 300 x 20 one; and beta at 1/8 and 3/8 on
+    a rank-4 300 x 70 program. It has its own seed, so no earlier line
+    depends on it."""
+    rng = Random(27)
+    thetas = ("1/8", "3/8", "1/4", "1/2")
+    def low_rank(n: int, l: int, r: int) -> list[int]:
+        gens = [rng.getrandbits(l) for _ in range(r)]
+        return [_xor(g for g in gens if rng.getrandbits(1)) for _ in range(n)]
+
+    rank3 = put("rank3_12x8.txt", 12, 8, low_rank(12, 8, 3))
+    calls = [["verify", name, "--theta", theta]
+             for name in ("zero_column14x8.txt", rank3) for theta in thetas]
+    dense = put("dense400x24.txt", 400, 24, matrix_rows(rng, 400, 24, "dense"))
+    rank6 = put("rank6_300x20.txt", 300, 20, low_rank(300, 20, 6))
+    for name, l in ((dense, 24), (rank6, 20)):
+        mask = format(sum(1 << b for b in rng.sample(range(l), 8)), f"0{l}b")
+        calls += [["marginal", name, "--theta", theta, "--mask", mask] for theta in ("1/8", "3/8")]
+    rank4 = put("rank4_300x70.txt", 300, 70, low_rank(300, 70, 4))
+    calls += [["beta", rank4, "--theta", theta, "--s", bits(rng, 70)] for theta in ("1/8", "3/8")]
     return calls
 
 
