@@ -5,12 +5,12 @@ The weight enumerator of a binary code at z in {1, i, -1, -i} is a sum of
 costs 2^r; this module instead reduces the Z4-valued quadratic form
 Q(c) = |c| mod 4 over the whole code, whose polar form is twice the
 plain GF(2) inner product b(c, c') = |c & c'| mod 2. A sign (-1)^L(c)
-with L linear adds 2L to Q and keeps its polar form, so the signed sums
-that give amplitudes <x|U|0> cost the same, and a batch of them shares
-one form and differs only in L. Masking the generators by a word m
-punctures the code to supp(m), and the masked Gram matrix is linear in
-m, so a batch of masks, as the correlations at pi/8 take them, builds
-it once per basis vector of span(masks). Odd vectors split off one
+with L linear adds 2L to Q and keeps its polar form, and masking the
+generators by a word m punctures the code to supp(m). One batcher,
+_masked_wenums, sums a pair (m, L) at a time: amplitudes <x|U|0> share
+the mask of all rows and differ in L, the correlations at pi/8 take
+L = 0 and the mask Ps. The masked Gram matrix is linear in m, so a batch
+builds it once per basis vector of span(masks). Odd vectors split off one
 factor 1 + i or 1 - i each, and the sum over the even rest is read off
 its hyperbolic planes and its value on the radical. Total cost is
 polynomial in the matrix size.
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from random import Random
 from typing import Sequence
 
@@ -127,17 +128,10 @@ def _weight_bits(vectors: list[int]) -> tuple[int, int]:
     return odd, high
 
 
-def _gauss_form(vectors: list[int]) -> tuple[list[int], int, int]:
-    """The Z4-valued form Q(c) = |c| mod 4 on the span of independent
-    vectors: the Gram matrix of its polar form b(c, c') = |c & c'| mod 2,
-    and the two bits of each Q(v_i), as masks over i.
-    """
-    return _gram(vectors), *_weight_bits(vectors)
-
-
 def _form_sum(form: tuple[list[int], int, int], linear: int = 0) -> GaussianInteger:
-    """Sum of i^Q(c) (-1)^L(c) over the span, Q given by _gauss_form and
-    bit i of linear the linear form L at vectors[i]; form is not changed.
+    """Sum of i^Q(u) (-1)^L(u) over u in F2^r, Q(u) = |sum_i u_i v_i| mod 4
+    given as (_gram(vectors), *_weight_bits(vectors)) and bit i of linear
+    the linear form L at e_i; form is not changed.
 
     Q(c) + 2 L(c) mod 4 is a Z4-valued quadratic form, Q(a + b) =
     Q(a) + Q(b) + 2 b(a, b), and the Gram matrix of b holds Q mod 2 on
@@ -189,65 +183,70 @@ def _form_sum(form: tuple[list[int], int, int], linear: int = 0) -> GaussianInte
     return value.times_i_power(turns + halves // 2)
 
 
-def _signed_wenums(
-    generators: list[int], k: int, linears: Sequence[int]
+def _masked_wenums(
+    generators: list[int], k: int, masks: Sequence[int], linears: Sequence[int] | None = None
 ) -> list[GaussianInteger]:
-    """wenum_from_generators at each linear form of linears. The Z4 form
-    of the generators is built once and summed once per linear form."""
-    r = len(generators)
-    k %= 4
-    if not k & 1:
-        # i^(k|c|) = (-1)^(k/2 |c|) and |c| mod 2 is linear too: a character sum
-        parity = sum((k >> 1 & g.bit_count()) << i for i, g in enumerate(generators))
-        return [GaussianInteger(0 if linear ^ parity else 1 << r, 0) for linear in linears]
-    form = _gauss_form(generators)
-    values = [_form_sum(form, linear) for linear in linears]
-    return values if k == 1 else [value.conjugate() for value in values]
-
-
-def _masked_wenums(generators: list[int], k: int, masks: Sequence[int]) -> list[GaussianInteger]:
-    """sum_u i^(k|c_u|) over the 2^r combinations c_u = sum_i u_i (g_i & m)
-    of the r generators masked by m, for every m of masks.
+    """sum_u i^(k|c_u|) (-1)^L(u) over the 2^r combinations c_u =
+    sum_i u_i (g_i & m) of the r generators masked by m, for every pair
+    (m, L) of masks and linears (L = 0 when linears is None), bit i of L
+    its value at u = e_i.
 
     The masked generators may be dependent: each word of their span then
     counts 2^(r - rank) times, and _form_sum's radical takes the excess.
-    Only the weights |g_i & m| mod 4 are counted for each m. The Gram
-    matrix, GF(2)-linear in m, is built once for each new basis vector of
+    The weights |g_i & m| mod 4 are read once per run of equal masks. At
+    even k, i^(k|c_u|) = (-1)^(k/2 |c_u|) and |c_u| mod 2 is linear in u,
+    so the sum is a character sum, 2^r or 0. At odd k the Gram matrix,
+    GF(2)-linear in m, is built once for each new basis vector of
     span(masks), as the masks are reduced in turn, and xored along.
     """
     r = len(generators)
     k %= 4
+    pairs = zip(masks, repeat(0) if linears is None else linears)
+    values: list[GaussianInteger] = []
+    last = None
     if not k & 1:
-        return [_signed_wenums([g & m for g in generators], k, [0])[0] for m in masks]
+        whole, zero = GaussianInteger(1 << r, 0), GaussianInteger(0, 0)
+        for m, linear in pairs:
+            if m != last:
+                last = m
+                parity = _weight_bits([g & m for g in generators])[0] if k else 0
+            values.append(zero if linear ^ parity else whole)
+        return values
     rows = (1 << r) - 1
     # by leading bit: a basis mask, and the Gram matrix under it with row i at bit i r
     pivots: dict[int, tuple[int, int]] = {}
-    values = []
-    for m in masks:
-        w, packed = m, 0
-        while w:
-            top = w.bit_length() - 1
-            if top not in pivots:
-                gram = _gram([g & w for g in generators])
-                pivots[top] = (w, sum(row << (i * r) for i, row in enumerate(gram)))
-            basis, part = pivots[top]
-            w ^= basis
-            packed ^= part
-        gram = [packed >> (i * r) & rows for i in range(r)]
-        value = _form_sum((gram, *_weight_bits([g & m for g in generators])))
+    for m, linear in pairs:
+        if m != last:
+            last = m
+            masked = [g & m for g in generators]
+            w, packed = m, 0
+            while w:
+                top = w.bit_length() - 1
+                if top not in pivots:
+                    gram = _gram(masked if w == m else [g & w for g in generators])
+                    pivots[top] = (w, sum(row << (i * r) for i, row in enumerate(gram)))
+                basis, part = pivots[top]
+                w ^= basis
+                packed ^= part
+            form = ([packed >> (i * r) & rows for i in range(r)], *_weight_bits(masked))
+        value = _form_sum(form, linear)
         values.append(value if k == 1 else value.conjugate())
     return values
 
 
 def wenum_from_generators(generators: list[int], k: int, linear: int = 0) -> GaussianInteger:
     """Signed weight enumerator sum_c i^(k |c|) (-1)^L(c) of the span of
-    packed generators; bit i of linear is L(generators[i]).
+    packed generators; bit i of linear is L(generators[i]). One
+    _masked_wenums sum, the mask the union of the generators.
 
     The generators must be linearly independent, as those from
     _reduced_generators are: the span is taken to hold 2^len(generators)
     words.
     """
-    return _signed_wenums(generators, k, [linear])[0]
+    union = 0
+    for g in generators:
+        union |= g
+    return _masked_wenums(generators, k, [union], [linear])[0]
 
 
 def wenum_at_fourth_root(P: BinaryMatrix, k: int) -> GaussianInteger:

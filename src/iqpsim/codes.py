@@ -261,44 +261,37 @@ def _macwilliams(dual_counts: list[int], n: int, dual_rank: int) -> list[int]:
 
 
 def _front(
-    P: BinaryMatrix, xs: Sequence[int], dual: bool = True
+    P: BinaryMatrix, xs: Sequence[int]
 ) -> tuple[int, list[int], list[int | None], bool]:
-    """The one elimination of a code query at the points xs: the rank r,
-    a basis, one form per x (None for an x outside the row space), and
+    """The elimination of a code query at the points xs: the rank r, a
+    basis, one form per x (None for an x outside the row space), and
     whether the basis is of C-perp.
 
-    Either the basis is C's, g_i = P y_i, and the form of x is linear on
-    it, bit i = x.y_i; or, when dual is true and n - r < r, it spans the
-    circuit space C-perp = {d : sum d_i a_i = 0} of the rows a_i and the
-    form of x is a row set S0 with sum_{S0} a_i = x. n - r < r implies
-    n < 2r <= 2l, so only n < 2l eliminates the n rows, tagged as
-    gf2._tagged tags them; C's basis is then the columns at the pivots'
-    leading bits, y_i a unit vector, and x.y_i is x's own bit there (x.y
-    depends on Py alone once x is in the row space). Otherwise the l
-    columns are eliminated.
+    n - r < r implies n < 2r <= 2l, so only n < 2l eliminates the n rows,
+    tagged as gf2._tagged tags them. When n - r < r their tags span the
+    circuit space C-perp = {d : sum d_i a_i = 0} of the rows a_i, and the
+    form of x is a row set S0 with sum_{S0} a_i = x, found by reducing x
+    against the pivots. Otherwise the basis is C's from the l columns,
+    g_i = P y_i with the form of x linear on it, bit i = x.y_i, as
+    clifford._reduced_generators gives them: a second elimination for
+    the short codes (n < 2l) with n - r >= r, the only one for the rest.
     """
     n = P.n
-    if n >= 2 * P.l:
-        gens, linears = clifford._reduced_generators(P, xs)
-        return len(gens), gens, linears, False
-    pivots, circuits = gf2._tagged(P.bits)
-    r = len(pivots)
-    dual = dual and n - r < r
-    # x = 0 is the sum of no rows, and at r = l every x is inside
-    forms: list[int | None] = [0] * len(xs)
-    if any(xs) and (dual or r < P.l):
-        # reduced against the pivots without adding any, x stops above the
-        # tags when it is outside the row space
-        shifts: list[int] = []
-        gf2._eliminate([x << n for x in xs], pivots, n, shifts, grow=False)
-        forms = [None if s0 >> n else s0 for s0 in shifts]
-    if dual:
-        return r, circuits, forms, True
-    columns = gf2.transpose(P).bits
-    if any(xs):  # x.y_i, x's bit at the leading bit top - n of pivot i
-        masks = [1 << (top - n) for top in reversed(pivots)]
-        forms = [None if s0 is None else gf2._parities(x, masks) for x, s0 in zip(xs, forms)]
-    return r, [columns[P.l - 1 - (top - n)] for top in pivots], forms, False
+    if n < 2 * P.l:
+        pivots, circuits = gf2._tagged(P.bits)
+        r = len(pivots)
+        if n - r < r:
+            # x = 0 is the sum of no rows
+            forms: list[int | None] = [0] * len(xs)
+            if any(xs):
+                # reduced against the pivots without adding any, x stops
+                # above the tags when it is outside the row space
+                shifts: list[int] = []
+                gf2._eliminate([x << n for x in xs], pivots, n, shifts, grow=False)
+                forms = [None if s0 >> n else s0 for s0 in shifts]
+            return r, circuits, forms, True
+    gens, linears = clifford._reduced_generators(P, xs)
+    return len(gens), gens, linears, False
 
 
 def _check_budget(n: int, r: int, rank_limit: int) -> None:
@@ -418,52 +411,60 @@ def _check_moduli(values: list[complex]) -> None:
             raise NumericalInconsistency(f"|alpha| = {abs(value)} exceeds 1")
 
 
-def _quarter_value(
-    w: clifford.GaussianInteger, r: int, t: int, n: int
-) -> tuple[complex, tuple[clifford.GaussianInteger, int, bool]]:
-    """e^(i pi t n / 4) w / 2^r as a complex float, and its exact form
-    (w', r, odd), value = e^(i pi odd / 4) w' / 2^r: the power of i in
-    the phase goes into w'."""
-    w = w.times_i_power(t * n // 2)
-    # int / int stays finite where 2^r overflows a float
-    value = complex(w.re / (1 << r), w.im / (1 << r))
-    odd = bool(t * n % 2)
-    if odd:  # times e^(i pi / 4) = (1 + i) / sqrt(2), exactly 0 where re = +-im
-        value = complex(value.real - value.imag, value.real + value.imag) * math.sqrt(0.5)
-    return value, (w, r, odd)
+def _quarter_values(
+    generators: list[int], t: int, masks: Sequence[int], linears: Sequence[int] | None = None
+) -> tuple[list[complex], list[tuple[clifford.GaussianInteger, int, bool]]]:
+    """e^(i pi t |m| / 4) 2^-r sum_u i^(-t|c_u|) (-1)^L(u), the
+    clifford._masked_wenums sum on the r generators, for every pair
+    (m, L), as complex floats after the |value| <= 1 check, and their
+    exact forms (w, r, odd), value = e^(i pi odd / 4) w / 2^r: the power
+    of i in the phase goes into w.
+    """
+    r = len(generators)
+    values, exact = [], []
+    for w, m in zip(clifford._masked_wenums(generators, -t, masks, linears), masks):
+        n = m.bit_count()
+        w = w.times_i_power(t * n // 2)
+        # int / int stays finite where 2^r overflows a float
+        value = complex(w.re / (1 << r), w.im / (1 << r))
+        odd = bool(t * n % 2)
+        if odd:  # times e^(i pi / 4) = (1 + i) / sqrt(2), exactly 0 where re = +-im
+            value = complex(value.real - value.imag, value.real + value.imag) * math.sqrt(0.5)
+        values.append(value)
+        exact.append((w, r, odd))
+    _check_moduli(values)
+    return values, exact
 
 
 def _amplitudes(
     P: BinaryMatrix, xs: Sequence[int], theta: Angle, rank_limit: int
 ) -> tuple[list[complex], list[tuple | None]]:
     """<x|U|0> = 2^-r sum_{c = Py} (-1)^(x.y) exp(i theta (n - 2|c|)) for
-    every x of xs, from one elimination for the whole batch, exactly 0
+    every x of xs, from eliminations shared by the whole batch, exactly 0
     for x outside the row space.
 
     Returns the values and, per point, an exact form: at theta = t pi / 4
     with x in the row space it is (w, r, odd) with value =
     e^(i pi odd / 4) w / 2^r, else None. There x.y = L(c) is linear on C,
     the sum one signed Gauss sum of i^(-t|c|) (-1)^L(c) times
-    e^(i pi t n / 4), of which w absorbs the power of i; the points share
-    the generators and their Z4 form, and only L is their own. Other
-    angles sum the counts of _coset_counts: on C, or by the gate
-    expansion on S0 + C-perp, whichever is smaller.
+    e^(i pi t n / 4), _quarter_values' sum with the mask of all n rows:
+    the points share C's generators from the columns and their Z4 form,
+    and only L is their own. Other angles sum the counts of
+    _coset_counts: on C, or by the gate expansion on S0 + C-perp,
+    whichever is smaller.
     """
     n = P.n
-    if not theta.is_fourth_root:
+    if theta.is_fourth_root:
+        gens, forms = clifford._reduced_generators(P, xs)
+        inside = [L for L in forms if L is not None]
+        masks = [(1 << n) - 1] * len(inside)
+        values, exact = _quarter_values(gens, theta.fourth_root_index, masks, inside)
+    else:
         r, forms, dual, counts = _coset_counts(P, xs, rank_limit)
         th = theta.value
         values = _dual_sums(counts, n, th) if dual else _primal_sums(counts, r, n, th)
         exact = [None] * len(values)
-    else:
-        r, gens, forms, _ = _front(P, xs, dual=False)
-        t = theta.fourth_root_index
-        values, exact = [], []
-        for w in clifford._signed_wenums(gens, -t, [L for L in forms if L is not None]):
-            value, form = _quarter_value(w, r, t, n)
-            values.append(value)
-            exact.append(form)
-    _check_moduli(values)
+        _check_moduli(values)
     if len(values) == len(xs):
         return values, exact
     found = iter(zip(values, exact))
@@ -517,16 +518,13 @@ def _punctured_alphas(P: BinaryMatrix, ss: Sequence[int], theta: Angle) -> list[
     F2^r, and over all 2^r points u each of the affinified code's 2^r'
     words counts 2^(r - r') times: 2^-r times the sum of i^(-t Q_s) is
     that code's own 2^-r' sum, the same dyadic, and the phase
-    e^(i pi t |c| / 4) is alpha's at length |c|.
+    e^(i pi t |c| / 4) is alpha's at length |c|: _quarter_values' sum
+    with the mask c and L = 0.
     """
     t = theta.fourth_root_index
     columns = gf2.transpose(P).bits
     gens = list(gf2._eliminate(columns, {}).values())
-    words = [gf2._combine(columns, s) for s in ss]
-    sums = clifford._masked_wenums(gens, -t, words)
-    values = [_quarter_value(w, len(gens), t, c.bit_count())[0] for w, c in zip(sums, words)]
-    _check_moduli(values)
-    return values
+    return _quarter_values(gens, t, [gf2._combine(columns, s) for s in ss])[0]
 
 
 def _amplitude(P: BinaryMatrix, x: int, theta: Angle, rank_limit: int) -> tuple:

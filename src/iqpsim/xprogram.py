@@ -152,7 +152,7 @@ def amplitudes(
     """Transition amplitudes from the all-zeros state to every x of xs.
 
     Each is 2^-r sum_{c = Py} (-1)^(x.y) exp(i theta (n - 2|c|)), exactly
-    0 for x outside the row space, and the points share one elimination.
+    0 for x outside the row space, and the points share the eliminations.
     At multiples of pi/4 the sign enters one exact Gauss sum per point as
     a linear term of one shared form; other angles enumerate cosets of
     the smaller of the code C and its dual, every point's in the same

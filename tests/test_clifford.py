@@ -208,6 +208,37 @@ class TestWenumAtFourthRoot:
             assert wenum_at_fourth_root(m, k) == GaussianInteger(1, 0)
 
 
+class TestMaskedWenums:
+    @pytest.mark.parametrize("r", range(8))
+    def test_matches_enumeration(self, r):
+        # every (mask, linear) pair against the sum over all 2^r points u;
+        # masks come in runs and return after others, so a mask that comes
+        # back must rebuild its form, not keep the one of the run before
+        rng = Random(120 + r)
+        n = 10
+        for _ in range(3):
+            gens = [rng.getrandbits(n) for _ in range(r)]
+            narrow = 1 << rng.randrange(n) | 1 << rng.randrange(n)
+            # all but the first two generators' bits: the masked ones depend
+            low = 0
+            for g in gens[2:]:
+                low |= g
+            distinct = [0, (1 << n) - 1, rng.getrandbits(n), rng.getrandbits(n), narrow,
+                        ((1 << n) - 1) & ~low]
+            masks = []
+            for _ in range(12):
+                masks += [rng.choice(distinct)] * rng.randint(1, 3)
+            linears = [rng.getrandbits(r) for _ in masks]
+            want = [signed_wenums_by_enumeration([g & m for g in gens], linear)
+                    for m, linear in zip(masks, linears)]
+            for k in range(4):
+                got = clifford._masked_wenums(gens, k, masks, linears)
+                assert got == [w[k] for w in want], (r, k)
+                unsigned = [signed_wenums_by_enumeration([g & m for g in gens], 0)[k]
+                            for m in masks]
+                assert clifford._masked_wenums(gens, k, masks) == unsigned, (r, k)
+
+
 class TestCliffordSupport:
     def test_pex_case_two(self, pex):
         support = clifford_support(pex)

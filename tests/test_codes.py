@@ -279,7 +279,7 @@ class TestAlphaExactFourthRoot:
         # the exact path keeps alpha's |alpha| <= 1 check
         too_big = clifford.GaussianInteger(1 << 10, 0)
         monkeypatch.setattr(
-            clifford, "_signed_wenums", lambda gens, k, linears: [too_big] * len(linears)
+            clifford, "_masked_wenums", lambda gens, k, masks, linears=None: [too_big] * len(masks)
         )
         with pytest.raises(NumericalInconsistency):
             codes.alpha_exact_fourth_root(pex, Angle.exact(1, 1))
@@ -621,9 +621,11 @@ FRONT_ANGLES = [Angle.radians(0.7), Angle.exact(1, 16), Angle.exact(1, 4)]
 
 
 class TestOneElimination:
-    """Every code query makes one tagged elimination: of the n rows when
-    n < 2l, the only shapes where C-perp can be the smaller side, else of
-    the l columns."""
+    """At multiples of pi/4 every code query makes one tagged elimination,
+    of the l columns. Otherwise it eliminates the n rows when n < 2l, the
+    only shapes where C-perp can be the smaller side, and takes C-perp
+    when n - r < r; when n - r >= r it eliminates the l columns too, and
+    when n >= 2l only them."""
 
     @pytest.fixture
     def eliminated(self, monkeypatch):
@@ -640,22 +642,27 @@ class TestOneElimination:
     @pytest.mark.parametrize("m", front_shapes(), ids=lambda m: f"{m.n}x{m.l}")
     def test_one_tagged_elimination_per_query(self, m, eliminated):
         rng = Random(94)
-        side = m.n if m.n < 2 * m.l else m.l
+        n, l, r = m.n, m.l, gf2.rank(m)
+        if n >= 2 * l:
+            sides = [l]
+        else:
+            sides = [n] if n - r < r else [n, l]
         points = [BitVector(m.l, rng.getrandbits(m.l)) for _ in range(5)]
-        queries = [lambda: weight_enumerator(m)]
+        queries = [(lambda: weight_enumerator(m), sides)]
         for theta in FRONT_ANGLES:
             prog = XProgram(m, theta)
+            want = [l] if theta.is_fourth_root else sides
             queries += [
-                lambda theta=theta: alpha(m, theta),
-                lambda prog=prog: xprogram.amplitudes(prog, points),
-                lambda theta=theta: codes.alpha_exact_fourth_root(m, theta),
+                (lambda theta=theta: alpha(m, theta), want),
+                (lambda prog=prog: xprogram.amplitudes(prog, points), want),
+                (lambda theta=theta: codes.alpha_exact_fourth_root(m, theta), want),
             ]
-        for query in queries:
+        for query, want in queries:
             eliminated.clear()
             if query() is None:  # no fourth-root form to evaluate
                 assert eliminated == []
             else:
-                assert eliminated == [side]
+                assert eliminated == want
 
     def test_tall_programs_never_eliminate_their_rows(self, eliminated):
         rng = Random(95)

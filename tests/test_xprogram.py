@@ -502,7 +502,6 @@ class TestBetas:
         wants = [per_s_betas(prog, ss) for prog in progs]
         monkeypatch.setattr(codes, "affinify", None)
         monkeypatch.setattr(codes, "_front", None)
-        monkeypatch.setattr(clifford, "_gauss_form", None)
         calls = {"eliminate": 0, "gram": 0}
         for module, name in ((gf2, "_eliminate"), (clifford, "_gram")):
             def counted(*args, exact=getattr(module, name), key=name.strip("_")):
@@ -525,7 +524,8 @@ class TestBetas:
         for fake, message in ((clifford.GaussianInteger(4, 0), "exceeds 1"),
                               (clifford.GaussianInteger(0, 2), "imaginary part")):
             monkeypatch.setattr(
-                clifford, "_masked_wenums", lambda gens, k, masks, w=fake: [w] * len(masks)
+                clifford, "_masked_wenums",
+                lambda gens, k, masks, linears=None, w=fake: [w] * len(masks),
             )
             with pytest.raises(NumericalInconsistency, match=message):
                 xprogram.betas(prog, [s])

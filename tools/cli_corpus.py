@@ -53,7 +53,11 @@ to multiples of pi/4, read off the program's own code: `verify` at 1/8,
 3/8, 1/4 and 1/2 on that 14 x 8 program and on a rank-3 12 x 8 one,
 8-bit beta-loop `marginal` calls at 1/8 and 3/8 on a dense 400 x 24
 program and a rank-6 300 x 20 one, and `beta` at 1/8 and 3/8 on a
-rank-4 300 x 70 program. Every generated matrix
+rank-4 300 x 70 program. Last, `alpha`, `amplitude` and `prob` at 1/8
+and 3/8 on programs of n = 2l - 1 rows (l = 7 and 10) at full rank and
+at rank 3, at points in and out of the row space, and at rad:0.7 on the
+rank-3 ones, whose codes come from the columns after the rows.
+Every generated matrix
 file is canonical ("n l", then n rows of 0/1, each ended by a newline),
 which the reader takes in one vectorized pass. The line loop, which
 reads every other file and reports every parse error, is reached by one
@@ -361,6 +365,7 @@ def build_corpus(rng: Random, workdir: str) -> list[list[str]]:
     calls += point_calls(put)
     calls += beta_batch_calls(put)
     calls += fourth_root_beta_calls(put)
+    calls += short_code_calls(put)
     return calls
 
 
@@ -476,7 +481,10 @@ def wide_row_calls(put):
 
 def shape_boundary_calls(put):
     """Code queries on either side of the shape rule that picks which
-    elimination serves them: rows when n < 2l, else columns. For l = 7
+    elimination serves them: at multiples of pi/4 the columns; otherwise
+    the rows when n < 2l, which serve C-perp when n - r < r and are
+    followed by the columns when n - r >= r, and the columns alone when
+    n >= 2l. For l = 7
     and 10, programs of n = 2l - 1, 2l and 2l + 1 rows, of full rank
     (an identity among shuffled random rows) and of rank 3, each get
     `wenum`, then `alpha`, `amplitude`, `prob` and `beta` at rad:0.7, 1/16
@@ -587,6 +595,36 @@ def fourth_root_beta_calls(put):
         calls += [["marginal", name, "--theta", theta, "--mask", mask] for theta in ("1/8", "3/8")]
     rank4 = put("rank4_300x70.txt", 300, 70, low_rank(300, 70, 4))
     calls += [["beta", rank4, "--theta", theta, "--s", bits(rng, 70)] for theta in ("1/8", "3/8")]
+    return calls
+
+
+def short_code_calls(put):
+    """Point queries on programs of n = 2l - 1 rows (l = 7 and 10), where
+    the rows are eliminated first: at full rank (an identity among
+    shuffled random rows) n - r < r and the dual side answers, at rank 3
+    n - r >= r and C's generators come from the columns. Each gets
+    `alpha`, and `amplitude` and `prob` at two random points (outside the
+    row space of the rank-3 ones, mostly) and one point of the row
+    space, at 1/8 and 3/8; the rank-3 ones get the same at rad:0.7. It
+    has its own seed, so no earlier line depends on it."""
+    rng = Random(29)
+    calls = []
+    for l in (7, 10):
+        n = 2 * l - 1
+        full = [1 << (l - 1 - i) for i in range(l)] + [rng.getrandbits(l) for _ in range(n - l)]
+        rng.shuffle(full)
+        gens = [rng.getrandbits(l) for _ in range(3)]
+        low = [_xor(g for g in gens if rng.getrandbits(1)) for _ in range(n)]
+        for kind, rows, thetas in (("full", full, ("1/8", "3/8")),
+                                   ("low", low, ("1/8", "3/8", "rad:0.7"))):
+            name = put(f"short{n}x{l}_{kind}.txt", n, l, rows)
+            inside = format(_xor(r for r in rows if rng.getrandbits(1)), f"0{l}b")
+            points = [bits(rng, l), bits(rng, l), inside]
+            for theta in thetas:
+                t = ["--theta", theta]
+                calls.append(["alpha", name, *t])
+                for x in points:
+                    calls += [["amplitude", name, *t, "--x", x], ["prob", name, *t, "--x", x]]
     return calls
 
 
