@@ -328,10 +328,13 @@ def clifford_support(P: BinaryMatrix) -> AffineSupport:
     """
     l = P.l
     columns = gf2.transpose(P).bits
-    # the rows of P^T P up to their order, which the kernel ignores; _gram
+    # the rows of P^T P up to their order, which the span ignores; _gram
     # numbers bits from the low end and BitVector coordinates from the
-    # high end, hence the reversed columns
-    V = gf2.kernel(BinaryMatrix(l, l, tuple(_gram(columns[::-1]))))
+    # high end, hence the reversed columns. P^T P is symmetric, so V-perp
+    # is its row space, read off its one reduction, and V the kernel
+    reduced = gf2._rref(_gram(columns[::-1]))
+    directions = [BitVector(l, row) for row in reduced]
+    V = gf2.kernel(BinaryMatrix(len(reduced), l, tuple(reduced)))
     # n_s = |P s|, and P s is the xor of the columns that s picks
     halves = [gf2._combine(columns, s.bits).bit_count() >> 1 & 1 for s in V]
     bad = [s for s, h in zip(V, halves) if h]
@@ -339,8 +342,6 @@ def clifford_support(P: BinaryMatrix) -> AffineSupport:
     witness = bad[-1] if bad else None
     U = gf2.span_rref(good + [s ^ witness for s in bad[:-1]], l) if bad else V
     system = BinaryMatrix.from_rows(l, V)
-    # with V empty this is the kernel of a 0 x l matrix: every unit vector
-    directions = gf2.kernel(system)
     # n_s / 2 is linear on V, so the support is {x : s . x = n_s / 2 on V};
     # free coordinates at zero make the offset canonical
     offset = gf2.solve(system, BitVector.from_ints(halves))

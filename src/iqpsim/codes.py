@@ -20,7 +20,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -436,17 +436,13 @@ def _quarter_values(
     return values, exact
 
 
-def _amplitudes(
-    P: BinaryMatrix, xs: Sequence[int], theta: Angle, rank_limit: int
-) -> tuple[list[complex], list[tuple | None]]:
+def _amplitudes(P: BinaryMatrix, xs: Sequence[int], theta: Angle, rank_limit: int) -> list[complex]:
     """<x|U|0> = 2^-r sum_{c = Py} (-1)^(x.y) exp(i theta (n - 2|c|)) for
     every x of xs, from eliminations shared by the whole batch, exactly 0
     for x outside the row space.
 
-    Returns the values and, per point, an exact form: at theta = t pi / 4
-    with x in the row space it is (w, r, odd) with value =
-    e^(i pi odd / 4) w / 2^r, else None. There x.y = L(c) is linear on C,
-    the sum one signed Gauss sum of i^(-t|c|) (-1)^L(c) times
+    At theta = t pi / 4 with x in the row space, x.y = L(c) is linear on
+    C, the sum one signed Gauss sum of i^(-t|c|) (-1)^L(c) times
     e^(i pi t n / 4), _quarter_values' sum with the mask of all n rows:
     the points share C's generators from the columns and their Z4 form,
     and only L is their own. Other angles sum the counts of
@@ -458,35 +454,51 @@ def _amplitudes(
         gens, forms = clifford._reduced_generators(P, xs)
         inside = [L for L in forms if L is not None]
         masks = [(1 << n) - 1] * len(inside)
-        values, exact = _quarter_values(gens, theta.fourth_root_index, masks, inside)
+        values = _quarter_values(gens, theta.fourth_root_index, masks, inside)[0]
     else:
         r, forms, dual, counts = _coset_counts(P, xs, rank_limit)
         th = theta.value
         values = _dual_sums(counts, n, th) if dual else _primal_sums(counts, r, n, th)
-        exact = [None] * len(values)
         _check_moduli(values)
     if len(values) == len(xs):
-        return values, exact
-    found = iter(zip(values, exact))
-    pairs = [(0j, None) if form is None else next(found) for form in forms]
-    return [pair[0] for pair in pairs], [pair[1] for pair in pairs]
+        return values
+    found = iter(values)
+    return [0j if form is None else next(found) for form in forms]
 
 
-def _alphas(Ps: Iterable[BinaryMatrix], theta: Angle, rank_limit: int) -> list[complex]:
-    """alpha of every matrix of Ps at an angle off the multiples of pi/4,
-    each == its own alpha call (_punctured_alphas serves the correlations
-    at multiples of pi/4). Every code is eliminated and its budget
-    checked, in order, before any enumeration. The x = 0 counts then
-    share the numpy calls: the codes of one basis size are stacked with
-    zero offsets, in lanes for the longest of them, width, and at most
-    _GROUP_ENTRIES // (width + 1) codes go to one _histograms call, so
-    its histograms hold at most _GROUP_ENTRIES entries. Each histogram is
-    cut to its own code's n + 1 and summed on that code's side."""
+def _correlations(P: BinaryMatrix, ss: Sequence[int], theta: Angle, rank_limit: int) -> list[complex]:
+    """alpha(affinify(P, s), theta) for every packed s of ss, each == that
+    call, theta being the program's doubled angle.
+
+    At theta = t pi / 4 one elimination of P's columns serves every s,
+    with no budget. The rows odd against s are the support of the
+    codeword c = Ps, so the affinified code is C punctured to supp(c),
+    spanned by C's generators g_i masked by c. Q_s(u) =
+    |sum_i u_i (g_i & c)| mod 4 is a Z4 form on F2^r, and over all 2^r
+    points u each of the affinified code's 2^r' words counts 2^(r - r')
+    times: 2^-r times the sum of i^(-t Q_s) is that code's own 2^-r' sum,
+    the same dyadic, and the phase e^(i pi t |c| / 4) is alpha's at
+    length |c|: _quarter_values' sum with the mask c and L = 0.
+
+    Other angles give each s its own code of odd rows and its own _front,
+    and check every budget, in order, before any enumeration. The x = 0
+    counts then share the numpy calls: the codes of one basis size are
+    stacked with zero offsets, in lanes for the longest of them, width,
+    and at most _GROUP_ENTRIES // (width + 1) codes go to one _histograms
+    call, so its histograms hold at most _GROUP_ENTRIES entries. Each
+    histogram is cut to its own code's n + 1 and summed on its side.
+    """
+    if theta.is_fourth_root:
+        columns = gf2.transpose(P).bits
+        gens = list(gf2._eliminate(columns, {}).values())
+        masks = [gf2._combine(columns, s) for s in ss]  # the codewords Ps
+        return _quarter_values(gens, theta.fourth_root_index, masks)[0]
     fronts = []
-    for P in Ps:
-        r, basis, _, dual = _front(P, [0])
-        _check_budget(P.n, r, rank_limit)
-        fronts.append((P.n, r, basis, dual))
+    for s in ss:
+        odd = _odd_rows(P, s)
+        r, basis, _, dual = _front(odd, [0])
+        _check_budget(odd.n, r, rank_limit)
+        fronts.append((odd.n, r, basis, dual))
     groups: dict[int, list[int]] = {}
     for p, (_, _, basis, _) in enumerate(fronts):
         groups.setdefault(len(basis), []).append(p)
@@ -508,31 +520,6 @@ def _alphas(Ps: Iterable[BinaryMatrix], theta: Angle, rank_limit: int) -> list[c
     return values
 
 
-def _punctured_alphas(P: BinaryMatrix, ss: Sequence[int], theta: Angle) -> list[complex]:
-    """alpha(affinify(P, s), theta) at theta = t pi / 4 for every packed s
-    of ss, each == that call, from one elimination of P for all of them.
-
-    The rows odd against s are the support of the codeword c = Ps, so the
-    affinified code is C punctured to supp(c), spanned by C's generators
-    g_i masked by c. Q_s(u) = |sum_i u_i (g_i & c)| mod 4 is a Z4 form on
-    F2^r, and over all 2^r points u each of the affinified code's 2^r'
-    words counts 2^(r - r') times: 2^-r times the sum of i^(-t Q_s) is
-    that code's own 2^-r' sum, the same dyadic, and the phase
-    e^(i pi t |c| / 4) is alpha's at length |c|: _quarter_values' sum
-    with the mask c and L = 0.
-    """
-    t = theta.fourth_root_index
-    columns = gf2.transpose(P).bits
-    gens = list(gf2._eliminate(columns, {}).values())
-    return _quarter_values(gens, t, [gf2._combine(columns, s) for s in ss])[0]
-
-
-def _amplitude(P: BinaryMatrix, x: int, theta: Angle, rank_limit: int) -> tuple:
-    """The value and exact form of _amplitudes for one point x."""
-    values, exact = _amplitudes(P, [x], theta, rank_limit)
-    return values[0], exact[0]
-
-
 def alpha(
     P: BinaryMatrix, theta: Angle, *, rank_limit: int = DEFAULT_RANK_LIMIT
 ) -> complex:
@@ -542,7 +529,7 @@ def alpha(
     angles enumerate whichever of the code C and its dual C-perp has the
     smaller dimension, so the budget bounds min(r, n - r).
     """
-    return _amplitude(P, 0, theta, rank_limit)[0]
+    return _amplitudes(P, [0], theta, rank_limit)[0]
 
 
 def alpha_exact_fourth_root(
@@ -555,7 +542,8 @@ def alpha_exact_fourth_root(
     """
     if not theta.is_fourth_root or (theta.fourth_root_index * P.n) % 2:
         return None
-    w, r, _ = _amplitude(P, 0, theta, DEFAULT_RANK_LIMIT)[1]
+    gens = clifford._reduced_generators(P)[0]
+    ((w, r, _),) = _quarter_values(gens, theta.fourth_root_index, [(1 << P.n) - 1])[1]
     return w, r
 
 
@@ -582,7 +570,12 @@ def affinify(P: BinaryMatrix, s: BitVector) -> BinaryMatrix:
     """
     if s.n != P.l:
         raise DimensionMismatch("functional length does not match the matrix")
-    rows = tuple(a for a in P.bits if (a & s.bits).bit_count() & 1)
+    return _odd_rows(P, s.bits)
+
+
+def _odd_rows(P: BinaryMatrix, s: int) -> BinaryMatrix:
+    """The rows a of P with a . s = 1 for the packed s, in their order."""
+    rows = tuple(a for a in P.bits if (a & s).bit_count() & 1)
     return BinaryMatrix(len(rows), P.l, rows)
 
 

@@ -69,12 +69,13 @@ _CACHE_FLOATS = 1 << 20  # CDF entries a sampler keeps over all its shifts
 _DRAW_LIMIT = 1 << 20  # draws one sample command may ask for
 
 # The fixed work of one beta call in steps of the phase sweep, about
-# 0.015 us per outcome per transform level on one core. Off the multiples
-# of pi/8 a coefficient has its own affinify and elimination, about
-# 100 us; at multiples of pi/8 the batch eliminates P once and each
-# coefficient is one Gauss sum, about 11 ns a counted step on 60x40 and
-# 23 ns on 2000x64. A count near that would move the choice between
-# evaluators for some shapes, the 500x14 pi/8 marginal among them.
+# 0.015 us per outcome per transform level on one core. The betas batch
+# goes to codes._correlations: off the multiples of pi/8 a coefficient
+# has its own code of odd rows and elimination, about 100 us; at
+# multiples of pi/8 the batch eliminates P once and each coefficient is
+# one Gauss sum, about 11 ns a counted step on 60x40 and 23 ns on
+# 2000x64. A count near that would move the choice between evaluators
+# for some shapes, the 500x14 pi/8 marginal among them.
 _BETA_CALL_WORK = 1 << 13
 # The most work one marginal may take, in the same steps. It admits 2^12
 # beta calls on a 60x40 program (about 0.4 s at pi/8) and refuses 2^13; the
@@ -438,8 +439,9 @@ class MarginalSampler:
         self._law: tuple[int, list[int]] | None = None
 
     def conditional(self, shift) -> np.ndarray:
-        """Conditional probability vector for one dual-kernel shift."""
-        bits = shift.bits if isinstance(shift, BitVector) else int(shift)
+        """Conditional probability vector for one dual-kernel shift, a
+        BitVector of l bits or its packed value."""
+        bits = xprogram._outcome_index(shift, self.prog.l, "shift")
         if self._sweep is None:  # bit b of an index picks D_{q-1-b}
             self._sweep = xprogram._CosetSweep(self.prog.P, self.proj._dual_basis[::-1])
         probs = xprogram._sweep_probabilities(

@@ -77,6 +77,18 @@ def _check_total(total: float, what: str) -> None:
         raise NumericalInconsistency(f"{what} {total}")
 
 
+def _outcome_index(x, bits: int, what: str) -> int:
+    """The packed index of x, a BitVector of the given length or an int in
+    [0, 2^bits); anything else raises DimensionMismatch."""
+    if isinstance(x, BitVector):
+        if x.n != bits:
+            raise DimensionMismatch(f"{what} has {x.n} bits, expected {bits}")
+        return x.bits
+    if not 0 <= int(x) < 1 << bits:
+        raise DimensionMismatch(f"{what} {int(x)} is not an index of {bits} bits")
+    return int(x)
+
+
 class Distribution:
     """Probability vector over l-bit strings, indexed by packed value.
 
@@ -105,8 +117,7 @@ class Distribution:
         self._p = arr
 
     def probability(self, x) -> float:
-        ix = x.bits if isinstance(x, BitVector) else int(x)
-        return float(self._p[ix])
+        return float(self._p[_outcome_index(x, self.domain_bits, "outcome")])
 
     def as_array(self) -> np.ndarray:
         return self._p.copy()
@@ -162,7 +173,7 @@ def amplitudes(
         if x.n != prog.l:
             raise DimensionMismatch(f"x has {x.n} bits, program has {prog.l}")
     limit = codes.DEFAULT_RANK_LIMIT if rank_limit is None else rank_limit
-    return codes._amplitudes(prog.P, [x.bits for x in xs], prog.theta, limit)[0]
+    return codes._amplitudes(prog.P, [x.bits for x in xs], prog.theta, limit)
 
 
 def amplitude(prog: XProgram, x: BitVector, *, rank_limit: int | None = None) -> complex:
@@ -181,28 +192,19 @@ def betas(
     """Correlation coefficients of the parities X.s for every s of ss,
     each equal to 2 P[X.s=0] - 1.
 
-    Each is alpha of the affinified matrix at the doubled angle; the
-    result is real because that code contains the all-ones word, pairing
-    codewords into conjugate contributions. When the doubled angle is a
-    multiple of pi/4, P's columns are eliminated once for the batch and
-    each s is one Gauss sum over C's generators masked by the codeword
-    Ps (codes._punctured_alphas), with no budget. Otherwise every s keeps
-    its own code and elimination, the enumeration budget bounds
-    min(r, n - r) of that code, checked for every s in order before any
-    enumeration, and the enumerations of all of them share their numpy
-    calls.
+    Each is alpha of the affinified matrix at the doubled angle, as
+    codes._correlations evaluates the batch; the result is real because
+    that code contains the all-ones word, pairing codewords into
+    conjugate contributions. When the doubled angle is not a multiple of
+    pi/4, the enumeration budget bounds min(r, n - r) of each s's code,
+    checked for every s in order before any enumeration.
     """
     for s in ss:
         if s.n != prog.l:
             raise DimensionMismatch(f"s has {s.n} bits, program has {prog.l}")
-    doubled = prog.theta.doubled()
-    nonzero = [s for s in ss if not s.is_zero()]
-    if doubled.is_fourth_root:
-        found = iter(codes._punctured_alphas(prog.P, [s.bits for s in nonzero], doubled))
-    else:
-        limit = codes.DEFAULT_RANK_LIMIT if rank_limit is None else rank_limit
-        matrices = (codes.affinify(prog.P, s) for s in nonzero)
-        found = iter(codes._alphas(matrices, doubled, limit))
+    limit = codes.DEFAULT_RANK_LIMIT if rank_limit is None else rank_limit
+    nonzero = [s.bits for s in ss if not s.is_zero()]
+    found = iter(codes._correlations(prog.P, nonzero, prog.theta.doubled(), limit))
     values = []
     for s in ss:
         value = 1.0 if s.is_zero() else next(found)

@@ -498,31 +498,40 @@ class TestBatchedAmplitudes:
         m = shaped_matrix(data, family)
         theta = data.draw(st.sampled_from(BATCH_ANGLES))
         xs = data.draw(st.lists(st.integers(0, (1 << m.l) - 1), min_size=1, max_size=40))
-        got = list(zip(*codes._amplitudes(m, xs, theta, codes.DEFAULT_RANK_LIMIT)))
+        got = codes._amplitudes(m, xs, theta, codes.DEFAULT_RANK_LIMIT)
         # a batch of one is the evaluator single calls use
-        assert got == [codes._amplitude(m, x, theta, codes.DEFAULT_RANK_LIMIT) for x in xs]
+        assert got == [codes._amplitudes(m, [x], theta, codes.DEFAULT_RANK_LIMIT)[0] for x in xs]
         r = gf2.rank(m)
-        for x, (value, _) in zip(xs, got):
+        for x, value in zip(xs, got):
             if gf2.rank(BinaryMatrix(m.n + 1, m.l, m.bits + (x,))) > r:
                 assert value == 0j and isinstance(value, complex)
         if family != "wide":
             state = oracle.statevector(XProgram(m, theta))
-            for x, (value, _) in zip(xs, got):
+            for x, value in zip(xs, got):
                 assert abs(value - state.amplitudes[x]) < 1e-12
 
     def test_counts_over_many_matrices_match_one_at_a_time(self):
-        # codes of mixed lengths and sides, n = 0 included, share the
-        # numpy calls of _alphas, each histogram cut to its own length
+        # the odd-row codes of one program, of mixed lengths and sides,
+        # n = 0 included, share the numpy calls of _correlations, each
+        # histogram cut to its own length
         rng = Random(89)
         generic = [theta for theta in BATCH_ANGLES if not theta.is_fourth_root]
+        sides, empty = set(), 0
         for trial in range(40):
             l = rng.randint(1, 7)
-            ms = [random_matrix(rng, rng.randint(0, 14), l) for _ in range(rng.randint(1, 6))]
+            m = random_matrix(rng, rng.randint(0, 14), l)
             if trial % 2:  # rank below l
-                ms = [BinaryMatrix(m.n, l, tuple(v & ~1 for v in m.bits)) for m in ms]
+                m = BinaryMatrix(m.n, l, tuple(v & ~1 for v in m.bits))
+            ss = [rng.getrandbits(l) for _ in range(rng.randint(1, 6))]
             theta = generic[trial % len(generic)]
-            got = codes._alphas(ms, theta, codes.DEFAULT_RANK_LIMIT)
-            assert got == [codes.alpha(m, theta) for m in ms]
+            got = codes._correlations(m, ss, theta, codes.DEFAULT_RANK_LIMIT)
+            odd = [affinify(m, BitVector(l, s)) for s in ss]
+            assert got == [codes.alpha(sub, theta) for sub in odd]
+            for sub in odd:
+                r = gf2.rank(sub)
+                sides.add(sub.n - r < r)
+                empty += not sub.n
+        assert sides == {True, False} and empty > 5
 
     def test_every_outcome_across_slices(self):
         # 2^11 points on C (r = 11 <= n - r): 4094 signed cosets of
@@ -538,8 +547,8 @@ class TestBatchedAmplitudes:
             assert codes._GROUP_ENTRIES // (1 << k) < 1 << l
             theta = Angle.radians(0.9)
             xs = list(range(1 << l))
-            got = codes._amplitudes(m, xs, theta, codes.DEFAULT_RANK_LIMIT)[0]
-            want = [codes._amplitude(m, x, theta, codes.DEFAULT_RANK_LIMIT)[0] for x in xs]
+            got = codes._amplitudes(m, xs, theta, codes.DEFAULT_RANK_LIMIT)
+            want = [codes._amplitudes(m, [x], theta, codes.DEFAULT_RANK_LIMIT)[0] for x in xs]
             assert got == want
             state = oracle.statevector(XProgram(m, theta))
             assert np.abs(np.array(got) - state.amplitudes).max() < 1e-12
@@ -549,10 +558,10 @@ class TestBatchedAmplitudes:
         for theta in BATCH_ANGLES:
             m = BinaryMatrix(9, 7, tuple(rng.getrandbits(5) << 2 for _ in range(9)))
             xs = list(range(1 << 7))
-            got = zip(*codes._amplitudes(m, xs, theta, codes.DEFAULT_RANK_LIMIT))
-            for x, (value, exact) in zip(xs, got):
+            got = codes._amplitudes(m, xs, theta, codes.DEFAULT_RANK_LIMIT)
+            for x, value in zip(xs, got):
                 if x & 0b11:
-                    assert value == 0j and isinstance(value, complex) and exact is None
+                    assert value == 0j and isinstance(value, complex)
 
     def test_fourth_root_forms_match_enumeration(self):
         rng = Random(92)
@@ -562,17 +571,25 @@ class TestBatchedAmplitudes:
             if trial % 2:  # rank below l, so some points fall outside
                 m = BinaryMatrix(m.n, l, tuple(v & ~1 for v in m.bits))
             xs = list(range(1 << l))
+            gens, forms = clifford._reduced_generators(m, xs)
+            inside = [L for L in forms if L is not None]
             for t in range(8):
-                got = zip(*codes._amplitudes(m, xs, Angle.exact(t, 4), codes.DEFAULT_RANK_LIMIT))
-                for x, (value, exact) in zip(xs, got):
-                    if exact is None:
+                values = codes._amplitudes(m, xs, Angle.exact(t, 4), codes.DEFAULT_RANK_LIMIT)
+                # the exact forms of the sums the batch takes its values from
+                found = codes._quarter_values(gens, t, [(1 << m.n) - 1] * len(inside), inside)
+                assert [v for v, form in zip(values, forms) if form is not None] == found[0]
+                exact = iter(found[1])
+                for x, form, value in zip(xs, forms, values):
+                    if form is None:
                         assert value == 0j
                         continue
-                    assert exact == enumerated_exact(m, x, t)
-                    w, r, odd = exact
+                    w, r, odd = next(exact)
+                    assert (w, r, odd) == enumerated_exact(m, x, t)
                     assert isinstance(w, clifford.GaussianInteger)
                     phase = cmath.exp(1j * math.pi / 4) if odd else 1
                     assert abs(value - phase * w.to_complex() / 2**r) < 1e-12
+                    if not x and not odd:
+                        assert codes.alpha_exact_fourth_root(m, Angle.exact(t, 4)) == (w, r)
 
     def test_rank_too_large_before_any_table(self, monkeypatch):
         def refuse(*args):
@@ -583,7 +600,7 @@ class TestBatchedAmplitudes:
         m = BinaryMatrix(12, 7, tuple(v << 1 for v in BinaryMatrix.identity(6).bits) * 2)
         theta = Angle.radians(0.7)
         outside = [1, 3, 0b1000001]
-        assert codes._amplitudes(m, outside, theta, 4) == ([0j] * 3, [None] * 3)
+        assert codes._amplitudes(m, outside, theta, 4) == [0j] * 3
         with pytest.raises(RankTooLarge):
             codes._amplitudes(m, outside + [0b10], theta, 4)
         with pytest.raises(RankTooLarge):
@@ -693,7 +710,7 @@ class TestOneElimination:
             xs = list(range(1 << 6))
             for theta in FRONT_ANGLES:
                 state = oracle.statevector(XProgram(m, theta))
-                values = codes._amplitudes(m, xs, theta, codes.DEFAULT_RANK_LIMIT)[0]
+                values = codes._amplitudes(m, xs, theta, codes.DEFAULT_RANK_LIMIT)
                 for x, value in zip(xs, values):
                     if gf2.rank(BinaryMatrix(n + 1, 6, m.bits + (x,))) > r:
                         assert value == 0j and isinstance(value, complex)

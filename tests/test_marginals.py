@@ -832,6 +832,15 @@ class TestMarginalSampler:
         with pytest.raises(NumericalInconsistency):
             sampler.conditional(0)
 
+    def test_conditional_rejects_a_shift_of_another_length(self):
+        # a 5-bit shift on a 3-bit program was swept as if it were 3 bits
+        prog = XProgram(BinaryMatrix.from_strings(["110", "011", "111"]), Angle.radians(0.8))
+        sampler = MarginalSampler(prog, diagonal_projector(BitVector.from_string("100")), Random(8))
+        for shift in (BitVector(5, 1), BitVector(2, 1), 8, -1):
+            with pytest.raises(DimensionMismatch):
+                sampler.conditional(shift)
+        assert np.array_equal(sampler.conditional(BitVector(3, 1)), sampler.conditional(1))
+
     def test_conditional_is_not_cached(self):
         rng = Random(110)
         prog = XProgram(random_matrix(rng, 6, 6), Angle.radians(0.8))

@@ -83,6 +83,20 @@ class TestDistribution:
         with pytest.raises(DimensionMismatch):
             Distribution(2, [0.5, 0.5])
 
+    def test_rejects_an_outcome_of_another_length(self):
+        # a 2-bit outcome of a 3-bit distribution read entry 1
+        d = Distribution(3, [0.125] * 8)
+        with pytest.raises(DimensionMismatch):
+            d.probability(BitVector(2, 1))
+
+    def test_rejects_an_index_out_of_range(self):
+        # -3 wrapped to entry 5, and 8 is past the last entry
+        d = Distribution(3, [0.125] * 8)
+        for ix in (-3, -1, 8):
+            with pytest.raises(DimensionMismatch):
+                d.probability(ix)
+        assert d.probability(7) == d.probability(BitVector(3, 7)) == 0.125
+
     def test_total_variation(self):
         a = Distribution(1, [1.0, 0.0])
         b = Distribution(1, [0.0, 1.0])
@@ -529,6 +543,18 @@ class TestBetas:
             )
             with pytest.raises(NumericalInconsistency, match=message):
                 xprogram.betas(prog, [s])
+
+    @pytest.mark.parametrize("theta", [Angle.radians(0.7), Angle.exact(1, 16)], ids=str)
+    def test_generic_angles_take_no_affinify(self, theta, monkeypatch):
+        # codes._correlations keeps each s's odd rows itself
+        rng = Random(67)
+        progs = [XProgram(dependent_rows(rng, rng.randint(0, 16), 8, kind), theta)
+                 for kind in ("dense", "repeated", "low") for _ in range(3)]
+        ss = [BitVector(8, ix) for ix in range(256)]
+        wants = [per_s_betas(prog, ss) for prog in progs]
+        monkeypatch.setattr(codes, "affinify", None)
+        for prog, want in zip(progs, wants):
+            assert xprogram.betas(prog, ss) == want
 
     def test_dimension_mismatch_before_any_code(self, pex, monkeypatch):
         monkeypatch.setattr(codes, "affinify", None)

@@ -4,12 +4,21 @@
     python3 tools/cli_corpus.py --src /path/to/other/checkout/src > old.txt
     diff old.txt new.txt
 
+or in one command, against the src directory of a git revision:
+
+    python3 tools/cli_corpus.py --src src --against HEAD
+
 Every line of output is the sha256 of one call's exit code, stdout and
 stderr, then the call's command line. Two checkouts give the same lines
 exactly when every call gives byte-identical results, so the diff is an
 output check for changes that should not change any result. With
 --records each line holds the call's [exit code, stdout, stderr] as JSON
-in place of its digest, to read what a differing line printed.
+in place of its digest, to read what a differing line printed. With
+--against REV the corpus runs on --src and on `git archive REV src`,
+extracted to a temporary directory, each in a subprocess; every line
+that differs is printed with its --records detail, REV's as "-" and
+--src's as "+", and the exit code is 1 if any line differs (2 if a run
+fails).
 
 The corpus depends on --seed only. It covers every subcommand on random
 programs (n <= 14, l <= 12, dense, weight-<=2, column-sparse and low-rank
@@ -77,9 +86,12 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
+import tarfile
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import zip_longest
 from random import Random
 
 PI8 = [f"{k}/8" for k in range(-1, 17)] + ["0", "1", "1/4", "1/2", "3/4", "3/2", "7/4"]
@@ -641,6 +653,37 @@ def run(main, argv: list[str], records: bool = False) -> str:
     return record if records else hashlib.sha256(record.encode()).hexdigest()
 
 
+def against(src: str, rev: str, seed: int) -> int:
+    """Prints the record lines of src and of REV's src that differ, "-"
+    for REV and "+" for src; 1 if any does, 2 if a run fails, else 0."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    root = subprocess.run(["git", "rev-parse", "--show-toplevel"], cwd=here,
+                          capture_output=True, text=True, check=True).stdout.strip()
+    archive = subprocess.run(["git", "archive", rev, "src"], cwd=root, stdout=subprocess.PIPE)
+    if archive.returncode:  # git has said why on stderr
+        return 2
+    with tempfile.TemporaryDirectory() as old:
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(old)
+        sides = [
+            subprocess.Popen([sys.executable, os.path.abspath(__file__), "--src", path,
+                              "--seed", str(seed), "--records"],
+                             stdout=subprocess.PIPE, text=True)
+            for path in (os.path.join(old, "src"), os.path.abspath(src))
+        ]
+        (before, _), (after, _) = (side.communicate() for side in sides)
+    if any(side.returncode for side in sides):
+        print(f"a corpus run failed: exit codes {[side.returncode for side in sides]}", file=sys.stderr)
+        return 2
+    differ = 0
+    for a, b in zip_longest(before.splitlines(), after.splitlines(), fillvalue=""):
+        if a != b:
+            differ += 1
+            print(f"-{a}\n+{b}")
+    print(f"{differ} command lines differ from {rev}", file=sys.stderr)
+    return 1 if differ else 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", required=True, help="directory holding the iqpsim package")
@@ -650,7 +693,14 @@ def main() -> int:
         action="store_true",
         help="print each call's [exit code, stdout, stderr] as JSON in place of its digest",
     )
+    parser.add_argument(
+        "--against",
+        metavar="REV",
+        help="also run the corpus on REV's src and print the lines that differ",
+    )
     args = parser.parse_args()
+    if args.against:
+        return against(args.src, args.against, args.seed)
     sys.path.insert(0, os.path.abspath(args.src))
     os.environ["COLUMNS"] = "80"  # argparse wraps --help text to the terminal
     from iqpsim.cli import main as cli_main
